@@ -11,7 +11,6 @@ from .diffmodel import (
     Batch,
     ModelOutput,
     ModelParams,
-    grad_input,
     grad_params,
     init_params,
     load_checkpoint,
@@ -21,7 +20,7 @@ from .diffmodel import (
     task_loss,
 )
 from .errors import ContractViolation
-from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, pga_step, project, project_jvp, sample_init
+from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, sample_init
 from .regularizers import RegularizerKind, adv_reg_grad_delta, adv_reg_grad_params, adv_reg_loss, kl_divergence
 from .stackelberg import (
     InnerObjective,
@@ -58,9 +57,9 @@ __all__ = [
     "adv_reg_grad_delta",
     "adv_reg_grad_params",
     "adv_reg_loss",
+    "ascend",
     "bin_predictions",
     "confidence_of",
-    "grad_input",
     "grad_params",
     "hvp_fd",
     "init_params",
@@ -70,9 +69,6 @@ __all__ = [
     "load_checkpoint",
     "make_adv_objective",
     "mlp_forward",
-    "pga_step",
-    "project",
-    "project_jvp",
     "salt_training_step",
     "sample_init",
     "save_checkpoint",

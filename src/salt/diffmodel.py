@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,12 +102,6 @@ class ModelOutput:
     def n(self) -> int:
         out = self.logits if self.logits is not None else self.scalars
         return out.shape[0]
-
-
-def layer_sizes(params: ModelParams) -> list[int]:
-    """Recover [d_in, d_1, ..., d_out] from the shape metadata."""
-    weights = params.shapes[0::2]
-    return [weights[0][0]] + [w[1] for w in weights]
 
 
 def init_params(sizes: Sequence[int], rng: np.random.Generator, scale: float = 1.0) -> ModelParams:
@@ -233,61 +227,24 @@ def task_loss(output: ModelOutput, targets: Array) -> float:
     return float(((output.scalars - targets) ** 2).mean())
 
 
-def _task_loss_seed(params: ModelParams, out: Array, targets: Array) -> Array:
-    """d(batch-mean task loss)/d(raw output)."""
-    n = out.shape[0]
+def _task_seed_sum(params: ModelParams, out: Array, targets: Array) -> Array:
+    """d(sum of per-example task losses)/d(raw output). Divided by the batch
+    size it seeds the batch-mean loss."""
     if params.output_dim == 1:
         t = np.asarray(targets, dtype=np.float64)
-        return (2.0 * (out[:, 0] - t) / n)[:, None]
+        return (2.0 * (out[:, 0] - t))[:, None]
     labels = _check_labels(targets, out.shape[1])
     seed = softmax(out)
-    seed[np.arange(n), labels] -= 1.0
-    return seed / n
+    seed[np.arange(out.shape[0]), labels] -= 1.0
+    return seed
 
 
 def grad_params(params: ModelParams, batch: Batch) -> Array:
     """Gradient of the batch-mean task loss with respect to the flat parameters."""
     out, acts = _forward(params, batch.inputs)
-    seed = _task_loss_seed(params, out, batch.targets)
+    seed = _task_seed_sum(params, out, batch.targets) / out.shape[0]
     gtheta, _ = _backward(params, acts, seed)
     return gtheta
-
-
-def grad_input(
-    params: ModelParams,
-    inputs: Array,
-    objective: str,
-    *,
-    targets: Array | None = None,
-    reference: ModelOutput | None = None,
-) -> Array:
-    """Gradient of a batch-mean scalar objective with respect to the inputs.
-
-    objective selects what is differentiated:
-      "task_loss"          needs targets
-      "kl_divergence"      needs reference (clean-branch output); KL(ref || f(inputs))
-      "squared_difference" needs reference; (ref - f(inputs))^2
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    out, acts = _forward(params, inputs)
-    n = out.shape[0]
-    if objective == "task_loss":
-        if targets is None:
-            raise ContractViolation("task_loss objective needs targets")
-        seed = _task_loss_seed(params, out, targets)
-    elif objective == "kl_divergence":
-        if reference is None or reference.logits is None:
-            raise ContractViolation("kl_divergence objective needs a classification reference")
-        p = softmax(reference.logits)
-        seed = (softmax(out) - p) / n
-    elif objective == "squared_difference":
-        if reference is None or reference.scalars is None:
-            raise ContractViolation("squared_difference objective needs a regression reference")
-        seed = (2.0 * (out[:, 0] - reference.scalars) / n)[:, None]
-    else:
-        raise ContractViolation(f"unknown objective selector: {objective!r}")
-    _, ginputs = _backward(params, acts, seed)
-    return ginputs
 
 
 # ---------- checkpoints ----------

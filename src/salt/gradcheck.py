@@ -15,9 +15,10 @@ import numpy as np
 
 from .diffmodel import Array, Batch, ModelParams, init_params, mlp_forward, task_loss
 from .errors import ContractViolation
-from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, project_rows, sample_init
-from .regularizers import RegularizerKind, adv_reg_loss, reg_grad_delta_sum
+from .perturb import AdvConfig, NormKind, ProjMode, ascend, sample_init
+from .regularizers import RegularizerKind, adv_reg_loss
 from .stackelberg import UnrollTape, make_adv_objective, stackelberg_gradient, unroll_forward
+from .vat import regularizer_ascent
 
 # Relative distance from a pre-projection point to the ball boundary below
 # which an instance counts as kink-adjacent.
@@ -48,24 +49,15 @@ class GradcheckRecord:
     rel_err: float
 
 
-def unrolled_endpoint(
-    params: ModelParams, x: Array, cfg: AdvConfig, kind: RegularizerKind, delta0: Array
-) -> Array:
-    """Re-run the ascent from a fixed init under the current parameters."""
-    cur = delta0
-    for _ in range(cfg.k_steps):
-        grad = reg_grad_delta_sum(params, x, cur, kind)
-        cur = project_rows(cur + cfg.eta * grad, cfg.epsilon, cfg.norm)
-    return cur
-
-
 def total_objective(
     params: ModelParams, batch: Batch, cfg: AdvConfig, kind: RegularizerKind, delta0: Array
 ) -> float:
-    """Task loss plus alpha times the regularizer at the ascent endpoint."""
-    delta_k = unrolled_endpoint(params, batch.inputs, cfg, kind, delta0)
-    clean = task_loss(mlp_forward(params, batch.inputs), batch.targets)
-    return clean + cfg.alpha * adv_reg_loss(params, batch.inputs, delta_k, kind)
+    """Task loss plus alpha times the regularizer at the endpoint of the ascent
+    re-run from a fixed init under the current parameters."""
+    x = batch.inputs
+    deltas, _ = ascend(regularizer_ascent(params, x, kind), delta0, cfg)
+    clean = task_loss(mlp_forward(params, x), batch.targets)
+    return clean + cfg.alpha * adv_reg_loss(params, x, deltas[-1], kind)
 
 
 def hypergradient_fd(

@@ -6,7 +6,7 @@ before any compute starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 from ..errors import ContractViolation
@@ -97,55 +97,23 @@ class ExperimentConfig:
             raise ContractViolation("epochs and batch_size must be positive")
 
 
-def _take(section: str, raw: dict, allowed: set[str]) -> dict:
+def _take(section: str, raw: dict, cls: type) -> dict:
     if not isinstance(raw, dict):
         raise ContractViolation(f"{section} must be a JSON object")
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ContractViolation(f"unknown {section} keys: {sorted(unknown)}")
     return dict(raw)
 
 
+_SECTIONS = {"dataset": DatasetSpec, "model": ModelSpec, "optimizer": OptimizerSpec, "adv": AdvConfig}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    top = _take(
-        "config",
-        raw,
-        {"method", "seed", "epochs", "batch_size", "outdir", "dataset", "model", "optimizer", "adv"},
-    )
-    kwargs: dict = {}
-    if "dataset" in top:
-        kwargs["dataset"] = DatasetSpec(
-            **_take(
-                "dataset",
-                top.pop("dataset"),
-                {"kind", "n_train", "n_test", "noise_std", "train_path", "test_path", "target"},
-            )
-        )
-    if "model" in top:
-        spec = _take("model", top.pop("model"), {"layers"})
-        kwargs["model"] = ModelSpec(**spec)
-    if "optimizer" in top:
-        kwargs["optimizer"] = OptimizerSpec(
-            **_take("optimizer", top.pop("optimizer"), {"kind", "lr", "betas", "eps"})
-        )
-    if "adv" in top:
-        kwargs["adv"] = AdvConfig(
-            **_take(
-                "adv",
-                top.pop("adv"),
-                {
-                    "alpha",
-                    "epsilon",
-                    "eta",
-                    "sigma",
-                    "k_steps",
-                    "norm",
-                    "proj_mode",
-                    "fd_radius_scale",
-                },
-            )
-        )
-    kwargs.update(top)
+    kwargs = _take("config", raw, ExperimentConfig)
+    for section, cls in _SECTIONS.items():
+        if section in kwargs:
+            kwargs[section] = cls(**_take(section, kwargs[section], cls))
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -161,40 +129,9 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "method": cfg.method.value,
-        "seed": cfg.seed,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "outdir": cfg.outdir,
-        "dataset": {
-            "kind": cfg.dataset.kind,
-            "n_train": cfg.dataset.n_train,
-            "n_test": cfg.dataset.n_test,
-            "noise_std": cfg.dataset.noise_std,
-            "train_path": cfg.dataset.train_path,
-            "test_path": cfg.dataset.test_path,
-            "target": cfg.dataset.target,
-        },
-        "model": {"layers": list(cfg.model.layers)},
-        "optimizer": {
-            "kind": cfg.optimizer.kind,
-            "lr": cfg.optimizer.lr,
-            "betas": list(cfg.optimizer.betas),
-            "eps": cfg.optimizer.eps,
-        },
-        "adv": {
-            "alpha": cfg.adv.alpha,
-            "epsilon": cfg.adv.epsilon,
-            "eta": cfg.adv.eta,
-            "sigma": cfg.adv.sigma,
-            "k_steps": cfg.adv.k_steps,
-            "norm": cfg.adv.norm.value,
-            "proj_mode": cfg.adv.proj_mode.value,
-            "fd_radius_scale": cfg.adv.fd_radius_scale,
-        },
-    }
+# Nested plain dict of every field. The enums subclass str and the tuples
+# become JSON lists, so json.dump of it is the resolved-config format.
+config_to_dict = asdict
 
 
 def override(cfg: ExperimentConfig, **kw) -> ExperimentConfig:

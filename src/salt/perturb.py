@@ -1,20 +1,23 @@
-"""Perturbation lifecycle: Gaussian init, norm-ball projection, ascent steps.
+"""Perturbation lifecycle: Gaussian init, norm-ball projection, projected ascent.
 
 Each example carries its own perturbation row, constrained independently
 (per-example norm ball). The projection is exact; its Jacobian is available
 for differentiation through the ascent, with an optional straight-through
 mode that pretends the projection is the identity.
+
+Every method's follower runs the same ascent (`ascend`); they differ only in
+the gradient they climb and in whether the leader differentiates through it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .diffmodel import Array, ModelParams
+from .diffmodel import Array
 from .errors import ContractViolation
-from .regularizers import RegularizerKind, reg_grad_delta_sum
 
 # Norms within this relative slack of epsilon count as already projected, so
 # re-projecting a projected vector is a bit-exact no-op.
@@ -65,10 +68,9 @@ class AdvConfig:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Perturbation rows (n, d); norm records the constraint it was projected under."""
+    """Perturbation rows (n, d)."""
 
     values: Array
-    norm: NormKind | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -81,7 +83,7 @@ def sample_init(sigma: float, shape: tuple[int, int], rng: np.random.Generator) 
     """i.i.d. N(0, sigma^2) entries, not yet projected."""
     if sigma < 0:
         raise ContractViolation("sigma must be non-negative")
-    return Perturbation(values=rng.standard_normal(shape) * sigma, norm=None)
+    return Perturbation(values=rng.standard_normal(shape) * sigma)
 
 
 # ---------- projection ----------
@@ -98,14 +100,6 @@ def project_rows(values: Array, epsilon: float, norm: NormKind) -> Array:
     if norm == NormKind.LINF:
         return np.clip(values, -epsilon, epsilon)
     raise ContractViolation(f"unknown norm: {norm!r}")
-
-
-def project(v: Array, epsilon: float, norm: NormKind) -> Array:
-    """Single-vector form of project_rows."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ContractViolation("project expects a vector; use project_rows for batches")
-    return project_rows(v[None, :], epsilon, norm)[0]
 
 
 def project_jvp_rows(
@@ -139,30 +133,25 @@ def project_jvp_rows(
     raise ContractViolation(f"unknown norm: {norm!r}")
 
 
-def project_jvp(v: Array, u: Array, epsilon: float, norm: NormKind, mode: ProjMode) -> Array:
-    v = np.asarray(v, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if v.ndim != 1 or u.shape != v.shape:
-        raise ContractViolation("project_jvp expects matching vectors")
-    return project_jvp_rows(v[None, :], u[None, :], epsilon, norm, mode)[0]
+# ---------- projected ascent ----------
 
 
-# ---------- ascent step ----------
+def ascend(
+    grad_delta: Callable[[Array], Array], delta0: Array, cfg: AdvConfig
+) -> tuple[list[Array], list[Array]]:
+    """k_steps of projected gradient ascent from delta0 on the objective whose
+    delta gradient is grad_delta.
 
-
-def pga_step(
-    params: ModelParams,
-    x: Array,
-    delta: Perturbation,
-    cfg: AdvConfig,
-    kind: RegularizerKind,
-) -> tuple[Perturbation, Array]:
-    """One projected ascent step on the per-example regularizer.
-
-    Returns the projected perturbation and the pre-projection iterate (the
-    point at which the projection Jacobian is later evaluated).
+    Returns the K+1 iterates (delta0 first, as given, never projected) and
+    the K pre-projection points, at which the projection Jacobian acts when
+    the ascent is differentiated.
     """
-    grad = reg_grad_delta_sum(params, x, delta.values, kind)
-    pre = delta.values + cfg.eta * grad
-    nxt = project_rows(pre, cfg.epsilon, cfg.norm)
-    return Perturbation(values=nxt, norm=cfg.norm), pre
+    cur = delta0
+    deltas = [cur]
+    pres: list[Array] = []
+    for _ in range(cfg.k_steps):
+        pre = cur + cfg.eta * grad_delta(cur)
+        cur = project_rows(pre, cfg.epsilon, cfg.norm)
+        pres.append(pre)
+        deltas.append(cur)
+    return deltas, pres

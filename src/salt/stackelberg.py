@@ -29,7 +29,7 @@ import numpy as np
 from .diffmodel import Array, Batch, ModelParams, mlp_forward, task_loss
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
-from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, project_jvp_rows, project_rows, sample_init
+from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, project_jvp_rows, sample_init
 from .regularizers import (
     RegularizerKind,
     adv_reg_loss,
@@ -164,15 +164,8 @@ def unroll_forward(
         seed = int(rng)
         rng = np.random.default_rng(seed)
     theta = params.values
-    cur = sample_init(cfg.sigma, x.shape, rng).values
-    deltas = [cur]
-    pres: list[Array] = []
-    for _ in range(cfg.k_steps):
-        grad = obj.grad_delta(cur, theta)
-        pre = cur + cfg.eta * grad
-        cur = project_rows(pre, cfg.epsilon, cfg.norm)
-        pres.append(pre)
-        deltas.append(cur)
+    delta0 = sample_init(cfg.sigma, x.shape, rng).values
+    deltas, pres = ascend(lambda delta: obj.grad_delta(delta, theta), delta0, cfg)
     return UnrollTape(
         deltas=tuple(deltas),
         pre_projections=tuple(pres),
@@ -364,8 +357,7 @@ def _stackelberg_parts(
     t0 = time.perf_counter()
     tape = unroll_forward(params, batch.inputs, cfg, obj, rng)
     t1 = time.perf_counter()
-    delta_k = Perturbation(tape.deltas[-1], cfg.norm if cfg.k_steps > 0 else None)
-    leader = vat_gradient(params, batch, delta_k, cfg, kind, detach_clean)
+    leader = vat_gradient(params, batch, Perturbation(tape.deltas[-1]), cfg, kind, detach_clean)
     n = batch.n
     v_norm = float(np.linalg.norm(obj.grad_delta(tape.deltas[-1], params.values) / n))
     degenerate = v_norm < _DEGENERATE_NORM

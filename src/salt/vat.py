@@ -7,6 +7,8 @@ interaction term.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .diffmodel import (
@@ -14,16 +16,15 @@ from .diffmodel import (
     Batch,
     ModelParams,
     _backward,
-    _check_labels,
     _forward,
+    _task_seed_sum,
     grad_params,
     mlp_forward,
-    softmax,
     task_loss,
 )
 from .optim import OptimizerState, optimizer_step
-from .perturb import AdvConfig, Perturbation, pga_step, project_rows, sample_init
-from .regularizers import RegularizerKind, adv_reg_grad_params, adv_reg_loss
+from .perturb import AdvConfig, Perturbation, ascend, sample_init
+from .regularizers import RegularizerKind, adv_reg_grad_params, adv_reg_loss, reg_grad_delta_sum
 
 
 def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
@@ -32,24 +33,29 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     return rng
 
 
-def _ascend_reg(
-    params: ModelParams, x: Array, cfg: AdvConfig, kind: RegularizerKind, delta: Perturbation
-) -> Perturbation:
-    for _ in range(cfg.k_steps):
-        delta, _ = pga_step(params, x, delta, cfg, kind)
-    return delta
+def regularizer_ascent(params: ModelParams, x: Array, kind: RegularizerKind) -> Callable[[Array], Array]:
+    """The VAT follower's ascent direction: d(summed regularizer)/d(delta)."""
+    return lambda delta: reg_grad_delta_sum(params, x, delta, kind)
 
 
-def _ascend_task(
-    params: ModelParams, batch: Batch, cfg: AdvConfig, delta: Perturbation
-) -> Perturbation:
-    for _ in range(cfg.k_steps):
-        out, acts = _forward(params, batch.inputs + delta.values)
-        seed = _task_seed_sum(params, out, batch.targets)
-        _, gdelta = _backward(params, acts, seed)
-        pre = delta.values + cfg.eta * gdelta
-        delta = Perturbation(project_rows(pre, cfg.epsilon, cfg.norm), cfg.norm)
-    return delta
+def task_ascent(params: ModelParams, batch: Batch) -> Callable[[Array], Array]:
+    """The Adv follower's ascent direction: d(summed task loss at x + delta)/d(delta)."""
+
+    def grad_delta(delta: Array) -> Array:
+        out, acts = _forward(params, batch.inputs + delta)
+        _, gdelta = _backward(params, acts, _task_seed_sum(params, out, batch.targets))
+        return gdelta
+
+    return grad_delta
+
+
+def _follow(
+    grad_delta: Callable[[Array], Array], shape: tuple[int, int], cfg: AdvConfig, rng: np.random.Generator | int
+) -> tuple[Array, Array]:
+    """Gaussian init, then the projected ascent. Returns (init, endpoint)."""
+    delta0 = sample_init(cfg.sigma, shape, _as_rng(rng)).values
+    deltas, _ = ascend(grad_delta, delta0, cfg)
+    return delta0, deltas[-1]
 
 
 def vat_inner_maximize(
@@ -61,8 +67,8 @@ def vat_inner_maximize(
 ) -> Perturbation:
     """Gaussian init followed by k_steps projected ascent steps on the regularizer."""
     x = np.asarray(x, dtype=np.float64)
-    delta = sample_init(cfg.sigma, x.shape, _as_rng(rng))
-    return _ascend_reg(params, x, cfg, kind, delta)
+    _, delta_k = _follow(regularizer_ascent(params, x, kind), x.shape, cfg, rng)
+    return Perturbation(delta_k)
 
 
 def vat_gradient(
@@ -82,17 +88,6 @@ def vat_gradient(
     return clean + cfg.alpha * reg
 
 
-def _task_seed_sum(params: ModelParams, out: Array, targets: Array) -> Array:
-    """d(sum of per-example task losses)/d(raw output)."""
-    if params.output_dim == 1:
-        t = np.asarray(targets, dtype=np.float64)
-        return (2.0 * (out[:, 0] - t))[:, None]
-    labels = _check_labels(targets, out.shape[1])
-    seed = softmax(out)
-    seed[np.arange(out.shape[0]), labels] -= 1.0
-    return seed
-
-
 def adv_inner_maximize(
     params: ModelParams,
     batch: Batch,
@@ -101,8 +96,8 @@ def adv_inner_maximize(
 ) -> Perturbation:
     """Label-using ascent: each example climbs its own task loss instead of the
     clean/perturbed divergence."""
-    delta = sample_init(cfg.sigma, batch.inputs.shape, _as_rng(rng))
-    return _ascend_task(params, batch, cfg, delta)
+    _, delta_k = _follow(task_ascent(params, batch), batch.inputs.shape, cfg, rng)
+    return Perturbation(delta_k)
 
 
 def vat_training_step(
@@ -116,16 +111,14 @@ def vat_training_step(
     """One flat-gradient update: inner ascent, then a leader step that treats
     the perturbation as data."""
     x = batch.inputs
-    delta = sample_init(cfg.sigma, x.shape, _as_rng(rng))
-    delta0_sum = float(delta.values.sum())
-    delta = _ascend_reg(params, x, cfg, kind, delta)
-    grad = vat_gradient(params, batch, delta, cfg, kind)
+    delta0, delta_k = _follow(regularizer_ascent(params, x, kind), x.shape, cfg, rng)
+    grad = vat_gradient(params, batch, Perturbation(delta_k), cfg, kind)
     new_params, new_state = optimizer_step(params, opt_state, grad)
     stats = {
         "clean_loss": task_loss(mlp_forward(params, x), batch.targets),
-        "reg_value": adv_reg_loss(params, x, delta.values, kind),
-        "delta_norm": float(np.sqrt((delta.values**2).sum(axis=1)).mean()),
-        "delta0_sum": delta0_sum,
+        "reg_value": adv_reg_loss(params, x, delta_k, kind),
+        "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
+        "delta0_sum": float(delta0.sum()),
     }
     return new_params, new_state, stats
 
@@ -140,16 +133,14 @@ def adv_training_step(
     """Adversarial-training update: clean task gradient plus alpha times the
     task gradient at the attacked inputs, delta held constant."""
     x = batch.inputs
-    delta = sample_init(cfg.sigma, x.shape, _as_rng(rng))
-    delta0_sum = float(delta.values.sum())
-    cur = _ascend_task(params, batch, cfg, delta)
-    attacked = Batch(inputs=x + cur.values, targets=batch.targets)
+    delta0, delta_k = _follow(task_ascent(params, batch), x.shape, cfg, rng)
+    attacked = Batch(inputs=x + delta_k, targets=batch.targets)
     grad = grad_params(params, batch) + cfg.alpha * grad_params(params, attacked)
     new_params, new_state = optimizer_step(params, opt_state, grad)
     stats = {
         "clean_loss": task_loss(mlp_forward(params, x), batch.targets),
         "reg_value": task_loss(mlp_forward(params, attacked.inputs), batch.targets),
-        "delta_norm": float(np.sqrt((cur.values**2).sum(axis=1)).mean()),
-        "delta0_sum": delta0_sum,
+        "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
+        "delta0_sum": float(delta0.sum()),
     }
     return new_params, new_state, stats

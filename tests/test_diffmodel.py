@@ -9,10 +9,8 @@ import pytest
 from salt.diffmodel import (
     Batch,
     ModelParams,
-    grad_input,
     grad_params,
     init_params,
-    layer_sizes,
     load_checkpoint,
     log_softmax,
     mlp_forward,
@@ -69,12 +67,6 @@ def test_head_kind_follows_output_width():
     assert reg.scalars.shape == (1,)
 
 
-def test_layer_sizes_roundtrip():
-    rng = np.random.default_rng(2)
-    sizes = [3, 7, 5, 2]
-    assert layer_sizes(init_params(sizes, rng)) == sizes
-
-
 def test_softmax_known_values():
     s = softmax(np.array([[1.0, 2.0, 3.0]]))
     z = math.exp(1) + math.exp(2) + math.exp(3)
@@ -113,39 +105,42 @@ def test_grad_params_matches_fd(seed):
 
 @pytest.mark.parametrize("objective", ["task_loss", "kl_divergence", "squared_difference"])
 def test_grad_input_matches_fd(objective):
+    """The input gradient each flat follower climbs: Adv's summed task loss,
+    VAT's summed regularizer."""
+    from salt.regularizers import RegularizerKind, reg_value_sum
+    from salt.vat import regularizer_ascent, task_ascent
+
     rng = np.random.default_rng(7)
     sizes = [3, 6, 1] if objective == "squared_difference" else [3, 6, 3]
     p = init_params(sizes, rng)
     x = rng.normal(size=(5, 3))
     if objective == "task_loss":
-        targets = rng.integers(0, 3, 5) if sizes[-1] > 1 else rng.normal(size=5)
-        kwargs = {"targets": targets}
+        targets = rng.integers(0, 3, 5)
+        grad_delta = task_ascent(p, Batch(inputs=x, targets=targets))
 
-        def val(xv):
-            return task_loss(mlp_forward(p, xv), targets)
+        def val(delta):
+            return task_loss(mlp_forward(p, x + delta), targets) * x.shape[0]
 
     else:
-        ref_out = mlp_forward(p, x)
-        kwargs = {"reference": ref_out}
-        from salt.regularizers import RegularizerKind, adv_reg_loss
-
         kind = (
             RegularizerKind.KL_DIVERGENCE
             if objective == "kl_divergence"
             else RegularizerKind.SQUARED_DIFFERENCE
         )
+        grad_delta = regularizer_ascent(p, x, kind)
 
-        def val(xv):
-            return adv_reg_loss(p, x, xv - x, kind)
+        def val(delta):
+            return reg_value_sum(p, x, delta, kind)
 
-    g = grad_input(p, x + 0.1, objective, **kwargs)
+    delta = np.full_like(x, 0.1)
+    g = grad_delta(delta)
     h = 1e-6
     ref = np.zeros_like(x)
     for i in range(x.shape[0]):
         for j in range(x.shape[1]):
             e = np.zeros_like(x)
             e[i, j] = h
-            ref[i, j] = (val(x + 0.1 + e) - val(x + 0.1 - e)) / (2 * h)
+            ref[i, j] = (val(delta + e) - val(delta - e)) / (2 * h)
     assert np.linalg.norm(g - ref) <= 1e-6 * max(np.linalg.norm(ref), 1e-10)
 
 

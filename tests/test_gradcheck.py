@@ -11,11 +11,10 @@ from salt.gradcheck import (
     run_gradcheck,
     sample_instance,
     total_objective,
-    unrolled_endpoint,
 )
-from salt.perturb import AdvConfig
+from salt.perturb import AdvConfig, ascend
 from salt.stackelberg import UnrollTape, make_adv_objective, unroll_forward
-from salt.vat import vat_inner_maximize
+from salt.vat import regularizer_ascent
 
 
 def test_records_are_accurate_and_typed():
@@ -40,10 +39,11 @@ def test_endpoint_replay_matches_recorded_unroll():
     obj = make_adv_objective(inst.params, inst.batch.inputs, inst.kind)
     tape = unroll_forward(inst.params, inst.batch.inputs, inst.cfg, obj, inst.delta0_seed)
     assert np.array_equal(tape.deltas[0], inst.delta0)
-    replay = unrolled_endpoint(
-        inst.params, inst.batch.inputs, inst.cfg, inst.kind, inst.delta0
-    )
-    assert np.array_equal(replay, tape.deltas[-1])
+    grad_delta = regularizer_ascent(inst.params, inst.batch.inputs, inst.kind)
+    deltas, pres = ascend(grad_delta, inst.delta0, inst.cfg)
+    assert len(deltas) == len(tape.deltas) and len(pres) == len(tape.pre_projections)
+    for got, want in zip(deltas + pres, tape.deltas + tape.pre_projections):
+        assert np.array_equal(got, want)
 
 
 def test_total_objective_alpha0_is_task_loss():

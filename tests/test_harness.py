@@ -151,6 +151,18 @@ def test_config_defaults_and_roundtrip():
     assert again == cfg
 
 
+def test_shipped_configs_match_resolved_format():
+    # resolved_config.json is json.dump(config_to_dict(cfg), indent=2) plus a newline;
+    # the shipped configs are written in that format, so they pin it.
+    config_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    paths = sorted(os.path.join(config_dir, n) for n in os.listdir(config_dir) if n.endswith(".json"))
+    assert len(paths) == 4
+    for path in paths:
+        with open(path) as fh:
+            shipped = fh.read()
+        assert shipped == json.dumps(config_to_dict(load_config(path)), indent=2) + "\n", path
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ContractViolation, match="unknown config keys.*verbose"):
         config_from_dict({"verbose": True})
@@ -354,18 +366,6 @@ def test_sweep_norm_axis_uses_enum_values(tmp_path):
         out_path=str(tmp_path / "norm.csv"),
     )
     assert [r["axis_value"] for r in rows] == ["L2", "LInf"]
-
-
-def test_sweep_threads_env(tmp_path, monkeypatch):
-    template = _sweep_template(tmp_path)
-    monkeypatch.setenv("SALT_THREADS", "2")
-    rows2 = sweep(template, "k_steps", [0, 1], seeds=[0], out_path=str(tmp_path / "t2.csv"))
-    monkeypatch.setenv("SALT_THREADS", "1")
-    rows1 = sweep(template, "k_steps", [0, 1], seeds=[0], out_path=str(tmp_path / "t1.csv"))
-    assert rows1 == rows2
-    monkeypatch.setenv("SALT_THREADS", "zap")
-    with pytest.raises(ContractViolation, match="SALT_THREADS"):
-        sweep(template, "k_steps", [0], seeds=[0], out_path=str(tmp_path / "bad.csv"))
 
 
 def test_sweep_rejects_bad_requests(tmp_path):

@@ -1,4 +1,4 @@
-"""Projection, its Jacobian, Gaussian init, and single ascent steps."""
+"""Projection, its Jacobian, Gaussian init, and the projected ascent."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,33 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salt.diffmodel import ModelParams
+from salt.diffmodel import ModelParams, init_params
 from salt.errors import ContractViolation
 from salt.perturb import (
     AdvConfig,
     NormKind,
-    Perturbation,
     ProjMode,
-    pga_step,
-    project,
-    project_jvp,
+    ascend,
+    project_jvp_rows,
     project_rows,
     sample_init,
 )
-from salt.regularizers import RegularizerKind
+from salt.regularizers import RegularizerKind, reg_grad_delta_sum
 
 
 def test_project_l2_known_value():
-    assert np.allclose(project(np.array([3.0, 4.0]), 1.0, NormKind.L2), [0.6, 0.8], atol=1e-15)
-    # interior point untouched, bitwise
-    v = np.array([0.3, -0.4])
-    assert project(v, 1.0, NormKind.L2) is not v
-    assert np.array_equal(project(v, 1.0, NormKind.L2), v)
+    got = project_rows(np.array([[3.0, 4.0], [0.3, -0.4]]), 1.0, NormKind.L2)
+    assert np.allclose(got[0], [0.6, 0.8], atol=1e-15)
+    # interior row untouched, bitwise, in a fresh array
+    v = np.array([[0.3, -0.4]])
+    assert project_rows(v, 1.0, NormKind.L2) is not v
+    assert np.array_equal(project_rows(v, 1.0, NormKind.L2), v)
+    assert np.array_equal(got[1], v[0])
 
 
 def test_project_linf_known_value():
-    got = project(np.array([3.0, -0.5, 1.0]), 1.0, NormKind.LINF)
-    assert np.array_equal(got, [1.0, -0.5, 1.0])
+    got = project_rows(np.array([[3.0, -0.5, 1.0]]), 1.0, NormKind.LINF)
+    assert np.array_equal(got, [[1.0, -0.5, 1.0]])
 
 
 @pytest.mark.parametrize("norm", list(NormKind))
@@ -58,7 +58,7 @@ def test_projection_jacobian_matches_fd(norm):
     while checked < 40:
         d = int(rng.integers(2, 7))
         eps = 1.0
-        v = rng.normal(size=d) * rng.uniform(0.3, 3.0)
+        v = rng.normal(size=(1, d)) * rng.uniform(0.3, 3.0)
         # keep away from the kink where the derivative does not exist
         if norm == NormKind.L2:
             if abs(np.linalg.norm(v) - eps) < 1e-2:
@@ -66,10 +66,10 @@ def test_projection_jacobian_matches_fd(norm):
         else:
             if np.any(np.abs(np.abs(v) - eps) < 1e-2):
                 continue
-        u = rng.normal(size=d)
-        got = project_jvp(v, u, eps, norm, ProjMode.EXACT_JACOBIAN)
+        u = rng.normal(size=(1, d))
+        got = project_jvp_rows(v, u, eps, norm, ProjMode.EXACT_JACOBIAN)
         h = 1e-7
-        fd = (project(v + h * u, eps, norm) - project(v - h * u, eps, norm)) / (2 * h)
+        fd = (project_rows(v + h * u, eps, norm) - project_rows(v - h * u, eps, norm)) / (2 * h)
         assert np.linalg.norm(got - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-9)
         checked += 1
 
@@ -79,18 +79,18 @@ def test_projection_jacobian_symmetric():
     for norm in NormKind:
         for _ in range(20):
             d = 5
-            v = rng.normal(size=d) * 3.0
-            jac = np.stack(
-                [project_jvp(v, e, 1.0, norm, ProjMode.EXACT_JACOBIAN) for e in np.eye(d)]
+            v = rng.normal(size=(1, d)) * 3.0
+            jac = np.concatenate(
+                [project_jvp_rows(v, e[None, :], 1.0, norm, ProjMode.EXACT_JACOBIAN) for e in np.eye(d)]
             )
             assert np.allclose(jac, jac.T, atol=1e-14)
 
 
 def test_straight_through_is_identity():
     rng = np.random.default_rng(3)
-    v = rng.normal(size=6) * 10
-    u = rng.normal(size=6)
-    assert np.array_equal(project_jvp(v, u, 0.5, NormKind.L2, ProjMode.STRAIGHT_THROUGH), u)
+    v = rng.normal(size=(2, 6)) * 10
+    u = rng.normal(size=(2, 6))
+    assert np.array_equal(project_jvp_rows(v, u, 0.5, NormKind.L2, ProjMode.STRAIGHT_THROUGH), u)
 
 
 def test_sample_init_statistics():
@@ -102,41 +102,47 @@ def test_sample_init_statistics():
     assert sample_init(0.0, (5, 3), rng).values.sum() == 0.0
 
 
-def test_pga_step_closed_form_linear_regression():
+def test_ascend_closed_form_linear_regression():
     # f(x) = w^T x: one step moves delta by 2 eta (w^T delta) w, then projects
     w = np.array([2.0, -1.0])
     p = ModelParams(values=np.array([w[0], w[1], 0.0]), shapes=((2, 1), (1, 1)))
     x = np.array([[1.0, 1.0], [0.5, -0.5]])
-    delta = Perturbation(np.array([[0.1, 0.0], [0.0, 0.2]]), None)
+    delta0 = np.array([[0.1, 0.0], [0.0, 0.2]])
     cfg = AdvConfig(epsilon=10.0, eta=0.05, sigma=0.0, k_steps=1)
-    nxt, pre = pga_step(p, x, delta, cfg, RegularizerKind.SQUARED_DIFFERENCE)
-    want = delta.values + 2 * cfg.eta * (delta.values @ w)[:, None] * w
-    assert np.allclose(pre, want, atol=1e-14)
-    assert np.array_equal(nxt.values, pre)  # interior: projection is identity
+    kind = RegularizerKind.SQUARED_DIFFERENCE
+    deltas, pres = ascend(lambda d: reg_grad_delta_sum(p, x, d, kind), delta0, cfg)
+    want = delta0 + 2 * cfg.eta * (delta0 @ w)[:, None] * w
+    assert len(deltas) == 2 and len(pres) == 1
+    assert deltas[0] is delta0  # the init is returned as given, never projected
+    assert np.allclose(pres[0], want, atol=1e-14)
+    assert np.array_equal(deltas[1], pres[0])  # interior: projection is identity
 
 
-def test_pga_step_zero_delta_is_stationary():
+def test_ascend_zero_delta_is_stationary():
     rng = np.random.default_rng(5)
-    from salt.diffmodel import init_params
-
     p = init_params([2, 6, 3], rng)
     x = rng.normal(size=(4, 2))
-    cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.0, k_steps=1)
-    nxt, _ = pga_step(p, x, Perturbation(np.zeros((4, 2)), None), cfg, RegularizerKind.KL_DIVERGENCE)
-    assert np.allclose(nxt.values, 0.0, atol=1e-12)
+    cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.0, k_steps=3)
+    kind = RegularizerKind.KL_DIVERGENCE
+    deltas, _ = ascend(lambda d: reg_grad_delta_sum(p, x, d, kind), np.zeros((4, 2)), cfg)
+    assert len(deltas) == 4
+    for d in deltas:
+        assert np.allclose(d, 0.0, atol=1e-12)
 
 
-def test_pga_step_eta_zero_is_pure_projection():
+def test_ascend_eta_zero_is_pure_projection():
     rng = np.random.default_rng(6)
-    from salt.diffmodel import init_params
-
     p = init_params([2, 6, 3], rng)
     x = rng.normal(size=(3, 2))
     big = rng.normal(size=(3, 2)) * 5.0
     cfg = AdvConfig(epsilon=0.5, eta=0.0, sigma=0.0, k_steps=1)
-    nxt, pre = pga_step(p, x, Perturbation(big, None), cfg, RegularizerKind.KL_DIVERGENCE)
-    assert np.array_equal(pre, big)
-    assert np.array_equal(nxt.values, project_rows(big, 0.5, NormKind.L2))
+    kind = RegularizerKind.KL_DIVERGENCE
+    deltas, pres = ascend(lambda d: reg_grad_delta_sum(p, x, d, kind), big, cfg)
+    assert np.array_equal(pres[0], big)
+    assert np.array_equal(deltas[1], project_rows(big, 0.5, NormKind.L2))
+    # zero steps: the init alone, no gradient taken
+    deltas, pres = ascend(None, big, AdvConfig(k_steps=0))
+    assert len(deltas) == 1 and deltas[0] is big and pres == []
 
 
 def test_adv_config_validation():

@@ -39,13 +39,27 @@ def test_k0_returns_projected_init_unchanged_by_model():
 
 
 def test_inner_maximize_matches_unroll_trajectory():
-    p, batch = _setup(seed=3)
-    cfg = AdvConfig(epsilon=0.3, eta=0.8, sigma=0.2, k_steps=4)
-    d = vat_inner_maximize(p, batch.inputs, cfg, KIND, 7)
-    from salt.stackelberg import make_adv_objective, unroll_forward
+    """VAT and SALT pair by construction: for the same config and seed the flat
+    follower's init and endpoint are the SALT tape's, bit for bit."""
+    from salt.stackelberg import make_adv_objective, salt_training_step, unroll_forward
+    from salt.vat import _follow, regularizer_ascent
 
-    tape = unroll_forward(p, batch.inputs, cfg, make_adv_objective(p, batch.inputs, KIND), rng=7)
-    assert np.array_equal(d.values, tape.deltas[-1])
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    for sizes, kind in (((2, 8, 3), KIND), ((2, 8, 1), RegularizerKind.SQUARED_DIFFERENCE)):
+        p, batch = _setup(seed=3, sizes=sizes)
+        x = batch.inputs
+        for norm in ("L2", "LInf"):
+            for k in (0, 1, 4):
+                cfg = AdvConfig(epsilon=0.3, eta=0.8, sigma=0.2, k_steps=k, norm=norm)
+                tape = unroll_forward(p, x, cfg, make_adv_objective(p, x, kind), rng=7)
+                delta0, delta_k = _follow(regularizer_ascent(p, x, kind), x.shape, cfg, 7)
+                assert np.array_equal(delta0, tape.deltas[0])
+                assert np.array_equal(delta_k, tape.deltas[-1])
+                assert np.array_equal(vat_inner_maximize(p, x, cfg, kind, 7).values, tape.deltas[-1])
+                _, _, vat_stats = vat_training_step(p, batch, cfg, kind, state, 7)
+                _, _, salt_stats = salt_training_step(p, batch, cfg, kind, state, 7)
+                for key in ("delta0_sum", "delta_norm", "reg_value"):
+                    assert vat_stats[key] == salt_stats[key]
 
 
 def test_vat_gradient_matches_sum_of_parts():
@@ -60,7 +74,7 @@ def test_vat_gradient_matches_sum_of_parts():
 def test_vat_gradient_alpha_zero_is_clean_gradient():
     p, batch = _setup(seed=6)
     cfg = AdvConfig(alpha=0.0, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
-    d = Perturbation(np.full_like(batch.inputs, 100.0), None)
+    d = Perturbation(np.full_like(batch.inputs, 100.0))
     assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND), grad_params(p, batch))
 
 
