@@ -4,6 +4,9 @@ benchmark, writing one paired CSV per axis and printing per-value means.
 
 Usage:
     python3 scripts/run_sweeps.py [--seeds N] [--outdir DIR] [--axis {k_steps,epsilon,both}]
+
+SALT_THREADS caps worker threads (default 1); rows come out in the same
+order either way.
 """
 from __future__ import annotations
 

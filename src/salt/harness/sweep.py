@@ -1,12 +1,15 @@
 """Axis sweeps over the adversary config, one training run per (value, seed).
 
-Runs share the seed bank across axis values so columns are paired. Runs go
-one after another; rows come out in (value, seed) order.
+Runs share the seed bank across axis values so columns are paired. The
+SALT_THREADS environment variable caps worker threads (default 1); each run
+is internally deterministic, and rows are emitted in submission order either
+way.
 """
 from __future__ import annotations
 
 import csv
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from ..errors import ContractViolation
@@ -35,6 +38,15 @@ def _apply(template: ExperimentConfig, axis: str, value, seed: int) -> Experimen
     return replace(template, adv=adv, seed=seed, outdir=outdir)
 
 
+def sweep_threads() -> int:
+    raw = os.environ.get("SALT_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ContractViolation(f"SALT_THREADS must be an integer, got {raw!r}") from None
+    return max(threads, 1)
+
+
 def sweep(
     template: ExperimentConfig,
     axis: str,
@@ -50,20 +62,27 @@ def sweep(
     if not template.model.is_classification:
         raise ContractViolation("sweep summaries need a classification model (accuracy and ece columns)")
     seeds = list(seeds) if seeds else [template.seed]
-    rows = []
-    for value in values:
-        for seed in seeds:
-            final = run_experiment(_apply(template, axis, value, seed)).final
-            rows.append(
-                {
-                    "axis_value": value.value if isinstance(value, NormKind) else value,
-                    "seed": seed,
-                    "final_train_loss": final["train_loss"],
-                    "final_val_loss": final["val_loss"],
-                    "final_val_acc": final["val_acc"],
-                    "ece": final["ece"],
-                }
-            )
+    jobs = [(v, s) for v in values for s in seeds]
+
+    def run_one(job) -> dict:
+        value, seed = job
+        rec = run_experiment(_apply(template, axis, value, seed))
+        final = rec.final
+        return {
+            "axis_value": value.value if isinstance(value, NormKind) else value,
+            "seed": seed,
+            "final_train_loss": final["train_loss"],
+            "final_val_loss": final["val_loss"],
+            "final_val_acc": final["val_acc"],
+            "ece": final["ece"],
+        }
+
+    threads = sweep_threads()
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(run_one, jobs))
+    else:
+        rows = [run_one(j) for j in jobs]
 
     if out_path is None:
         out_path = os.path.join(template.outdir, "sweep.csv")

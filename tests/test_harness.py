@@ -368,6 +368,18 @@ def test_sweep_norm_axis_uses_enum_values(tmp_path):
     assert [r["axis_value"] for r in rows] == ["L2", "LInf"]
 
 
+def test_sweep_threads_env(tmp_path, monkeypatch):
+    template = _sweep_template(tmp_path)
+    monkeypatch.setenv("SALT_THREADS", "2")
+    rows2 = sweep(template, "k_steps", [0, 1], seeds=[0], out_path=str(tmp_path / "t2.csv"))
+    monkeypatch.setenv("SALT_THREADS", "1")
+    rows1 = sweep(template, "k_steps", [0, 1], seeds=[0], out_path=str(tmp_path / "t1.csv"))
+    assert rows1 == rows2
+    monkeypatch.setenv("SALT_THREADS", "zap")
+    with pytest.raises(ContractViolation, match="SALT_THREADS"):
+        sweep(template, "k_steps", [0], seeds=[0], out_path=str(tmp_path / "bad.csv"))
+
+
 def test_sweep_rejects_bad_requests(tmp_path):
     template = _sweep_template(tmp_path)
     with pytest.raises(ContractViolation):
