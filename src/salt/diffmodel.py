@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,8 +136,15 @@ def _flatten_grads(grads: Sequence[Array]) -> Array:
 # ---------- forward / backward engine ----------
 
 
-def _forward(params: ModelParams, inputs: Array) -> tuple[Array, list[Array]]:
-    """Returns (raw output matrix, activations). acts[l] is the input to layer l."""
+class ForwardPass(NamedTuple):
+    """Raw output matrix and activations; acts[l] is the input to layer l."""
+
+    out: Array
+    acts: list[Array]
+    __repr__ = object.__repr__  # tracers key calls by repr; printing the arrays outlasts the pass
+
+
+def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
     layers = unflatten(params)
     a = inputs
     acts = [a]
@@ -146,7 +153,7 @@ def _forward(params: ModelParams, inputs: Array) -> tuple[Array, list[Array]]:
         a = np.tanh(z) if i < len(layers) - 1 else z
         if i < len(layers) - 1:
             acts.append(a)
-    return a, acts
+    return ForwardPass(a, acts)
 
 
 def _backward(
@@ -175,7 +182,11 @@ def mlp_forward(params: ModelParams, inputs: Array) -> ModelOutput:
         raise ContractViolation(
             f"input width {inputs.shape[1]} does not match first layer width {params.input_dim}"
         )
-    out, _ = _forward(params, inputs)
+    return _output(params, _forward(params, inputs).out)
+
+
+def _output(params: ModelParams, out: Array) -> ModelOutput:
+    """Wrap a raw output matrix as logits, or as scalars for a width-1 head."""
     if params.output_dim == 1:
         return ModelOutput(scalars=out[:, 0])
     return ModelOutput(logits=out)
@@ -239,9 +250,10 @@ def _task_seed_sum(params: ModelParams, out: Array, targets: Array) -> Array:
     return seed
 
 
-def grad_params(params: ModelParams, batch: Batch) -> Array:
-    """Gradient of the batch-mean task loss with respect to the flat parameters."""
-    out, acts = _forward(params, batch.inputs)
+def grad_params(params: ModelParams, batch: Batch, fwd: ForwardPass | None = None) -> Array:
+    """Gradient of the batch-mean task loss with respect to the flat
+    parameters. fwd is the batch's forward pass, computed when not given."""
+    out, acts = _forward(params, batch.inputs) if fwd is None else fwd
     seed = _task_seed_sum(params, out, batch.targets) / out.shape[0]
     gtheta, _ = _backward(params, acts, seed)
     return gtheta

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ModelParams, init_params, mlp_forward, task_loss
+from .diffmodel import Array, Batch, ModelParams, _output, init_params, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ProjMode, ascend, sample_init
-from .regularizers import RegularizerKind, adv_reg_loss
+from .regularizers import RegularizerKind, clean_pass, reg_value_sum
 from .stackelberg import UnrollTape, make_adv_objective, stackelberg_gradient, unroll_forward
 from .vat import regularizer_ascent
 
@@ -55,9 +55,10 @@ def total_objective(
     """Task loss plus alpha times the regularizer at the endpoint of the ascent
     re-run from a fixed init under the current parameters."""
     x = batch.inputs
-    deltas, _ = ascend(regularizer_ascent(params, x, kind), delta0, cfg)
-    clean = task_loss(mlp_forward(params, x), batch.targets)
-    return clean + cfg.alpha * adv_reg_loss(params, x, deltas[-1], kind)
+    clean = clean_pass(params, x, kind)
+    deltas, _ = ascend(regularizer_ascent(params, x, kind, clean), delta0, cfg)
+    loss = task_loss(_output(params, clean.out), batch.targets)
+    return loss + cfg.alpha * (reg_value_sum(params, x, deltas[-1], kind, clean) / batch.n)
 
 
 def hypergradient_fd(

@@ -23,6 +23,8 @@ from ..calibration import bin_predictions, confidence_of, write_reliability_csv
 from ..diffmodel import (
     Batch,
     ModelParams,
+    _forward,
+    _output,
     grad_params,
     init_params,
     mlp_forward,
@@ -65,10 +67,11 @@ def _evaluate(params: ModelParams, batch: Batch) -> dict:
 def erm_training_step(
     params: ModelParams, batch: Batch, opt_state: OptimizerState
 ) -> tuple[ModelParams, OptimizerState, dict]:
-    grad = grad_params(params, batch)
+    clean = _forward(params, batch.inputs)
+    grad = grad_params(params, batch, clean)
     new_params, new_state = optimizer_step(params, opt_state, grad)
     stats = {
-        "clean_loss": task_loss(mlp_forward(params, batch.inputs), batch.targets),
+        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
         "reg_value": 0.0,
         "delta_norm": 0.0,
     }

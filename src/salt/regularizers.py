@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diffmodel import Array, ModelParams, _backward, _forward, log_softmax
+from .diffmodel import Array, ForwardPass, ModelParams, _backward, _forward, log_softmax
 from .errors import ContractViolation
 
 # Probabilities at or below this are treated as an exact zero in p*log(p/q).
@@ -35,18 +35,17 @@ def kl_divergence(p: Array, q: Array) -> float:
     return float(terms.sum())
 
 
-def _check_pair(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> tuple[Array, Array]:
+def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array:
     x = np.asarray(x, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if x.ndim != 2 or delta.shape != x.shape:
-        raise ContractViolation("delta must match the (n, d) shape of the inputs")
+    if x.ndim != 2:
+        raise ContractViolation("inputs must be an (n, d) matrix")
     if x.shape[1] != params.input_dim:
         raise ContractViolation("input width does not match the model")
     if kind == RegularizerKind.KL_DIVERGENCE and params.output_dim == 1:
         raise ContractViolation("KL regularizer needs a classification head")
     if kind == RegularizerKind.SQUARED_DIFFERENCE and params.output_dim != 1:
         raise ContractViolation("squared-difference regularizer needs a regression head")
-    return x, delta
+    return x
 
 
 def _kl_rows(clean_out: Array, pert_out: Array) -> tuple[Array, Array, Array, Array]:
@@ -60,53 +59,62 @@ def _kl_rows(clean_out: Array, pert_out: Array) -> tuple[Array, Array, Array, Ar
 
 
 # Summed (per-example, unscaled) primitives. The follower ascends these; the
-# public API below exposes the batch-mean versions.
+# public API below exposes the batch-mean versions. Each takes an optional
+# clean pass: x and theta are fixed through a training step, so a step
+# computes clean_pass once and hands it to every evaluation.
 
 
-def reg_value_sum(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> float:
-    x, delta = _check_pair(params, x, delta, kind)
-    clean, _ = _forward(params, x)
-    pert, _ = _forward(params, x + delta)
+def clean_pass(params: ModelParams, x: Array, kind: RegularizerKind) -> ForwardPass:
+    """The forward pass at the clean inputs, checked as the primitives check them."""
+    return _forward(params, _check_inputs(params, x, kind))
+
+
+def _evaluate(
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
+) -> tuple[ForwardPass, ForwardPass, float, Array, Array]:
+    """Both passes, the summed regularizer, and its seeds on the perturbed and the clean output."""
+    x = _check_inputs(params, x, kind)
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.shape != x.shape:
+        raise ContractViolation("delta must match the (n, d) shape of the inputs")
+    clean = _forward(params, x) if clean is None else clean
+    pert = _forward(params, x + delta)
     if kind == RegularizerKind.KL_DIVERGENCE:
-        kl, _, _, _ = _kl_rows(clean, pert)
-        return float(kl.sum())
-    return float(((clean[:, 0] - pert[:, 0]) ** 2).sum())
+        kl, p, q, diff = _kl_rows(clean.out, pert.out)
+        return clean, pert, float(kl.sum()), q - p, p * (diff - kl[:, None])
+    resid = clean.out[:, 0] - pert.out[:, 0]
+    return clean, pert, float((resid**2).sum()), (-2.0 * resid)[:, None], (2.0 * resid)[:, None]
 
 
-def reg_grad_delta_sum(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> Array:
+def reg_value_sum(
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+) -> float:
+    return _evaluate(params, x, delta, kind, clean)[2]
+
+
+def reg_grad_delta_sum(
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+) -> Array:
     """d(sum of per-example regularizers)/d(delta); row i touches only example i."""
-    x, delta = _check_pair(params, x, delta, kind)
-    clean, _ = _forward(params, x)
-    pert, pert_acts = _forward(params, x + delta)
-    if kind == RegularizerKind.KL_DIVERGENCE:
-        _, p, q, _ = _kl_rows(clean, pert)
-        seed = q - p
-    else:
-        seed = (-2.0 * (clean[:, 0] - pert[:, 0]))[:, None]
-    _, gdelta = _backward(params, pert_acts, seed)
-    return gdelta
+    _, pert, _, seed, _ = _evaluate(params, x, delta, kind, clean)
+    return _backward(params, pert.acts, seed)[1]
 
 
 def reg_grad_params_sum(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, detach_clean: bool = False
-) -> Array:
-    """d(sum of per-example regularizers)/d(theta) with delta held fixed."""
-    x, delta = _check_pair(params, x, delta, kind)
-    clean, clean_acts = _forward(params, x)
-    pert, pert_acts = _forward(params, x + delta)
-    if kind == RegularizerKind.KL_DIVERGENCE:
-        kl, p, q, diff = _kl_rows(clean, pert)
-        seed_pert = q - p
-        seed_clean = p * (diff - kl[:, None])
-    else:
-        resid = clean[:, 0] - pert[:, 0]
-        seed_pert = (-2.0 * resid)[:, None]
-        seed_clean = (2.0 * resid)[:, None]
-    gtheta, _ = _backward(params, pert_acts, seed_pert)
+    params: ModelParams,
+    x: Array,
+    delta: Array,
+    kind: RegularizerKind,
+    detach_clean: bool = False,
+    clean: ForwardPass | None = None,
+) -> tuple[Array, Array, float]:
+    """What one perturbed pass at delta yields: d(sum of per-example
+    regularizers)/d(theta) with delta held fixed, d(same)/d(delta), and the sum."""
+    clean, pert, value, seed_pert, seed_clean = _evaluate(params, x, delta, kind, clean)
+    gtheta, gdelta = _backward(params, pert.acts, seed_pert)
     if not detach_clean:
-        gclean, _ = _backward(params, clean_acts, seed_clean)
-        gtheta = gtheta + gclean
-    return gtheta
+        gtheta = gtheta + _backward(params, clean.acts, seed_clean)[0]
+    return gtheta, gdelta, value
 
 
 # ---------- batch-mean API ----------
@@ -127,4 +135,4 @@ def adv_reg_grad_params(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, detach_clean: bool = False
 ) -> Array:
     n = np.asarray(x).shape[0]
-    return reg_grad_params_sum(params, x, delta, kind, detach_clean) / n
+    return reg_grad_params_sum(params, x, delta, kind, detach_clean)[0] / n

@@ -11,11 +11,13 @@ that tracks how the ascent's endpoint moves with theta.
 
 The interaction part is computed by a reverse sweep over the recorded
 trajectory. Each sweep step needs two curvature contractions of the inner
-objective, taken either as central finite differences of its gradient
-functions (two gradient evaluations each, the production path) or from exact
-second-derivative matrices when the objective provides them (test oracles).
-A direct forward-mode recursion that materializes the full endpoint Jacobian
-is kept alongside as a cross-check for small instances.
+objective, in theta and in delta. On the production path one paired probe
+yields both: hvp_fd (two evaluations, the oracle acceptance criterion 4
+checks) of the joint gradient (theta, delta), one perturbed pass per probe
+point. Test oracles take them from exact second-derivative matrices when the
+objective provides them. A direct forward-mode recursion that materializes
+the full endpoint Jacobian is kept alongside as a cross-check for small
+instances.
 """
 from __future__ import annotations
 
@@ -26,17 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ModelParams, mlp_forward, task_loss
+from .diffmodel import Array, Batch, ForwardPass, ModelParams, _output, task_loss
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, project_jvp_rows, sample_init
-from .regularizers import (
-    RegularizerKind,
-    adv_reg_loss,
-    reg_grad_delta_sum,
-    reg_grad_params_sum,
-    reg_value_sum,
-)
+from .regularizers import RegularizerKind, clean_pass, reg_grad_delta_sum, reg_grad_params_sum
 from .vat import vat_gradient
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
@@ -51,35 +47,41 @@ class InnerObjective:
     """Scalar objective the follower ascends, summed over examples.
 
     All callables take (delta, theta) with delta an (n, d) matrix and theta
-    the flat parameter vector. grad_delta returns (n, d), grad_params (P,).
+    the flat parameter vector. grad_delta returns (n, d); grads returns the
+    pair (d obj/d theta (P,), d obj/d delta (n, d)) from one evaluation.
     The optional second-derivative matrices serve the test oracles:
     hess_delta_delta is (D, D) and hess_delta_theta (D, P) with D = n * d,
     indexed [i, j] = d2 obj / d delta_i d theta_j for the mixed one.
     """
 
-    eval: Callable[[Array, Array], float]
     grad_delta: Callable[[Array, Array], Array]
-    grad_params: Callable[[Array, Array], Array]
+    grads: Callable[[Array, Array], tuple[Array, Array]]
     hess_delta_delta: Callable[[Array, Array], Array] | None = None
     hess_delta_theta: Callable[[Array, Array], Array] | None = None
 
 
 def make_adv_objective(
-    params: ModelParams, x: Array, kind: RegularizerKind, detach_clean: bool = False
+    params: ModelParams,
+    x: Array,
+    kind: RegularizerKind,
+    detach_clean: bool = False,
+    clean: ForwardPass | None = None,
 ) -> InnerObjective:
-    """The production inner objective: per-example regularizers, summed."""
-    shapes = params.shapes
+    """The production inner objective: per-example regularizers, summed.
+    At params' own theta (params.values itself) every call shares one clean
+    pass, computed here when not given; any other theta, such as an oracle's
+    finite difference, gets its own."""
     x = np.asarray(x, dtype=np.float64)
+    clean = clean_pass(params, x, kind) if clean is None else clean
 
-    def _params(theta: Array) -> ModelParams:
-        return ModelParams(values=theta, shapes=shapes)
+    def call(fn: Callable, delta: Array, theta: Array, *opts):
+        if theta is params.values:
+            return fn(params, x, delta, kind, *opts, clean)
+        return fn(ModelParams(values=theta, shapes=params.shapes), x, delta, kind, *opts)
 
     return InnerObjective(
-        eval=lambda delta, theta: reg_value_sum(_params(theta), x, delta, kind),
-        grad_delta=lambda delta, theta: reg_grad_delta_sum(_params(theta), x, delta, kind),
-        grad_params=lambda delta, theta: reg_grad_params_sum(
-            _params(theta), x, delta, kind, detach_clean
-        ),
+        grad_delta=lambda delta, theta: call(reg_grad_delta_sum, delta, theta),
+        grads=lambda delta, theta: call(reg_grad_params_sum, delta, theta, detach_clean)[:2],
     )
 
 
@@ -221,14 +223,17 @@ def interaction_adjoint(
     obj: InnerObjective,
     cfg: AdvConfig,
     exact: bool = False,
+    cotangent: Array | None = None,
 ) -> Array:
     """alpha * (d reg_mean / d delta_K) @ (d delta_K / d theta), accumulated in reverse.
 
     Walks the tape backwards, pushing the endpoint cotangent through the
     projection Jacobian at each recorded pre-projection point, then through
-    the ascent update's curvature. With exact=False those contractions are
-    finite-difference probes of obj's gradient functions; with exact=True
-    obj must carry second-derivative matrices.
+    the ascent update's curvature. With exact=False one finite-difference
+    probe of obj.grads gives both contractions, split at P; the probe is
+    elementwise, so each half is bit for bit a separate probe of that
+    gradient. With exact=True obj must carry second-derivative matrices.
+    cotangent is d reg_mean / d delta_K, computed when not given.
     """
     _check_tape(tape, params, x, cfg)
     theta = params.values
@@ -238,7 +243,12 @@ def interaction_adjoint(
         return cfg.alpha * g
     if exact and (obj.hess_delta_delta is None or obj.hess_delta_theta is None):
         raise ContractViolation("exact mode needs second-derivative matrices on the objective")
-    u = obj.grad_delta(tape.deltas[-1], theta) / n
+    u = obj.grad_delta(tape.deltas[-1], theta) / n if cotangent is None else cotangent
+
+    def joint_grad(flat: Array) -> Array:
+        gtheta, gdelta = obj.grads(flat.reshape(n, d), theta)
+        return np.concatenate([gtheta, gdelta.ravel()])
+
     for k in range(tape.k_steps, 0, -1):
         u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
         prev = tape.deltas[k - 1]
@@ -246,18 +256,8 @@ def interaction_adjoint(
             mixed = obj.hess_delta_theta(prev, theta).T @ u.ravel()
             curv = (obj.hess_delta_delta(prev, theta).T @ u.ravel()).reshape(n, d)
         else:
-            mixed = hvp_fd(
-                lambda flat: obj.grad_params(flat.reshape(n, d), theta),
-                prev.ravel(),
-                u.ravel(),
-                cfg.fd_radius_scale,
-            )
-            curv = hvp_fd(
-                lambda flat: obj.grad_delta(flat.reshape(n, d), theta).ravel(),
-                prev.ravel(),
-                u.ravel(),
-                cfg.fd_radius_scale,
-            ).reshape(n, d)
+            paired = hvp_fd(joint_grad, prev.ravel(), u.ravel(), cfg.fd_radius_scale)
+            mixed, curv = paired[: theta.size], paired[theta.size :].reshape(n, d)
         g = g + cfg.eta * mixed
         u = u + cfg.eta * curv
     return cfg.alpha * g
@@ -353,23 +353,29 @@ def _stackelberg_parts(
     rng: np.random.Generator | int,
     detach_clean: bool = False,
 ) -> tuple[StackelbergGrad, UnrollTape, dict]:
-    obj = make_adv_objective(params, batch.inputs, kind, detach_clean)
+    x = batch.inputs
     t0 = time.perf_counter()
-    tape = unroll_forward(params, batch.inputs, cfg, obj, rng)
+    clean = clean_pass(params, x, kind)
+    obj = make_adv_objective(params, x, kind, detach_clean, clean)
+    tape = unroll_forward(params, x, cfg, obj, rng)
     t1 = time.perf_counter()
-    leader = vat_gradient(params, batch, Perturbation(tape.deltas[-1]), cfg, kind, detach_clean)
-    n = batch.n
-    v_norm = float(np.linalg.norm(obj.grad_delta(tape.deltas[-1], params.values) / n))
+    leader, reg_delta, reg_sum = vat_gradient(
+        params, batch, Perturbation(tape.deltas[-1]), cfg, kind, detach_clean, clean
+    )
+    v = reg_delta / batch.n
+    v_norm = float(np.linalg.norm(v))
     degenerate = v_norm < _DEGENERATE_NORM
     if cfg.alpha == 0.0 or tape.k_steps == 0 or degenerate:
         interaction = np.zeros(params.n_params)
     else:
-        interaction = interaction_adjoint(tape, params, batch.inputs, obj, cfg)
+        interaction = interaction_adjoint(tape, params, x, obj, cfg, cotangent=v)
     t2 = time.perf_counter()
     grad = StackelbergGrad(
         total=leader + interaction, leader_part=leader, interaction_part=interaction
     )
     extras = {
+        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
+        "reg_value": reg_sum / batch.n,
         "degenerate_interaction": degenerate,
         "endpoint_grad_norm": v_norm,
         "t_unroll": t1 - t0,
@@ -394,8 +400,8 @@ def salt_training_step(
     delta_k = tape.deltas[-1]
     leader_norm = float(np.linalg.norm(grad.leader_part))
     stats = {
-        "clean_loss": task_loss(mlp_forward(params, batch.inputs), batch.targets),
-        "reg_value": adv_reg_loss(params, batch.inputs, delta_k, kind),
+        "clean_loss": extras["clean_loss"],
+        "reg_value": extras["reg_value"],
         "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
         "delta0_sum": float(tape.deltas[0].sum()),
         "interaction_ratio": float(np.linalg.norm(grad.interaction_part))

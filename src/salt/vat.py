@@ -14,17 +14,18 @@ import numpy as np
 from .diffmodel import (
     Array,
     Batch,
+    ForwardPass,
     ModelParams,
     _backward,
     _forward,
+    _output,
     _task_seed_sum,
     grad_params,
-    mlp_forward,
     task_loss,
 )
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, Perturbation, ascend, sample_init
-from .regularizers import RegularizerKind, adv_reg_grad_params, adv_reg_loss, reg_grad_delta_sum
+from .regularizers import RegularizerKind, clean_pass, reg_grad_delta_sum, reg_grad_params_sum
 
 
 def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
@@ -33,9 +34,13 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     return rng
 
 
-def regularizer_ascent(params: ModelParams, x: Array, kind: RegularizerKind) -> Callable[[Array], Array]:
-    """The VAT follower's ascent direction: d(summed regularizer)/d(delta)."""
-    return lambda delta: reg_grad_delta_sum(params, x, delta, kind)
+def regularizer_ascent(
+    params: ModelParams, x: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+) -> Callable[[Array], Array]:
+    """The VAT follower's ascent direction: d(summed regularizer)/d(delta).
+    Its steps share one clean pass, computed here when not given."""
+    clean = clean_pass(params, x, kind) if clean is None else clean
+    return lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean)
 
 
 def task_ascent(params: ModelParams, batch: Batch) -> Callable[[Array], Array]:
@@ -78,14 +83,18 @@ def vat_gradient(
     cfg: AdvConfig,
     kind: RegularizerKind,
     detach_clean: bool = False,
-) -> Array:
+    clean: ForwardPass | None = None,
+) -> tuple[Array, Array, float]:
     """Task-loss gradient plus alpha times the regularizer's parameter gradient,
-    with delta held constant."""
-    clean = grad_params(params, batch)
+    with delta held constant; also the summed regularizer's delta gradient and
+    value at delta, from the same perturbed pass. The clean pass is computed
+    when not given."""
+    clean = clean_pass(params, batch.inputs, kind) if clean is None else clean
+    task = grad_params(params, batch, clean)
+    reg, reg_delta, reg_sum = reg_grad_params_sum(params, batch.inputs, delta.values, kind, detach_clean, clean)
     if cfg.alpha == 0.0:
-        return clean
-    reg = adv_reg_grad_params(params, batch.inputs, delta.values, kind, detach_clean)
-    return clean + cfg.alpha * reg
+        return task, reg_delta, reg_sum
+    return task + cfg.alpha * (reg / batch.n), reg_delta, reg_sum
 
 
 def adv_inner_maximize(
@@ -111,12 +120,13 @@ def vat_training_step(
     """One flat-gradient update: inner ascent, then a leader step that treats
     the perturbation as data."""
     x = batch.inputs
-    delta0, delta_k = _follow(regularizer_ascent(params, x, kind), x.shape, cfg, rng)
-    grad = vat_gradient(params, batch, Perturbation(delta_k), cfg, kind)
+    clean = clean_pass(params, x, kind)
+    delta0, delta_k = _follow(regularizer_ascent(params, x, kind, clean), x.shape, cfg, rng)
+    grad, _, reg_sum = vat_gradient(params, batch, Perturbation(delta_k), cfg, kind, clean=clean)
     new_params, new_state = optimizer_step(params, opt_state, grad)
     stats = {
-        "clean_loss": task_loss(mlp_forward(params, x), batch.targets),
-        "reg_value": adv_reg_loss(params, x, delta_k, kind),
+        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
+        "reg_value": reg_sum / batch.n,
         "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
         "delta0_sum": float(delta0.sum()),
     }
@@ -135,11 +145,12 @@ def adv_training_step(
     x = batch.inputs
     delta0, delta_k = _follow(task_ascent(params, batch), x.shape, cfg, rng)
     attacked = Batch(inputs=x + delta_k, targets=batch.targets)
-    grad = grad_params(params, batch) + cfg.alpha * grad_params(params, attacked)
+    clean, hit = _forward(params, x), _forward(params, attacked.inputs)
+    grad = grad_params(params, batch, clean) + cfg.alpha * grad_params(params, attacked, hit)
     new_params, new_state = optimizer_step(params, opt_state, grad)
     stats = {
-        "clean_loss": task_loss(mlp_forward(params, x), batch.targets),
-        "reg_value": task_loss(mlp_forward(params, attacked.inputs), batch.targets),
+        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
+        "reg_value": task_loss(_output(params, hit.out), batch.targets),
         "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
         "delta0_sum": float(delta0.sum()),
     }

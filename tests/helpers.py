@@ -18,20 +18,15 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> InnerObjective:
     if not np.allclose(a_mat, a_mat.T):
         raise ValueError("A must be symmetric")
 
-    def _eval(delta: np.ndarray, theta: np.ndarray) -> float:
-        f = delta.ravel()
-        return float(0.5 * f @ a_mat @ f + theta @ b_mat.T @ f)
-
     def _grad_delta(delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return (a_mat @ delta.ravel() + b_mat @ theta).reshape(delta.shape)
 
-    def _grad_params(delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return b_mat.T @ delta.ravel()
+    def _grads(delta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return b_mat.T @ delta.ravel(), _grad_delta(delta, theta)
 
     return InnerObjective(
-        eval=_eval,
         grad_delta=_grad_delta,
-        grad_params=_grad_params,
+        grads=_grads,
         hess_delta_delta=lambda delta, theta: a_mat,
         hess_delta_theta=lambda delta, theta: b_mat,
     )

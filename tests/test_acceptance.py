@@ -127,7 +127,7 @@ def test_criterion_03_k0_reduces_to_flat_gradient(capfd):
         seed = 5000 + i
         total = stackelberg_gradient(params, batch, cfg, kind, seed).total
         delta0 = vat_inner_maximize(params, x, cfg, kind, seed)
-        flat = vat_gradient(params, batch, delta0, cfg, kind)
+        flat = vat_gradient(params, batch, delta0, cfg, kind)[0]
         worst = max(worst, float(np.abs(total - flat).max()))
     ok = worst <= 1e-12
     announce(capfd, 3, ok, f"100 instances, max per-coordinate gap {worst:.3e} (tol 1e-12)")

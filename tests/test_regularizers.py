@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salt.diffmodel import ModelParams, init_params, mlp_forward, softmax
+from salt.diffmodel import ModelParams, _forward, init_params, mlp_forward, softmax
 from salt.errors import ContractViolation
 from salt.regularizers import (
     RegularizerKind,
@@ -17,6 +17,7 @@ from salt.regularizers import (
     adv_reg_loss,
     kl_divergence,
     reg_grad_delta_sum,
+    reg_grad_params_sum,
     reg_value_sum,
 )
 
@@ -152,6 +153,27 @@ def test_partials_match_fd(seed, kind):
         e[i] = h
         fd_theta[i] = (val(p.values + e) - val(p.values - e)) / (2 * h)
     assert np.linalg.norm(g_theta - fd_theta) <= 2e-6 * max(np.linalg.norm(fd_theta), 1e-8)
+
+
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("kind", list(RegularizerKind))
+def test_supplied_clean_pass_is_bit_identical(kind, detach):
+    """A shared clean pass changes no bit of any value or gradient, and the
+    delta half of the parameter-gradient pass is reg_grad_delta_sum's."""
+    rng = np.random.default_rng(20)
+    p = init_params([2, 16, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=1.5)
+    x = rng.normal(size=(5, 2))
+    clean = _forward(p, x)
+    for _ in range(3):
+        delta = rng.normal(size=x.shape) * 0.4
+        fresh = reg_grad_params_sum(p, x, delta, kind, detach)
+        shared = reg_grad_params_sum(p, x, delta, kind, detach, clean)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, shared))
+        g_delta = reg_grad_delta_sum(p, x, delta, kind)
+        assert np.array_equal(reg_grad_delta_sum(p, x, delta, kind, clean), g_delta)
+        assert np.array_equal(fresh[1], g_delta)
+        assert reg_value_sum(p, x, delta, kind, clean) == reg_value_sum(p, x, delta, kind) == fresh[2]
+        assert np.array_equal(adv_reg_grad_params(p, x, delta, kind, detach), fresh[0] / x.shape[0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ from helpers import quadratic_objective, random_quadratic
 from salt.diffmodel import Batch, grad_params, init_params
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
-from salt.perturb import AdvConfig, NormKind
+from salt.perturb import AdvConfig, NormKind, ProjMode, project_jvp_rows
 from salt.regularizers import RegularizerKind
 from salt.stackelberg import (
     attach_fd_second_order,
@@ -248,6 +248,58 @@ def test_adjoint_modes_agree_on_mlp(seed):
     assert _rel(fd, exact) <= 1e-3
 
 
+def _two_probe_adjoint(tape, params, obj, cfg):
+    """The reverse sweep with a separate hvp_fd probe for each contraction."""
+    theta = params.values
+    n, d = tape.deltas[0].shape
+    g = np.zeros(params.n_params)
+    u = obj.grad_delta(tape.deltas[-1], theta) / n
+    for k in range(tape.k_steps, 0, -1):
+        u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
+        prev = tape.deltas[k - 1].ravel()
+        mixed = hvp_fd(lambda f: obj.grads(f.reshape(n, d), theta)[0], prev, u.ravel(), cfg.fd_radius_scale)
+        curv = hvp_fd(
+            lambda f: obj.grad_delta(f.reshape(n, d), theta).ravel(), prev, u.ravel(), cfg.fd_radius_scale
+        ).reshape(n, d)
+        g = g + cfg.eta * mixed
+        u = u + cfg.eta * curv
+    return cfg.alpha * g
+
+
+@pytest.mark.parametrize("mode", list(ProjMode))
+@pytest.mark.parametrize("norm", list(NormKind))
+@pytest.mark.parametrize("kind", list(RegularizerKind))
+def test_paired_probe_matches_two_probes_bit_for_bit(kind, norm, mode):
+    rng = np.random.default_rng(30)
+    params = init_params([2, 6, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=2.0)
+    x = rng.normal(size=(4, 2))
+    cfg = AdvConfig(alpha=0.7, epsilon=0.3, eta=0.8, sigma=0.3, k_steps=3, norm=norm, proj_mode=mode)
+    obj = make_adv_objective(params, x, kind)
+    tape = unroll_forward(params, x, cfg, obj, rng=4)
+    clipped = [np.abs(pre).max() > cfg.epsilon for pre in tape.pre_projections]
+    assert any(clipped), "setup failed to trigger the projection"
+    want = _two_probe_adjoint(tape, params, obj, cfg)
+    assert np.linalg.norm(want) > 0
+    assert np.array_equal(interaction_adjoint(tape, params, x, obj, cfg), want)
+    v = obj.grad_delta(tape.deltas[-1], params.values) / x.shape[0]
+    assert np.array_equal(interaction_adjoint(tape, params, x, obj, cfg, cotangent=v), want)
+
+
+def test_adv_objective_shares_clean_pass_only_at_its_own_theta():
+    from salt.regularizers import reg_grad_params_sum
+
+    rng = np.random.default_rng(31)
+    params = init_params([2, 5, 3], rng, scale=1.5)
+    x = rng.normal(size=(3, 2))
+    delta = rng.normal(size=x.shape) * 0.3
+    obj = make_adv_objective(params, x, KIND)
+    for theta in (params.values, params.values + 1e-3 * rng.normal(size=params.n_params)):
+        g_theta, g_delta, _ = reg_grad_params_sum(params.replace_values(theta), x, delta, KIND)
+        got_theta, got_delta = obj.grads(delta, theta)
+        assert np.array_equal(got_theta, g_theta) and np.array_equal(got_delta, g_delta)
+        assert np.array_equal(obj.grad_delta(delta, theta), g_delta)
+
+
 def test_forward_oracle_refuses_large_instances():
     rng = np.random.default_rng(12)
     params = init_params([30, 40, 30], rng)
@@ -299,7 +351,7 @@ def test_gradient_decomposition_and_leader_part():
     grad = stackelberg_gradient(params, batch, cfg, KIND, rng=7)
     assert np.array_equal(grad.total, grad.leader_part + grad.interaction_part)
     delta = vat_inner_maximize(params, batch.inputs, cfg, KIND, 7)
-    assert np.array_equal(grad.leader_part, vat_gradient(params, batch, delta, cfg, KIND))
+    assert np.array_equal(grad.leader_part, vat_gradient(params, batch, delta, cfg, KIND)[0])
     assert np.linalg.norm(grad.interaction_part) > 0
 
 
@@ -309,7 +361,7 @@ def test_gradient_k0_reduces_to_flat_baseline():
     grad = stackelberg_gradient(params, batch, cfg, KIND, rng=3)
     assert np.array_equal(grad.interaction_part, np.zeros(params.n_params))
     delta = vat_inner_maximize(params, batch.inputs, cfg, KIND, 3)
-    assert np.array_equal(grad.total, vat_gradient(params, batch, delta, cfg, KIND))
+    assert np.array_equal(grad.total, vat_gradient(params, batch, delta, cfg, KIND)[0])
 
 
 def test_gradient_alpha0_reduces_to_clean_gradient():
@@ -361,3 +413,53 @@ def test_training_step_deterministic_and_guarded():
     _, _, s3 = salt_training_step(params, batch, flat_cfg, KIND, state, 9)
     assert s3["degenerate_interaction"]
     assert s3["interaction_ratio"] == 0.0
+
+
+# ---------- passes per step ----------
+
+
+def test_step_forward_and_backward_counts(monkeypatch):
+    """Passes per leader update at the canonical shape (2-32-32-2, batch 25,
+    K = 2). SALT: 1 clean + K unroll + 1 endpoint + 2K probe points forwards;
+    K unroll + 1 task + 2 endpoint + 2 per probe point backwards. The flat
+    steps share their clean pass the same way."""
+    import sys
+
+    from salt import diffmodel
+    from salt.harness.config import Method, canonical_two_moons
+    from salt.harness.datasets import gen_two_moons
+    from salt.harness.experiment import erm_training_step
+    from salt.vat import adv_training_step, vat_training_step
+
+    counts = {"_forward": 0, "_backward": 0}
+    salt_modules = [m for name, m in sys.modules.items() if name == "salt" or name.startswith("salt.")]
+    for name in counts:
+        original = getattr(diffmodel, name)
+
+        def counted(*args, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for module in salt_modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    cfg = canonical_two_moons(Method.SALT)
+    k = cfg.adv.k_steps
+    assert k == 2
+    train, _ = gen_two_moons(cfg.dataset.n_train, cfg.dataset.n_test, cfg.dataset.noise_std, 0)
+    batch = Batch(train.inputs[: cfg.batch_size], train.targets[: cfg.batch_size])
+    params = init_params(cfg.model.layers, np.random.default_rng(0))
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    kind = cfg.model.regularizer_kind
+    assert (1 + k + 1 + 2 * k, k + 1 + 2 + 2 * (2 * k)) == (8, 13)
+    steps = {
+        "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, 0), 8, 13),
+        "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, 0), k + 2, k + 3),
+        "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, 0), k + 2, k + 2),
+        "ERM": (lambda: erm_training_step(params, batch, state), 1, 1),
+    }
+    for name, (step, forwards, backwards) in steps.items():
+        counts.update(_forward=0, _backward=0)
+        step()
+        assert counts == {"_forward": forwards, "_backward": backwards}, name

@@ -66,7 +66,7 @@ def test_vat_gradient_matches_sum_of_parts():
     p, batch = _setup(seed=5)
     cfg = AdvConfig(alpha=0.7, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     d = vat_inner_maximize(p, batch.inputs, cfg, KIND, 11)
-    g = vat_gradient(p, batch, d, cfg, KIND)
+    g = vat_gradient(p, batch, d, cfg, KIND)[0]
     want = grad_params(p, batch) + cfg.alpha * adv_reg_grad_params(p, batch.inputs, d.values, KIND)
     assert np.array_equal(g, want)
 
@@ -75,7 +75,7 @@ def test_vat_gradient_alpha_zero_is_clean_gradient():
     p, batch = _setup(seed=6)
     cfg = AdvConfig(alpha=0.0, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     d = Perturbation(np.full_like(batch.inputs, 100.0))
-    assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND), grad_params(p, batch))
+    assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND)[0], grad_params(p, batch))
 
 
 def test_vat_gradient_matches_fd_with_frozen_delta():
@@ -89,7 +89,7 @@ def test_vat_gradient_matches_fd_with_frozen_delta():
             q, batch.inputs, d.values, KIND
         )
 
-    g = vat_gradient(p, batch, d, cfg, KIND)
+    g = vat_gradient(p, batch, d, cfg, KIND)[0]
     h = 1e-6
     fd = np.zeros_like(g)
     for i in range(g.size):
