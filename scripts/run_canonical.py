@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 
-from salt.harness.config import Method, canonical_two_moons, override
+from salt.harness.config import Method, load_config, override
 from salt.harness.experiment import run_experiment
+
+CANONICAL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "canonical_salt.json")
 
 
 def main() -> None:
@@ -21,12 +23,11 @@ def main() -> None:
     ap.add_argument("--epochs", type=int, default=None, help="override the training length")
     args = ap.parse_args()
 
+    canonical = load_config(CANONICAL)
     rows = {}
     for method in (Method.ERM, Method.ADV, Method.VAT, Method.SALT):
-        cfg = canonical_two_moons(
-            method=method,
-            seed=args.seed,
-            outdir=os.path.join(args.outdir, method.value.lower()),
+        cfg = override(
+            canonical, method=method, seed=args.seed, outdir=os.path.join(args.outdir, method.value.lower())
         )
         if args.epochs is not None:
             cfg = override(cfg, epochs=args.epochs)

@@ -16,8 +16,10 @@ from collections import defaultdict
 
 import numpy as np
 
-from salt.harness.config import canonical_two_moons, override
+from salt.harness.config import load_config, override
 from salt.harness.sweep import sweep
+
+CANONICAL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "canonical_salt.json")
 
 AXES = {
     "k_steps": [0, 1, 2, 3],
@@ -35,7 +37,7 @@ def main() -> None:
     axes = list(AXES) if args.axis == "both" else [args.axis]
     seeds = list(range(args.seeds))
     for axis in axes:
-        template = canonical_two_moons(outdir=os.path.join(args.outdir, axis))
+        template = override(load_config(CANONICAL), outdir=os.path.join(args.outdir, axis))
         out_path = os.path.join(args.outdir, f"{axis}.csv")
         rows = sweep(template, axis, AXES[axis], seeds, out_path)
 

@@ -21,7 +21,7 @@ from .diffmodel import (
 )
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, sample_init
-from .regularizers import RegularizerKind, adv_reg_grad_delta, adv_reg_grad_params, adv_reg_loss, kl_divergence
+from .regularizers import RegularizerKind, kl_divergence
 from .stackelberg import (
     InnerObjective,
     StackelbergGrad,
@@ -34,7 +34,7 @@ from .stackelberg import (
     stackelberg_gradient,
     unroll_forward,
 )
-from .vat import adv_inner_maximize, vat_gradient, vat_inner_maximize, vat_training_step
+from .vat import vat_gradient, vat_training_step
 from .calibration import CalibrationReport, bin_predictions, confidence_of
 
 __version__ = "0.1.0"
@@ -53,10 +53,6 @@ __all__ = [
     "RegularizerKind",
     "StackelbergGrad",
     "UnrollTape",
-    "adv_inner_maximize",
-    "adv_reg_grad_delta",
-    "adv_reg_grad_params",
-    "adv_reg_loss",
     "ascend",
     "bin_predictions",
     "confidence_of",
@@ -77,6 +73,5 @@ __all__ = [
     "task_loss",
     "unroll_forward",
     "vat_gradient",
-    "vat_inner_maximize",
     "vat_training_step",
 ]

@@ -44,10 +44,17 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _parse_seed(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ContractViolation(f"bad seed: {raw!r}") from None
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     values = [parse_axis_value(args.axis, v) for v in args.values.split(",") if v]
-    seeds = [int(s) for s in args.seeds.split(",") if s] if args.seeds else None
+    seeds = [_parse_seed(s) for s in args.seeds.split(",") if s] if args.seeds else None
     out_path = args.out or os.path.join(cfg.outdir, "sweep.csv")
     rows = sweep(cfg, args.axis, values, seeds, out_path)
     print(f"{len(rows)} rows -> {out_path}")

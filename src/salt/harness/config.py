@@ -106,6 +106,13 @@ def _take(section: str, raw: dict, cls: type) -> dict:
     return dict(raw)
 
 
+def _build(section: str, cls: type, kwargs: dict):
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:  # a failed check, or an unknown enum value such as "norm": "L3"
+        raise ContractViolation(f"bad {section} value: {exc}") from None
+
+
 _SECTIONS = {"dataset": DatasetSpec, "model": ModelSpec, "optimizer": OptimizerSpec, "adv": AdvConfig}
 
 
@@ -113,11 +120,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kwargs = _take("config", raw, ExperimentConfig)
     for section, cls in _SECTIONS.items():
         if section in kwargs:
-            kwargs[section] = cls(**_take(section, kwargs[section], cls))
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ContractViolation(f"bad config: {exc}") from None
+            kwargs[section] = _build(section, cls, _take(section, kwargs[section], cls))
+    return _build("config", ExperimentConfig, kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -138,24 +142,3 @@ def override(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
     """Shallow field replacement, e.g. override(cfg, seed=3)."""
     return replace(cfg, **kw)
 
-
-def canonical_two_moons(method: Method = Method.SALT, seed: int = 0, outdir: str = "runs/canonical") -> ExperimentConfig:
-    """The reference benchmark configuration used by the acceptance runs.
-
-    Two-moons classification with a 2-32-32-2 network, an L2 ball of radius 1,
-    two ascent steps from a 1e-4 Gaussian init, and a follower step size large
-    enough to saturate the ball, which turns each ascent step into a projected
-    direction iteration (the regime where the inner maximization is meaningful
-    at this scale; see notes on the step-size choice in the repository docs).
-    """
-    return ExperimentConfig(
-        method=method,
-        seed=seed,
-        epochs=200,
-        batch_size=25,
-        outdir=outdir,
-        dataset=DatasetSpec(kind="two_moons", n_train=100, n_test=500, noise_std=0.1),
-        model=ModelSpec(layers=(2, 32, 32, 2)),
-        optimizer=OptimizerSpec(kind="Adam", lr=1e-3, betas=(0.9, 0.98)),
-        adv=AdvConfig(alpha=1.0, epsilon=1.0, eta=1e6, sigma=1e-4, k_steps=2),
-    )

@@ -160,7 +160,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
                 row["train_acc"] = tr["acc"]
                 row["val_acc"] = te["acc"]
                 correct = (te["out"].logits.argmax(axis=1) == test.targets).astype(float)
-                row["ece"] = bin_predictions(confidence_of(te["out"]), correct).ece
+                report = bin_predictions(confidence_of(te["out"]), correct)
+                row["ece"] = report.ece
             else:
                 row["train_rmse"] = tr["rmse"]
                 row["val_rmse"] = te["rmse"]
@@ -176,9 +177,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     record.checkpoint_path = os.path.join(cfg.outdir, "checkpoint.json")
     save_checkpoint(params, record.checkpoint_path)
     if is_class:
-        out = mlp_forward(params, test.inputs)
-        correct = (out.logits.argmax(axis=1) == test.targets).astype(float)
-        report = bin_predictions(confidence_of(out), correct)
         record.reliability_path = os.path.join(cfg.outdir, "reliability.csv")
         write_reliability_csv(report, record.reliability_path)
     return record

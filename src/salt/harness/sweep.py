@@ -17,18 +17,18 @@ from ..perturb import NormKind
 from .config import ExperimentConfig
 from .experiment import run_experiment
 
-_AXES = ("k_steps", "epsilon", "norm")
+_AXIS_TYPES = {"k_steps": int, "epsilon": float, "norm": NormKind}
+_AXES = tuple(_AXIS_TYPES)
 _SWEEP_HEADER = ["axis_value", "seed", "final_train_loss", "final_val_loss", "final_val_acc", "ece"]
 
 
 def parse_axis_value(axis: str, raw: str):
-    if axis == "k_steps":
-        return int(raw)
-    if axis == "epsilon":
-        return float(raw)
-    if axis == "norm":
-        return NormKind(raw)
-    raise ContractViolation(f"unknown sweep axis: {axis!r} (expected one of {_AXES})")
+    if axis not in _AXIS_TYPES:
+        raise ContractViolation(f"unknown sweep axis: {axis!r} (expected one of {_AXES})")
+    try:
+        return _AXIS_TYPES[axis](raw)
+    except ValueError:
+        raise ContractViolation(f"bad {axis} value: {raw!r}") from None
 
 
 def _apply(template: ExperimentConfig, axis: str, value, seed: int) -> ExperimentConfig:

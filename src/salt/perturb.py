@@ -40,8 +40,7 @@ class AdvConfig:
 
     alpha weights the regularizer in the outer objective, epsilon is the
     per-example ball radius, eta the ascent step size, sigma the init scale,
-    k_steps the number of ascent steps. fd_radius_scale controls the radius
-    of finite-difference curvature probes.
+    k_steps the number of ascent steps.
     """
 
     alpha: float = 1.0
@@ -51,7 +50,6 @@ class AdvConfig:
     k_steps: int = 2
     norm: NormKind = NormKind.L2
     proj_mode: ProjMode = ProjMode.EXACT_JACOBIAN
-    fd_radius_scale: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.sigma < 0 or self.eta < 0:
@@ -60,8 +58,6 @@ class AdvConfig:
             raise ContractViolation("epsilon must be positive")
         if self.k_steps < 0:
             raise ContractViolation("k_steps must be >= 0")
-        if self.fd_radius_scale <= 0:
-            raise ContractViolation("fd_radius_scale must be positive")
         object.__setattr__(self, "norm", NormKind(self.norm))
         object.__setattr__(self, "proj_mode", ProjMode(self.proj_mode))
 

@@ -2,7 +2,7 @@
 
 KL form for classification heads, squared-difference form for regression
 heads. Parameter gradients flow through both the clean and the perturbed
-branch unless detach_clean is set.
+branch.
 """
 from __future__ import annotations
 
@@ -58,10 +58,9 @@ def _kl_rows(clean_out: Array, pert_out: Array) -> tuple[Array, Array, Array, Ar
     return terms.sum(axis=1), p, np.exp(logq), diff
 
 
-# Summed (per-example, unscaled) primitives. The follower ascends these; the
-# public API below exposes the batch-mean versions. Each takes an optional
-# clean pass: x and theta are fixed through a training step, so a step
-# computes clean_pass once and hands it to every evaluation.
+# Summed (per-example, unscaled) primitives; divide by n for the batch mean.
+# Each takes an optional clean pass: x and theta are fixed through a training
+# step, so a step computes clean_pass once and hands it to every evaluation.
 
 
 def clean_pass(params: ModelParams, x: Array, kind: RegularizerKind) -> ForwardPass:
@@ -101,38 +100,11 @@ def reg_grad_delta_sum(
 
 
 def reg_grad_params_sum(
-    params: ModelParams,
-    x: Array,
-    delta: Array,
-    kind: RegularizerKind,
-    detach_clean: bool = False,
-    clean: ForwardPass | None = None,
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> tuple[Array, Array, float]:
     """What one perturbed pass at delta yields: d(sum of per-example
     regularizers)/d(theta) with delta held fixed, d(same)/d(delta), and the sum."""
     clean, pert, value, seed_pert, seed_clean = _evaluate(params, x, delta, kind, clean)
     gtheta, gdelta = _backward(params, pert.acts, seed_pert)
-    if not detach_clean:
-        gtheta = gtheta + _backward(params, clean.acts, seed_clean)[0]
-    return gtheta, gdelta, value
+    return gtheta + _backward(params, clean.acts, seed_clean)[0], gdelta, value
 
-
-# ---------- batch-mean API ----------
-
-
-def adv_reg_loss(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> float:
-    """Batch mean of the per-example regularizer. Exactly 0 at delta = 0."""
-    n = np.asarray(x).shape[0]
-    return reg_value_sum(params, x, delta, kind) / n
-
-
-def adv_reg_grad_delta(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> Array:
-    n = np.asarray(x).shape[0]
-    return reg_grad_delta_sum(params, x, delta, kind) / n
-
-
-def adv_reg_grad_params(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, detach_clean: bool = False
-) -> Array:
-    n = np.asarray(x).shape[0]
-    return reg_grad_params_sum(params, x, delta, kind, detach_clean)[0] / n

@@ -31,7 +31,7 @@ import numpy as np
 from .diffmodel import Array, Batch, ForwardPass, ModelParams, _output, task_loss
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
-from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, project_jvp_rows, sample_init
+from .perturb import AdvConfig, NormKind, ProjMode, ascend, project_jvp_rows, sample_init
 from .regularizers import RegularizerKind, clean_pass, reg_grad_delta_sum, reg_grad_params_sum
 from .vat import vat_gradient
 
@@ -40,6 +40,9 @@ from .vat import vat_gradient
 _DEGENERATE_NORM = 1e-14
 
 _ORACLE_SIZE_LIMIT = 1_000_000
+
+# hvp_fd's probe radius, relative to 1 + ||point||_inf.
+_FD_RADIUS_SCALE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ def make_adv_objective(
     params: ModelParams,
     x: Array,
     kind: RegularizerKind,
-    detach_clean: bool = False,
     clean: ForwardPass | None = None,
 ) -> InnerObjective:
     """The production inner objective: per-example regularizers, summed.
@@ -74,14 +76,14 @@ def make_adv_objective(
     x = np.asarray(x, dtype=np.float64)
     clean = clean_pass(params, x, kind) if clean is None else clean
 
-    def call(fn: Callable, delta: Array, theta: Array, *opts):
+    def call(fn: Callable, delta: Array, theta: Array):
         if theta is params.values:
-            return fn(params, x, delta, kind, *opts, clean)
-        return fn(ModelParams(values=theta, shapes=params.shapes), x, delta, kind, *opts)
+            return fn(params, x, delta, kind, clean)
+        return fn(ModelParams(values=theta, shapes=params.shapes), x, delta, kind)
 
     return InnerObjective(
         grad_delta=lambda delta, theta: call(reg_grad_delta_sum, delta, theta),
-        grads=lambda delta, theta: call(reg_grad_params_sum, delta, theta, detach_clean)[:2],
+        grads=lambda delta, theta: call(reg_grad_params_sum, delta, theta)[:2],
     )
 
 
@@ -190,12 +192,10 @@ def _check_tape(tape: UnrollTape, params: ModelParams, x: Array, cfg: AdvConfig)
 # ---------- curvature probes ----------
 
 
-def hvp_fd(
-    grad_fn: Callable[[Array], Array], point: Array, v: Array, scale: float = 1e-4
-) -> Array:
+def hvp_fd(grad_fn: Callable[[Array], Array], point: Array, v: Array) -> Array:
     """Directional derivative of grad_fn at point along v, by central differences.
 
-    The probe radius is scale * (1 + ||point||_inf) and the direction is
+    The probe radius is 1e-4 * (1 + ||point||_inf) and the direction is
     normalized, so the cost is exactly two gradient evaluations regardless of
     ||v||. Returns the zero vector (sized by one probe call) when v = 0.
     """
@@ -206,7 +206,7 @@ def hvp_fd(
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
         return np.zeros_like(np.asarray(grad_fn(point), dtype=np.float64))
-    r = scale * (1.0 + (float(np.abs(point).max()) if point.size else 0.0))
+    r = _FD_RADIUS_SCALE * (1.0 + (float(np.abs(point).max()) if point.size else 0.0))
     vhat = v / vnorm
     gp = np.asarray(grad_fn(point + r * vhat), dtype=np.float64)
     gm = np.asarray(grad_fn(point - r * vhat), dtype=np.float64)
@@ -256,7 +256,7 @@ def interaction_adjoint(
             mixed = obj.hess_delta_theta(prev, theta).T @ u.ravel()
             curv = (obj.hess_delta_delta(prev, theta).T @ u.ravel()).reshape(n, d)
         else:
-            paired = hvp_fd(joint_grad, prev.ravel(), u.ravel(), cfg.fd_radius_scale)
+            paired = hvp_fd(joint_grad, prev.ravel(), u.ravel())
             mixed, curv = paired[: theta.size], paired[theta.size :].reshape(n, d)
         g = g + cfg.eta * mixed
         u = u + cfg.eta * curv
@@ -326,11 +326,15 @@ def _project_jacobian_matrix(pre: Array, jac: Array, cfg: AdvConfig) -> Array:
 
 @dataclass(frozen=True)
 class StackelbergGrad:
-    """total = leader_part + interaction_part, all (P,)."""
+    """total = leader_part + interaction_part, all (P,); the tape of the
+    follower's ascent the interaction was taken through; and the step's stats
+    (losses, perturbation size, interaction/leader ratio, phase timings)."""
 
     total: Array
     leader_part: Array
     interaction_part: Array
+    tape: UnrollTape
+    stats: dict
 
 
 def stackelberg_gradient(
@@ -339,49 +343,35 @@ def stackelberg_gradient(
     cfg: AdvConfig,
     kind: RegularizerKind,
     rng: np.random.Generator | int,
-    detach_clean: bool = False,
 ) -> StackelbergGrad:
-    grad, _, _ = _stackelberg_parts(params, batch, cfg, kind, rng, detach_clean)
-    return grad
-
-
-def _stackelberg_parts(
-    params: ModelParams,
-    batch: Batch,
-    cfg: AdvConfig,
-    kind: RegularizerKind,
-    rng: np.random.Generator | int,
-    detach_clean: bool = False,
-) -> tuple[StackelbergGrad, UnrollTape, dict]:
+    """The leader's full gradient at batch: unroll the follower, take the flat
+    gradient at its endpoint, and add the interaction term."""
     x = batch.inputs
     t0 = time.perf_counter()
     clean = clean_pass(params, x, kind)
-    obj = make_adv_objective(params, x, kind, detach_clean, clean)
+    obj = make_adv_objective(params, x, kind, clean)
     tape = unroll_forward(params, x, cfg, obj, rng)
     t1 = time.perf_counter()
-    leader, reg_delta, reg_sum = vat_gradient(
-        params, batch, Perturbation(tape.deltas[-1]), cfg, kind, detach_clean, clean
-    )
+    delta_k = tape.deltas[-1]
+    leader, reg_delta, reg_sum = vat_gradient(params, batch, delta_k, cfg, kind, clean)
     v = reg_delta / batch.n
-    v_norm = float(np.linalg.norm(v))
-    degenerate = v_norm < _DEGENERATE_NORM
+    degenerate = float(np.linalg.norm(v)) < _DEGENERATE_NORM
     if cfg.alpha == 0.0 or tape.k_steps == 0 or degenerate:
         interaction = np.zeros(params.n_params)
     else:
         interaction = interaction_adjoint(tape, params, x, obj, cfg, cotangent=v)
     t2 = time.perf_counter()
-    grad = StackelbergGrad(
-        total=leader + interaction, leader_part=leader, interaction_part=interaction
-    )
-    extras = {
+    stats = {
         "clean_loss": task_loss(_output(params, clean.out), batch.targets),
         "reg_value": reg_sum / batch.n,
+        "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
+        "delta0_sum": float(tape.deltas[0].sum()),
+        "interaction_ratio": float(np.linalg.norm(interaction)) / max(float(np.linalg.norm(leader)), 1e-300),
         "degenerate_interaction": degenerate,
-        "endpoint_grad_norm": v_norm,
         "t_unroll": t1 - t0,
         "t_gradient": t2 - t1,
     }
-    return grad, tape, extras
+    return StackelbergGrad(leader + interaction, leader, interaction, tape, stats)
 
 
 def salt_training_step(
@@ -393,22 +383,7 @@ def salt_training_step(
     rng: np.random.Generator | int,
 ) -> tuple[ModelParams, OptimizerState, dict]:
     """One leader update using the full Stackelberg gradient."""
-    grad, tape, extras = _stackelberg_parts(params, batch, cfg, kind, rng)
+    grad = stackelberg_gradient(params, batch, cfg, kind, rng)
     t2 = time.perf_counter()
     new_params, new_state = optimizer_step(params, opt_state, grad.total)
-    t3 = time.perf_counter()
-    delta_k = tape.deltas[-1]
-    leader_norm = float(np.linalg.norm(grad.leader_part))
-    stats = {
-        "clean_loss": extras["clean_loss"],
-        "reg_value": extras["reg_value"],
-        "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
-        "delta0_sum": float(tape.deltas[0].sum()),
-        "interaction_ratio": float(np.linalg.norm(grad.interaction_part))
-        / max(leader_norm, 1e-300),
-        "degenerate_interaction": extras["degenerate_interaction"],
-        "t_unroll": extras["t_unroll"],
-        "t_gradient": extras["t_gradient"],
-        "t_update": t3 - t2,
-    }
-    return new_params, new_state, stats
+    return new_params, new_state, {**grad.stats, "t_update": time.perf_counter() - t2}

@@ -24,7 +24,7 @@ from .diffmodel import (
     task_loss,
 )
 from .optim import OptimizerState, optimizer_step
-from .perturb import AdvConfig, Perturbation, ascend, sample_init
+from .perturb import AdvConfig, ascend, sample_init
 from .regularizers import RegularizerKind, clean_pass, reg_grad_delta_sum, reg_grad_params_sum
 
 
@@ -35,11 +35,10 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
 
 
 def regularizer_ascent(
-    params: ModelParams, x: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+    params: ModelParams, x: Array, kind: RegularizerKind, clean: ForwardPass
 ) -> Callable[[Array], Array]:
     """The VAT follower's ascent direction: d(summed regularizer)/d(delta).
-    Its steps share one clean pass, computed here when not given."""
-    clean = clean_pass(params, x, kind) if clean is None else clean
+    Its steps share the clean pass at x."""
     return lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean)
 
 
@@ -63,50 +62,18 @@ def _follow(
     return delta0, deltas[-1]
 
 
-def vat_inner_maximize(
-    params: ModelParams,
-    x: Array,
-    cfg: AdvConfig,
-    kind: RegularizerKind,
-    rng: np.random.Generator | int,
-) -> Perturbation:
-    """Gaussian init followed by k_steps projected ascent steps on the regularizer."""
-    x = np.asarray(x, dtype=np.float64)
-    _, delta_k = _follow(regularizer_ascent(params, x, kind), x.shape, cfg, rng)
-    return Perturbation(delta_k)
-
-
 def vat_gradient(
-    params: ModelParams,
-    batch: Batch,
-    delta: Perturbation,
-    cfg: AdvConfig,
-    kind: RegularizerKind,
-    detach_clean: bool = False,
-    clean: ForwardPass | None = None,
+    params: ModelParams, batch: Batch, delta: Array, cfg: AdvConfig, kind: RegularizerKind, clean: ForwardPass
 ) -> tuple[Array, Array, float]:
     """Task-loss gradient plus alpha times the regularizer's parameter gradient,
     with delta held constant; also the summed regularizer's delta gradient and
-    value at delta, from the same perturbed pass. The clean pass is computed
-    when not given."""
-    clean = clean_pass(params, batch.inputs, kind) if clean is None else clean
+    value at delta, from the same perturbed pass. clean is the pass at
+    batch.inputs."""
     task = grad_params(params, batch, clean)
-    reg, reg_delta, reg_sum = reg_grad_params_sum(params, batch.inputs, delta.values, kind, detach_clean, clean)
+    reg, reg_delta, reg_sum = reg_grad_params_sum(params, batch.inputs, delta, kind, clean)
     if cfg.alpha == 0.0:
         return task, reg_delta, reg_sum
     return task + cfg.alpha * (reg / batch.n), reg_delta, reg_sum
-
-
-def adv_inner_maximize(
-    params: ModelParams,
-    batch: Batch,
-    cfg: AdvConfig,
-    rng: np.random.Generator | int,
-) -> Perturbation:
-    """Label-using ascent: each example climbs its own task loss instead of the
-    clean/perturbed divergence."""
-    _, delta_k = _follow(task_ascent(params, batch), batch.inputs.shape, cfg, rng)
-    return Perturbation(delta_k)
 
 
 def vat_training_step(
@@ -122,7 +89,7 @@ def vat_training_step(
     x = batch.inputs
     clean = clean_pass(params, x, kind)
     delta0, delta_k = _follow(regularizer_ascent(params, x, kind, clean), x.shape, cfg, rng)
-    grad, _, reg_sum = vat_gradient(params, batch, Perturbation(delta_k), cfg, kind, clean=clean)
+    grad, _, reg_sum = vat_gradient(params, batch, delta_k, cfg, kind, clean)
     new_params, new_state = optimizer_step(params, opt_state, grad)
     stats = {
         "clean_loss": task_loss(_output(params, clean.out), batch.targets),

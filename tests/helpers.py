@@ -1,9 +1,20 @@
-"""Shared test fixtures: quadratic inner objectives with known derivatives."""
+"""Shared test fixtures: the shipped configs, and quadratic inner objectives
+with known derivatives."""
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
+from salt.harness.config import ExperimentConfig, load_config
 from salt.stackelberg import InnerObjective
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def shipped_config(name: str) -> ExperimentConfig:
+    """A config from configs/, e.g. shipped_config("canonical_salt")."""
+    return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
 
 
 def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> InnerObjective:

@@ -19,10 +19,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from helpers import shipped_config
 from salt.calibration import bin_predictions
 from salt.diffmodel import Batch, init_params
 from salt.gradcheck import run_gradcheck, sample_instance
-from salt.harness.config import Method, canonical_two_moons, config_to_dict, override
+from salt.harness.config import Method, config_to_dict, override
 from salt.harness.experiment import run_experiment
 from salt.perturb import (
     AdvConfig,
@@ -33,9 +34,10 @@ from salt.perturb import (
 )
 from salt.regularizers import (
     RegularizerKind,
-    adv_reg_grad_delta,
-    adv_reg_grad_params,
-    adv_reg_loss,
+    clean_pass,
+    reg_grad_delta_sum,
+    reg_grad_params_sum,
+    reg_value_sum,
 )
 from salt.stackelberg import (
     attach_fd_second_order,
@@ -48,7 +50,7 @@ from salt.stackelberg import (
     unroll_forward,
 )
 from salt.optim import OptimizerState
-from salt.vat import vat_gradient, vat_inner_maximize
+from salt.vat import _follow, regularizer_ascent, vat_gradient
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -126,8 +128,9 @@ def test_criterion_03_k0_reduces_to_flat_gradient(capfd):
         cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.1, k_steps=0)
         seed = 5000 + i
         total = stackelberg_gradient(params, batch, cfg, kind, seed).total
-        delta0 = vat_inner_maximize(params, x, cfg, kind, seed)
-        flat = vat_gradient(params, batch, delta0, cfg, kind)[0]
+        clean = clean_pass(params, x, kind)
+        _, delta0 = _follow(regularizer_ascent(params, x, kind, clean), x.shape, cfg, seed)
+        flat = vat_gradient(params, batch, delta0, cfg, kind, clean)[0]
         worst = max(worst, float(np.abs(total - flat).max()))
     ok = worst <= 1e-12
     announce(capfd, 3, ok, f"100 instances, max per-coordinate gap {worst:.3e} (tol 1e-12)")
@@ -262,31 +265,31 @@ def test_criterion_06_regularizer_properties(capfd):
         kind = RegularizerKind.SQUARED_DIFFERENCE if regression else RegularizerKind.KL_DIVERGENCE
         delta = rng.standard_normal((n, d)) * 0.5
 
-        val = adv_reg_loss(params, x, delta, kind)
+        val = reg_value_sum(params, x, delta, kind) / n
         nonneg &= val >= 0.0
-        zero_at_zero &= adv_reg_loss(params, x, np.zeros_like(delta), kind) == 0.0
-        g0 = adv_reg_grad_delta(params, x, np.zeros_like(delta), kind)
+        zero_at_zero &= reg_value_sum(params, x, np.zeros_like(delta), kind) / n == 0.0
+        g0 = reg_grad_delta_sum(params, x, np.zeros_like(delta), kind) / n
         worst_zero_grad = max(worst_zero_grad, float(np.linalg.norm(g0)))
 
-        gd = adv_reg_grad_delta(params, x, delta, kind)
+        gd = reg_grad_delta_sum(params, x, delta, kind) / n
         fd_d = np.zeros_like(gd)
         h = 1e-6
         flat = delta.ravel()
         for j in range(flat.size):
             e = np.zeros(flat.size)
             e[j] = h
-            fp = adv_reg_loss(params, x, (flat + e).reshape(delta.shape), kind)
-            fm = adv_reg_loss(params, x, (flat - e).reshape(delta.shape), kind)
+            fp = reg_value_sum(params, x, (flat + e).reshape(delta.shape), kind) / n
+            fm = reg_value_sum(params, x, (flat - e).reshape(delta.shape), kind) / n
             fd_d.ravel()[j] = (fp - fm) / (2 * h)
         worst_delta_fd = max(worst_delta_fd, rel(gd, fd_d))
 
-        gt = adv_reg_grad_params(params, x, delta, kind)
+        gt = reg_grad_params_sum(params, x, delta, kind)[0] / n
         fd_t = np.zeros_like(gt)
         for j in range(gt.size):
             e = np.zeros(gt.size)
             e[j] = h
-            fp = adv_reg_loss(params.replace_values(params.values + e), x, delta, kind)
-            fm = adv_reg_loss(params.replace_values(params.values - e), x, delta, kind)
+            fp = reg_value_sum(params.replace_values(params.values + e), x, delta, kind) / n
+            fm = reg_value_sum(params.replace_values(params.values - e), x, delta, kind) / n
             fd_t[j] = (fp - fm) / (2 * h)
         worst_theta_fd = max(worst_theta_fd, rel(gt, fd_t))
     ok = (
@@ -340,8 +343,11 @@ def test_criterion_07_calibration_error(capfd):
 
 
 def _final_losses(method: Method, seed: int, k_steps: int, tmp_path) -> dict:
-    cfg = canonical_two_moons(
-        method=method, seed=seed, outdir=str(tmp_path / f"{method.value}-{seed}-{k_steps}")
+    cfg = override(
+        shipped_config("canonical_salt"),
+        method=method,
+        seed=seed,
+        outdir=str(tmp_path / f"{method.value}-{seed}-{k_steps}"),
     )
     cfg = override(cfg, adv=replace(cfg.adv, k_steps=k_steps))
     return run_experiment(cfg).final
@@ -404,7 +410,7 @@ def test_criterion_09_insensitive_to_ascent_depth(capfd, tmp_path):
 
 
 def test_criterion_10_reruns_are_byte_identical(capfd, tmp_path):
-    cfg = override(canonical_two_moons(seed=3), epochs=5)
+    cfg = override(shipped_config("canonical_salt"), seed=3, epochs=5)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config_to_dict(override(cfg, outdir=str(tmp_path / "unused")))))
 

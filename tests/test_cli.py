@@ -69,6 +69,14 @@ def test_train_rejects_unknown_key(tmp_path):
     assert "verbose" in proc.stderr
 
 
+def test_train_rejects_bad_values(tmp_path):
+    for extra, named in (({"adv": {"norm": "L3"}}, "L3"), ({"method": "SGDA"}, "SGDA")):
+        proc = run_cli("train", "--config", str(tiny_config(tmp_path, **extra)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_train_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")
@@ -134,6 +142,15 @@ def test_sweep_rejects_unknown_axis(tmp_path):
     proc = run_cli("sweep", "--config", str(cfg), "--axis", "sigma", "--values", "0.1")
     assert proc.returncode == 2  # argparse choices reject it
     assert "sigma" in proc.stderr
+
+
+def test_sweep_rejects_bad_values_and_seeds(tmp_path):
+    cfg = tiny_config(tmp_path, epochs=1)
+    for axis, values, seeds, named in (("norm", "L3", "0", "L3"), ("k_steps", "0", "a", "'a'")):
+        proc = run_cli("sweep", "--config", str(cfg), "--axis", axis, "--values", values, "--seeds", seeds)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_calibrate_reports_and_writes(tmp_path):

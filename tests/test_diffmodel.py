@@ -107,7 +107,7 @@ def test_grad_params_matches_fd(seed):
 def test_grad_input_matches_fd(objective):
     """The input gradient each flat follower climbs: Adv's summed task loss,
     VAT's summed regularizer."""
-    from salt.regularizers import RegularizerKind, reg_value_sum
+    from salt.regularizers import RegularizerKind, clean_pass, reg_value_sum
     from salt.vat import regularizer_ascent, task_ascent
 
     rng = np.random.default_rng(7)
@@ -127,7 +127,7 @@ def test_grad_input_matches_fd(objective):
             if objective == "kl_divergence"
             else RegularizerKind.SQUARED_DIFFERENCE
         )
-        grad_delta = regularizer_ascent(p, x, kind)
+        grad_delta = regularizer_ascent(p, x, kind, clean_pass(p, x, kind))
 
         def val(delta):
             return reg_value_sum(p, x, delta, kind)

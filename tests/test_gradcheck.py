@@ -13,6 +13,7 @@ from salt.gradcheck import (
     total_objective,
 )
 from salt.perturb import AdvConfig, ascend
+from salt.regularizers import clean_pass
 from salt.stackelberg import UnrollTape, make_adv_objective, unroll_forward
 from salt.vat import regularizer_ascent
 
@@ -39,7 +40,8 @@ def test_endpoint_replay_matches_recorded_unroll():
     obj = make_adv_objective(inst.params, inst.batch.inputs, inst.kind)
     tape = unroll_forward(inst.params, inst.batch.inputs, inst.cfg, obj, inst.delta0_seed)
     assert np.array_equal(tape.deltas[0], inst.delta0)
-    grad_delta = regularizer_ascent(inst.params, inst.batch.inputs, inst.kind)
+    x = inst.batch.inputs
+    grad_delta = regularizer_ascent(inst.params, x, inst.kind, clean_pass(inst.params, x, inst.kind))
     deltas, pres = ascend(grad_delta, inst.delta0, inst.cfg)
     assert len(deltas) == len(tape.deltas) and len(pres) == len(tape.pre_projections)
     for got, want in zip(deltas + pres, tape.deltas + tape.pre_projections):

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from helpers import CONFIG_DIR, shipped_config
 from salt.diffmodel import load_checkpoint
 from salt.errors import ContractViolation
 from salt.harness.config import (
@@ -154,13 +156,22 @@ def test_config_defaults_and_roundtrip():
 def test_shipped_configs_match_resolved_format():
     # resolved_config.json is json.dump(config_to_dict(cfg), indent=2) plus a newline;
     # the shipped configs are written in that format, so they pin it.
-    config_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
-    paths = sorted(os.path.join(config_dir, n) for n in os.listdir(config_dir) if n.endswith(".json"))
+    paths = sorted(os.path.join(CONFIG_DIR, n) for n in os.listdir(CONFIG_DIR) if n.endswith(".json"))
     assert len(paths) == 4
     for path in paths:
         with open(path) as fh:
             shipped = fh.read()
         assert shipped == json.dumps(config_to_dict(load_config(path)), indent=2) + "\n", path
+
+
+def test_canonical_configs_differ_only_in_method_and_outdir():
+    salt = config_to_dict(shipped_config("canonical_salt"))
+    for name, method in (("canonical_erm", "ERM"), ("canonical_vat", "VAT")):
+        other = config_to_dict(shipped_config(name))
+        assert other["method"] == method
+        assert {k: v for k, v in other.items() if k not in ("method", "outdir")} == {
+            k: v for k, v in salt.items() if k not in ("method", "outdir")
+        }, name
 
 
 def test_config_rejects_unknown_keys():
@@ -177,8 +188,14 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_validates_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolation, match="SGDA"):
         config_from_dict({"method": "SGDA"})
+    with pytest.raises(ContractViolation, match="bad adv value.*L3"):
+        config_from_dict({"adv": {"norm": "L3"}})
+    with pytest.raises(ContractViolation, match="bad adv value"):
+        config_from_dict({"adv": {"alpha": "big"}})
+    with pytest.raises(ContractViolation, match="bad model value"):
+        config_from_dict({"model": {"layers": [2, "x", 2]}})
     with pytest.raises(ContractViolation):
         config_from_dict({"epochs": 0})
     with pytest.raises(ContractViolation):
@@ -259,7 +276,12 @@ def test_erm_fits_blobs_and_writes_artifacts(tmp_path):
     assert json.loads(lines[-1]) == rec.final
     params = load_checkpoint(rec.checkpoint_path)
     assert np.array_equal(params.values, rec.params.values)
-    assert os.path.exists(rec.reliability_path)
+    # reliability.csv is the last epoch's ece report: its rows recombine to that ece exactly
+    with open(rec.reliability_path, newline="") as fh:
+        bins = list(csv.DictReader(fh))
+    total = sum(int(b["count"]) for b in bins)
+    assert total == cfg.dataset.n_test
+    assert sum(int(b["count"]) / total * float(b["calib_error"]) for b in bins) == json.loads(lines[-1])["ece"]
     with open(os.path.join(cfg.outdir, "resolved_config.json")) as fh:
         assert config_from_dict(json.load(fh)) == cfg
     assert os.path.exists(os.path.join(cfg.outdir, "timing.jsonl"))
@@ -314,6 +336,46 @@ def test_metrics_file_is_reproducible(tmp_path):
     assert bytes1 == bytes2
 
 
+# sha256 of (metrics.jsonl, checkpoint.json) after 3 epochs at seed 0 of each
+# shipped config and method, taken with numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64.
+_PINNED_ARTIFACTS = {
+    ("canonical_salt", "ERM"): (
+        "f4793b7df72cc08573556fd7a544862ec57a1c26bcd70fae73de03443703230f",
+        "2e3e0493a8b120843e8a42e7e14f29ab5da4eb0c3d762cd503f1c13dc695ee42",
+    ),
+    ("canonical_salt", "Adv"): (
+        "7d41ed7f431296a8a3063d93502b1f89595537cfa09dfcb8608d72bc4479ff17",
+        "4a9396a1d0dd02a7bc7399ebd177a86c22d8bf3ff444c418184de6c54e8c9b13",
+    ),
+    ("canonical_salt", "VAT"): (
+        "edff47b81e2f9ee1ef12690cf865c8aee75d9af3e60d92b541ddb822d2da8cf5",
+        "9d93d0e07528a0960ed03de6d27cf663597e6c70bc8deea1cf45d18aeb01e940",
+    ),
+    ("canonical_salt", "SALT"): (
+        "7753ab1c8c5b766dfe19b10512110f3e4e4c12dd1cb86d9263a2f13685502d68",
+        "6f6738966759946b431755213603ac98cd843851b308e9385498283adc9706a1",
+    ),
+    ("sine_regression", "SALT"): (
+        "cc008699f3aa78e3ebfb28c5b154d51a96a75b5246f268d0b70666a6e4614adb",
+        "74ef47d112469bed1762d7f0c3da9ec3ef2214b728e4fac8def555fc73bc70cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,method", list(_PINNED_ARTIFACTS))
+def test_artifacts_match_pinned_hashes(name, method, tmp_path):
+    cfg = override(shipped_config(name), method=Method(method), seed=0, epochs=3, outdir=str(tmp_path))
+    run_experiment(cfg)
+    got = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("metrics.jsonl", "checkpoint.json")
+    )
+    assert got == _PINNED_ARTIFACTS[(name, method)], (
+        f"{name} {method}: the 3-epoch metrics.jsonl/checkpoint.json changed. A refactor must keep "
+        "them byte for byte. A deliberate numerics change, such as exact curvature (ROADMAP item 2), "
+        "updates these pins and records the change in CHANGES.md."
+    )
+
+
 def test_run_rejects_mismatched_model(tmp_path):
     cfg = override(_tiny(Method.ERM), model=ModelSpec(layers=(3, 4, 2)), outdir=str(tmp_path / "x"))
     with pytest.raises(ContractViolation, match="width"):
@@ -332,6 +394,9 @@ def test_parse_axis_value():
     assert parse_axis_value("norm", "LInf") == NormKind.LINF
     with pytest.raises(ContractViolation):
         parse_axis_value("sigma", "0.1")
+    for axis, raw in (("k_steps", "two"), ("epsilon", "wide"), ("norm", "L3")):
+        with pytest.raises(ContractViolation, match=f"bad {axis} value: '{raw}'"):
+            parse_axis_value(axis, raw)
 
 
 def _sweep_template(tmp_path):

@@ -12,9 +12,6 @@ from salt.diffmodel import ModelParams, _forward, init_params, mlp_forward, soft
 from salt.errors import ContractViolation
 from salt.regularizers import (
     RegularizerKind,
-    adv_reg_grad_delta,
-    adv_reg_grad_params,
-    adv_reg_loss,
     kl_divergence,
     reg_grad_delta_sum,
     reg_grad_params_sum,
@@ -61,8 +58,8 @@ def test_zero_delta_is_exactly_zero():
         p = init_params(sizes, rng)
         x = rng.normal(size=(5, 2))
         zero = np.zeros_like(x)
-        assert adv_reg_loss(p, x, zero, kind) == 0.0
-        assert np.linalg.norm(adv_reg_grad_delta(p, x, zero, kind)) <= 1e-12
+        assert reg_value_sum(p, x, zero, kind) / x.shape[0] == 0.0
+        assert np.linalg.norm(reg_grad_delta_sum(p, x, zero, kind) / x.shape[0]) <= 1e-12
 
 
 def test_squared_difference_closed_form_linear_model():
@@ -79,7 +76,7 @@ def test_squared_difference_closed_form_linear_model():
     g = reg_grad_delta_sum(p, x, delta, kind)
     want_g = np.stack([2.0 * float(w @ d) * w for d in delta])
     assert np.allclose(g, want_g, atol=1e-13)
-    assert adv_reg_loss(p, x, delta, kind) == pytest.approx(want / 3.0, rel=1e-14)
+    assert reg_value_sum(p, x, delta, kind) / x.shape[0] == pytest.approx(want / 3.0, rel=1e-14)
 
 
 def test_logit_shift_invariance():
@@ -88,11 +85,11 @@ def test_logit_shift_invariance():
     p = init_params([2, 6, 3], rng)
     x = rng.normal(size=(4, 2))
     delta = rng.normal(size=(4, 2)) * 0.3
-    base = adv_reg_loss(p, x, delta, RegularizerKind.KL_DIVERGENCE)
+    base = reg_value_sum(p, x, delta, RegularizerKind.KL_DIVERGENCE) / x.shape[0]
     # shift the output bias: identical change to clean and perturbed logits
     shifted = p.values.copy()
     shifted[-3:] += 5.0
-    new = adv_reg_loss(p.replace_values(shifted), x, delta, RegularizerKind.KL_DIVERGENCE)
+    new = reg_value_sum(p.replace_values(shifted), x, delta, RegularizerKind.KL_DIVERGENCE) / x.shape[0]
     out_old = softmax(mlp_forward(p, x).logits)
     out_new = softmax(mlp_forward(p.replace_values(shifted), x).logits)
     assert np.allclose(out_old, out_new, atol=1e-12)
@@ -109,10 +106,12 @@ def test_partials_match_fd(seed, kind):
     n = int(rng.integers(2, 5))
     x = rng.normal(size=(n, sizes[0]))
     delta = rng.normal(size=(n, sizes[0])) * 0.4
-    detach = bool(seed % 3 == 1)
 
-    g_delta = adv_reg_grad_delta(p, x, delta, kind)
-    g_theta = adv_reg_grad_params(p, x, delta, kind, detach)
+    def val(theta, delta):
+        return reg_value_sum(p.replace_values(theta), x, delta, kind) / n
+
+    g_delta = reg_grad_delta_sum(p, x, delta, kind) / n
+    g_theta = reg_grad_params_sum(p, x, delta, kind)[0] / n
 
     h = 1e-6
     fd_delta = np.zeros_like(delta)
@@ -120,44 +119,19 @@ def test_partials_match_fd(seed, kind):
         for j in range(sizes[0]):
             e = np.zeros_like(delta)
             e[i, j] = h
-            fd_delta[i, j] = (
-                adv_reg_loss(p, x, delta + e, kind) - adv_reg_loss(p, x, delta - e, kind)
-            ) / (2 * h)
+            fd_delta[i, j] = (val(p.values, delta + e) - val(p.values, delta - e)) / (2 * h)
     assert np.linalg.norm(g_delta - fd_delta) <= 1e-6 * max(np.linalg.norm(fd_delta), 1e-8)
-
-    if detach:
-        # frozen clean branch: differentiate with the clean output held fixed
-        ref = mlp_forward(p, x)
-
-        def val(theta):
-            from salt.diffmodel import _forward
-
-            pert, _ = _forward(p.replace_values(theta), x + delta)
-            if kind == RegularizerKind.KL_DIVERGENCE:
-                logq = pert - pert.max(axis=1, keepdims=True)
-                logq = logq - np.log(np.exp(logq).sum(axis=1, keepdims=True))
-                pr = softmax(ref.logits)
-                return float(
-                    np.where(pr > 0, pr * (np.log(np.maximum(pr, 1e-300)) - logq), 0.0).sum() / x.shape[0]
-                )
-            return float(((ref.scalars - pert[:, 0]) ** 2).sum() / x.shape[0])
-
-    else:
-
-        def val(theta):
-            return adv_reg_loss(p.replace_values(theta), x, delta, kind)
 
     fd_theta = np.zeros_like(p.values)
     for i in range(p.n_params):
         e = np.zeros_like(p.values)
         e[i] = h
-        fd_theta[i] = (val(p.values + e) - val(p.values - e)) / (2 * h)
+        fd_theta[i] = (val(p.values + e, delta) - val(p.values - e, delta)) / (2 * h)
     assert np.linalg.norm(g_theta - fd_theta) <= 2e-6 * max(np.linalg.norm(fd_theta), 1e-8)
 
 
-@pytest.mark.parametrize("detach", [False, True])
 @pytest.mark.parametrize("kind", list(RegularizerKind))
-def test_supplied_clean_pass_is_bit_identical(kind, detach):
+def test_supplied_clean_pass_is_bit_identical(kind):
     """A shared clean pass changes no bit of any value or gradient, and the
     delta half of the parameter-gradient pass is reg_grad_delta_sum's."""
     rng = np.random.default_rng(20)
@@ -166,14 +140,13 @@ def test_supplied_clean_pass_is_bit_identical(kind, detach):
     clean = _forward(p, x)
     for _ in range(3):
         delta = rng.normal(size=x.shape) * 0.4
-        fresh = reg_grad_params_sum(p, x, delta, kind, detach)
-        shared = reg_grad_params_sum(p, x, delta, kind, detach, clean)
+        fresh = reg_grad_params_sum(p, x, delta, kind)
+        shared = reg_grad_params_sum(p, x, delta, kind, clean)
         assert all(np.array_equal(a, b) for a, b in zip(fresh, shared))
         g_delta = reg_grad_delta_sum(p, x, delta, kind)
         assert np.array_equal(reg_grad_delta_sum(p, x, delta, kind, clean), g_delta)
         assert np.array_equal(fresh[1], g_delta)
         assert reg_value_sum(p, x, delta, kind, clean) == reg_value_sum(p, x, delta, kind) == fresh[2]
-        assert np.array_equal(adv_reg_grad_params(p, x, delta, kind, detach), fresh[0] / x.shape[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,14 +158,14 @@ def test_regularizer_nonnegative(seed):
     p = init_params([2, 5, out_w], rng, scale=2.0)
     x = rng.normal(size=(3, 2)) * 2.0
     delta = rng.normal(size=(3, 2)) * rng.uniform(0, 2)
-    assert adv_reg_loss(p, x, delta, kind) >= 0.0
+    assert reg_value_sum(p, x, delta, kind) / x.shape[0] >= 0.0
 
 
 def test_head_mismatch_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(ContractViolation):
-        adv_reg_loss(init_params([2, 4, 1], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.KL_DIVERGENCE)
+        reg_value_sum(init_params([2, 4, 1], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.KL_DIVERGENCE)
     with pytest.raises(ContractViolation):
-        adv_reg_loss(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.SQUARED_DIFFERENCE)
+        reg_value_sum(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.SQUARED_DIFFERENCE)
     with pytest.raises(ContractViolation):
-        adv_reg_loss(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 3)), RegularizerKind.KL_DIVERGENCE)
+        reg_value_sum(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 3)), RegularizerKind.KL_DIVERGENCE)

@@ -9,12 +9,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import quadratic_objective, random_quadratic
+from helpers import quadratic_objective, random_quadratic, shipped_config
 from salt.diffmodel import Batch, grad_params, init_params
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
 from salt.perturb import AdvConfig, NormKind, ProjMode, project_jvp_rows
-from salt.regularizers import RegularizerKind
+from salt.regularizers import RegularizerKind, clean_pass
 from salt.stackelberg import (
     attach_fd_second_order,
     hvp_fd,
@@ -25,7 +25,7 @@ from salt.stackelberg import (
     stackelberg_gradient,
     unroll_forward,
 )
-from salt.vat import vat_gradient, vat_inner_maximize
+from salt.vat import _follow, regularizer_ascent, vat_gradient
 
 KIND = RegularizerKind.KL_DIVERGENCE
 P_CARRIER = [1, 3]  # flat size 1*3 + 3 = 6
@@ -257,10 +257,8 @@ def _two_probe_adjoint(tape, params, obj, cfg):
     for k in range(tape.k_steps, 0, -1):
         u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
         prev = tape.deltas[k - 1].ravel()
-        mixed = hvp_fd(lambda f: obj.grads(f.reshape(n, d), theta)[0], prev, u.ravel(), cfg.fd_radius_scale)
-        curv = hvp_fd(
-            lambda f: obj.grad_delta(f.reshape(n, d), theta).ravel(), prev, u.ravel(), cfg.fd_radius_scale
-        ).reshape(n, d)
+        mixed = hvp_fd(lambda f: obj.grads(f.reshape(n, d), theta)[0], prev, u.ravel())
+        curv = hvp_fd(lambda f: obj.grad_delta(f.reshape(n, d), theta).ravel(), prev, u.ravel()).reshape(n, d)
         g = g + cfg.eta * mixed
         u = u + cfg.eta * curv
     return cfg.alpha * g
@@ -345,13 +343,22 @@ def _mlp_batch(seed, sizes=(2, 5, 3), n=4):
     return params, Batch(inputs=x, targets=y)
 
 
+def _flat_gradient(params, batch, cfg, seed):
+    """VAT's follower endpoint for the seed, and VAT's leader gradient there."""
+    x = batch.inputs
+    clean = clean_pass(params, x, KIND)
+    _, delta = _follow(regularizer_ascent(params, x, KIND, clean), x.shape, cfg, seed)
+    return delta, vat_gradient(params, batch, delta, cfg, KIND, clean)[0]
+
+
 def test_gradient_decomposition_and_leader_part():
     params, batch = _mlp_batch(14)
     cfg = AdvConfig(alpha=0.8, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
     grad = stackelberg_gradient(params, batch, cfg, KIND, rng=7)
     assert np.array_equal(grad.total, grad.leader_part + grad.interaction_part)
-    delta = vat_inner_maximize(params, batch.inputs, cfg, KIND, 7)
-    assert np.array_equal(grad.leader_part, vat_gradient(params, batch, delta, cfg, KIND)[0])
+    delta, flat = _flat_gradient(params, batch, cfg, 7)
+    assert np.array_equal(grad.tape.deltas[-1], delta)
+    assert np.array_equal(grad.leader_part, flat)
     assert np.linalg.norm(grad.interaction_part) > 0
 
 
@@ -360,8 +367,7 @@ def test_gradient_k0_reduces_to_flat_baseline():
     cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=0)
     grad = stackelberg_gradient(params, batch, cfg, KIND, rng=3)
     assert np.array_equal(grad.interaction_part, np.zeros(params.n_params))
-    delta = vat_inner_maximize(params, batch.inputs, cfg, KIND, 3)
-    assert np.array_equal(grad.total, vat_gradient(params, batch, delta, cfg, KIND)[0])
+    assert np.array_equal(grad.total, _flat_gradient(params, batch, cfg, 3)[1])
 
 
 def test_gradient_alpha0_reduces_to_clean_gradient():
@@ -374,7 +380,7 @@ def test_gradient_alpha0_reduces_to_clean_gradient():
 
 def test_end_to_end_hypergradient_matches_finite_differences():
     from salt.diffmodel import mlp_forward, task_loss
-    from salt.regularizers import adv_reg_loss
+    from salt.regularizers import reg_value_sum
 
     for seed in range(3):
         params, batch = _mlp_batch(seed + 20, sizes=(2, 4, 3), n=3)
@@ -385,7 +391,7 @@ def test_end_to_end_hypergradient_matches_finite_differences():
             obj = make_adv_objective(cur, batch.inputs, KIND)
             tape = unroll_forward(cur, batch.inputs, cfg, obj, rng=seed)
             loss = task_loss(mlp_forward(cur, batch.inputs), batch.targets)
-            return loss + cfg.alpha * adv_reg_loss(cur, batch.inputs, tape.deltas[-1], KIND)
+            return loss + cfg.alpha * (reg_value_sum(cur, batch.inputs, tape.deltas[-1], KIND) / batch.n)
 
         got = stackelberg_gradient(params, batch, cfg, KIND, rng=seed).total
         h = 1e-5
@@ -426,7 +432,6 @@ def test_step_forward_and_backward_counts(monkeypatch):
     import sys
 
     from salt import diffmodel
-    from salt.harness.config import Method, canonical_two_moons
     from salt.harness.datasets import gen_two_moons
     from salt.harness.experiment import erm_training_step
     from salt.vat import adv_training_step, vat_training_step
@@ -444,7 +449,7 @@ def test_step_forward_and_backward_counts(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
 
-    cfg = canonical_two_moons(Method.SALT)
+    cfg = shipped_config("canonical_salt")
     k = cfg.adv.k_steps
     assert k == 2
     train, _ = gen_two_moons(cfg.dataset.n_train, cfg.dataset.n_test, cfg.dataset.noise_std, 0)

@@ -6,13 +6,14 @@ import pytest
 
 from salt.diffmodel import Batch, grad_params, init_params, mlp_forward, task_loss
 from salt.optim import OptimizerState
-from salt.perturb import AdvConfig, Perturbation
-from salt.regularizers import RegularizerKind, adv_reg_grad_params, adv_reg_loss
+from salt.perturb import AdvConfig
+from salt.regularizers import RegularizerKind, clean_pass, reg_grad_params_sum, reg_value_sum
 from salt.vat import (
-    adv_inner_maximize,
+    _follow,
     adv_training_step,
+    regularizer_ascent,
+    task_ascent,
     vat_gradient,
-    vat_inner_maximize,
     vat_training_step,
 )
 
@@ -33,16 +34,16 @@ def _setup(seed=0, sizes=(2, 8, 3), n=5):
 def test_k0_returns_projected_init_unchanged_by_model():
     p, batch = _setup()
     cfg = AdvConfig(epsilon=0.5, eta=0.7, sigma=0.1, k_steps=0)
-    d = vat_inner_maximize(p, batch.inputs, cfg, KIND, 42)
-    ref = np.random.default_rng(42).standard_normal(batch.inputs.shape) * cfg.sigma
-    assert np.array_equal(d.values, ref)  # K=0: the raw draw, no ascent, no projection
+    x = batch.inputs
+    _, d = _follow(regularizer_ascent(p, x, KIND, clean_pass(p, x, KIND)), x.shape, cfg, 42)
+    ref = np.random.default_rng(42).standard_normal(x.shape) * cfg.sigma
+    assert np.array_equal(d, ref)  # K=0: the raw draw, no ascent, no projection
 
 
-def test_inner_maximize_matches_unroll_trajectory():
+def test_follower_matches_unroll_trajectory():
     """VAT and SALT pair by construction: for the same config and seed the flat
     follower's init and endpoint are the SALT tape's, bit for bit."""
     from salt.stackelberg import make_adv_objective, salt_training_step, unroll_forward
-    from salt.vat import _follow, regularizer_ascent
 
     state = OptimizerState(kind="Adam", lr=1e-3)
     for sizes, kind in (((2, 8, 3), KIND), ((2, 8, 1), RegularizerKind.SQUARED_DIFFERENCE)):
@@ -52,10 +53,9 @@ def test_inner_maximize_matches_unroll_trajectory():
             for k in (0, 1, 4):
                 cfg = AdvConfig(epsilon=0.3, eta=0.8, sigma=0.2, k_steps=k, norm=norm)
                 tape = unroll_forward(p, x, cfg, make_adv_objective(p, x, kind), rng=7)
-                delta0, delta_k = _follow(regularizer_ascent(p, x, kind), x.shape, cfg, 7)
+                delta0, delta_k = _follow(regularizer_ascent(p, x, kind, clean_pass(p, x, kind)), x.shape, cfg, 7)
                 assert np.array_equal(delta0, tape.deltas[0])
                 assert np.array_equal(delta_k, tape.deltas[-1])
-                assert np.array_equal(vat_inner_maximize(p, x, cfg, kind, 7).values, tape.deltas[-1])
                 _, _, vat_stats = vat_training_step(p, batch, cfg, kind, state, 7)
                 _, _, salt_stats = salt_training_step(p, batch, cfg, kind, state, 7)
                 for key in ("delta0_sum", "delta_norm", "reg_value"):
@@ -65,31 +65,34 @@ def test_inner_maximize_matches_unroll_trajectory():
 def test_vat_gradient_matches_sum_of_parts():
     p, batch = _setup(seed=5)
     cfg = AdvConfig(alpha=0.7, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
-    d = vat_inner_maximize(p, batch.inputs, cfg, KIND, 11)
-    g = vat_gradient(p, batch, d, cfg, KIND)[0]
-    want = grad_params(p, batch) + cfg.alpha * adv_reg_grad_params(p, batch.inputs, d.values, KIND)
+    x = batch.inputs
+    clean = clean_pass(p, x, KIND)
+    _, d = _follow(regularizer_ascent(p, x, KIND, clean), x.shape, cfg, 11)
+    g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
+    want = grad_params(p, batch) + cfg.alpha * (reg_grad_params_sum(p, x, d, KIND)[0] / batch.n)
     assert np.array_equal(g, want)
 
 
 def test_vat_gradient_alpha_zero_is_clean_gradient():
     p, batch = _setup(seed=6)
     cfg = AdvConfig(alpha=0.0, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
-    d = Perturbation(np.full_like(batch.inputs, 100.0))
-    assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND)[0], grad_params(p, batch))
+    d = np.full_like(batch.inputs, 100.0)
+    clean = clean_pass(p, batch.inputs, KIND)
+    assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND, clean)[0], grad_params(p, batch))
 
 
 def test_vat_gradient_matches_fd_with_frozen_delta():
     p, batch = _setup(seed=8, sizes=(2, 5, 2), n=3)
     cfg = AdvConfig(alpha=1.3, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
-    d = vat_inner_maximize(p, batch.inputs, cfg, KIND, 2)
+    x = batch.inputs
+    clean = clean_pass(p, x, KIND)
+    _, d = _follow(regularizer_ascent(p, x, KIND, clean), x.shape, cfg, 2)
 
     def total(theta):
         q = p.replace_values(theta)
-        return task_loss(mlp_forward(q, batch.inputs), batch.targets) + cfg.alpha * adv_reg_loss(
-            q, batch.inputs, d.values, KIND
-        )
+        return task_loss(mlp_forward(q, x), batch.targets) + cfg.alpha * (reg_value_sum(q, x, d, KIND) / batch.n)
 
-    g = vat_gradient(p, batch, d, cfg, KIND)[0]
+    g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
     h = 1e-6
     fd = np.zeros_like(g)
     for i in range(g.size):
@@ -109,8 +112,8 @@ def test_ascent_increases_regularizer():
         x = rng.normal(size=(4, 2))
         cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
         d0 = np.random.default_rng(seed + 1000).standard_normal(x.shape) * cfg.sigma
-        dk = vat_inner_maximize(p, x, cfg, KIND, seed + 1000)
-        if adv_reg_loss(p, x, dk.values, KIND) >= adv_reg_loss(p, x, d0, KIND):
+        _, dk = _follow(regularizer_ascent(p, x, KIND, clean_pass(p, x, KIND)), x.shape, cfg, seed + 1000)
+        if reg_value_sum(p, x, dk, KIND) >= reg_value_sum(p, x, d0, KIND):
             wins += 1
     assert wins >= 0.95 * trials
 
@@ -126,9 +129,9 @@ def test_task_ascent_increases_task_loss():
         batch = Batch(inputs=x, targets=y)
         cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
         d0 = np.random.default_rng(seed + 500).standard_normal(x.shape) * cfg.sigma
-        dk = adv_inner_maximize(p, batch, cfg, np.random.default_rng(seed + 500))
+        _, dk = _follow(task_ascent(p, batch), x.shape, cfg, np.random.default_rng(seed + 500))
         before = task_loss(mlp_forward(p, x + d0), y)
-        after = task_loss(mlp_forward(p, x + dk.values), y)
+        after = task_loss(mlp_forward(p, x + dk), y)
         if after >= before:
             wins += 1
     assert wins >= 0.95 * trials
