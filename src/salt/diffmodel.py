@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,6 +64,16 @@ class ModelParams:
 
     def replace_values(self, values: Array) -> "ModelParams":
         return ModelParams(values=values, shapes=self.shapes)
+
+    @cached_property
+    def layers(self) -> tuple[tuple[Array, Array], ...]:
+        """(W, b) pairs in layer order: views into values, built on first use."""
+        mats: list[Array] = []
+        off = 0
+        for r, c in self.shapes:
+            mats.append(self.values[off : off + r * c].reshape(r, c))
+            off += r * c
+        return tuple(zip(mats[0::2], mats[1::2]))
 
 
 @dataclass(frozen=True)
@@ -119,16 +130,6 @@ def init_params(sizes: Sequence[int], rng: np.random.Generator, scale: float = 1
     return ModelParams(values=np.concatenate(chunks), shapes=tuple(shapes))
 
 
-def unflatten(params: ModelParams) -> list[tuple[Array, Array]]:
-    """Split the flat vector into (W, b) pairs. Views, not copies."""
-    mats: list[Array] = []
-    off = 0
-    for r, c in params.shapes:
-        mats.append(params.values[off : off + r * c].reshape(r, c))
-        off += r * c
-    return list(zip(mats[0::2], mats[1::2]))
-
-
 def _flatten_grads(grads: Sequence[Array]) -> Array:
     return np.concatenate([g.ravel() for g in grads])
 
@@ -145,7 +146,7 @@ class ForwardPass(NamedTuple):
 
 
 def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
-    layers = unflatten(params)
+    layers = params.layers
     a = inputs
     acts = [a]
     for i, (w, b) in enumerate(layers):
@@ -156,21 +157,70 @@ def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
     return ForwardPass(a, acts)
 
 
-def _backward(
-    params: ModelParams, acts: list[Array], dout: Array
-) -> tuple[Array, Array]:
-    """Backprop a seed on the raw output. Returns (grad wrt values, grad wrt inputs)."""
-    layers = unflatten(params)
-    grads: list[Array | None] = [None] * (2 * len(layers))
+def _backward_input(params: ModelParams, acts: list[Array], dout: Array) -> tuple[Array, list[Array]]:
+    """Backprop a seed on the raw output to the inputs. Returns (grad wrt
+    inputs, seeds), where seeds[l] is the gradient wrt layer l's output
+    before its activation."""
+    layers = params.layers
+    seeds: list[Array] = [dout] * len(layers)
     g = dout
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads[2 * i] = acts[i].T @ g
-        grads[2 * i + 1] = g.sum(axis=0, keepdims=True)
-        g = g @ w.T
+        seeds[i] = g
+        g = g @ layers[i][0].T
         if i > 0:
             g = g * (1.0 - acts[i] ** 2)  # tanh'
-    return _flatten_grads(grads), g  # type: ignore[arg-type]
+    return g, seeds
+
+
+def _backward(params: ModelParams, acts: list[Array], dout: Array) -> tuple[Array, Array]:
+    """Backprop a seed on the raw output. Returns (grad wrt values, grad wrt inputs)."""
+    g, seeds = _backward_input(params, acts, dout)
+    return _flatten_grads([m for a, s in zip(acts, seeds) for m in (a.T @ s, s.sum(axis=0, keepdims=True))]), g
+
+
+def _forward_tangent(params: ModelParams, acts: list[Array], u: Array) -> tuple[Array, list[Array], list[Array]]:
+    """Tangent of the forward pass with activations acts along the input
+    direction u (weights fixed). Returns (tangent of the raw output, tangents
+    of each layer's input, tangents of each layer's output before its
+    activation)."""
+    layers = params.layers
+    t_acts = [u]
+    t_outs: list[Array] = []
+    t = u
+    for i, (w, _) in enumerate(layers):
+        t = t @ w
+        t_outs.append(t)
+        if i < len(layers) - 1:
+            t = t * (1.0 - acts[i + 1] ** 2)
+            t_acts.append(t)
+    return t, t_acts, t_outs
+
+
+def _backward_tangent(
+    params: ModelParams,
+    acts: list[Array],
+    seeds: list[Array],
+    t_acts: list[Array],
+    t_outs: list[Array],
+    t_dout: Array,
+) -> tuple[Array, Array]:
+    """Tangent of a backward pass (_backward_input's seeds over acts) when the
+    activations move by t_acts/t_outs (from _forward_tangent) and the output
+    seed by t_dout. Returns the tangents of (grad wrt values, grad wrt inputs):
+    with t_dout the seed's derivative along u, these are the second
+    derivatives of the backpropagated scalar along u."""
+    layers = params.layers
+    grads: list[Array] = [t_dout] * (2 * len(layers))
+    t = t_dout
+    for i in range(len(layers) - 1, -1, -1):
+        grads[2 * i] = t_acts[i].T @ seeds[i] + acts[i].T @ t
+        grads[2 * i + 1] = t.sum(axis=0, keepdims=True)
+        t = t @ layers[i][0].T
+        if i > 0:
+            # seeds[i-1] = (seeds[i] @ W.T) * (1 - a^2) with a = tanh(z) and
+            # d(1 - a^2) = -2 a (1 - a^2) dz
+            t = t * (1.0 - acts[i] ** 2) - 2.0 * seeds[i - 1] * acts[i] * t_outs[i - 1]
+    return _flatten_grads(grads), t
 
 
 def mlp_forward(params: ModelParams, inputs: Array) -> ModelOutput:

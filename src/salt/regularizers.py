@@ -7,14 +7,29 @@ branch.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .diffmodel import Array, ForwardPass, ModelParams, _backward, _forward, log_softmax
+from .diffmodel import (
+    Array,
+    ForwardPass,
+    ModelParams,
+    _backward,
+    _backward_input,
+    _backward_tangent,
+    _forward,
+    _forward_tangent,
+    log_softmax,
+)
 from .errors import ContractViolation
 
 # Probabilities at or below this are treated as an exact zero in p*log(p/q).
 _PROB_FLOOR = 1e-300
+
+# u (n, d) -> (mixed (P,), curv (n, d)): the derivatives along the delta
+# direction u of d obj/d theta and d obj/d delta at one point.
+TangentMap = Callable[[Array], tuple[Array, Array]]
 
 
 class RegularizerKind(str, Enum):
@@ -70,8 +85,10 @@ def clean_pass(params: ModelParams, x: Array, kind: RegularizerKind) -> ForwardP
 
 def _evaluate(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
-) -> tuple[ForwardPass, ForwardPass, float, Array, Array]:
-    """Both passes, the summed regularizer, and its seeds on the perturbed and the clean output."""
+) -> tuple[ForwardPass, ForwardPass, float, Array, Array, Callable[[Array], tuple[Array, Array]]]:
+    """Both passes, the summed regularizer, its seeds on the perturbed and the
+    clean output, and the map from a tangent of the perturbed output to the
+    tangents of those two seeds."""
     x = _check_inputs(params, x, kind)
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != x.shape:
@@ -80,9 +97,15 @@ def _evaluate(
     pert = _forward(params, x + delta)
     if kind == RegularizerKind.KL_DIVERGENCE:
         kl, p, q, diff = _kl_rows(clean.out, pert.out)
-        return clean, pert, float(kl.sum()), q - p, p * (diff - kl[:, None])
+
+        def seed_tangents(t: Array) -> tuple[Array, Array]:
+            # softmax Jacobians: d(q - p) = q (t - <q, t>), d(p (diff - kl)) = -p (t - <p, t>)
+            return q * (t - (q * t).sum(axis=1, keepdims=True)), p * ((p * t).sum(axis=1, keepdims=True) - t)
+
+        return clean, pert, float(kl.sum()), q - p, p * (diff - kl[:, None]), seed_tangents
     resid = clean.out[:, 0] - pert.out[:, 0]
-    return clean, pert, float((resid**2).sum()), (-2.0 * resid)[:, None], (2.0 * resid)[:, None]
+    seeds = (-2.0 * resid)[:, None], (2.0 * resid)[:, None]
+    return clean, pert, float((resid**2).sum()), *seeds, lambda t: (2.0 * t, -2.0 * t)
 
 
 def reg_value_sum(
@@ -91,20 +114,40 @@ def reg_value_sum(
     return _evaluate(params, x, delta, kind, clean)[2]
 
 
+def reg_grad_delta_tangent(
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+) -> tuple[Array, TangentMap]:
+    """What one perturbed pass at delta yields to the follower: d(sum of
+    per-example regularizers)/d(delta), and the exact tangent map of that
+    pass. The map takes a direction u (n, d) and returns the derivatives
+    along u of d(same)/d(theta), through both branches, and of d(same)/d(delta):
+    the mixed and the delta-delta Hessian-vector products, by one tangent
+    forward and one tangent backward over the recorded pass."""
+    clean, pert, _, seed, _, seed_tangents = _evaluate(params, x, delta, kind, clean)
+    gdelta, seeds = _backward_input(params, pert.acts, seed)
+
+    def tangent(u: Array) -> tuple[Array, Array]:
+        t_out, t_acts, t_outs = _forward_tangent(params, pert.acts, u)
+        t_pert, t_clean = seed_tangents(t_out)
+        d_theta, d_delta = _backward_tangent(params, pert.acts, seeds, t_acts, t_outs, t_pert)
+        return d_theta + _backward(params, clean.acts, t_clean)[0], d_delta
+
+    return gdelta, tangent
+
+
 def reg_grad_delta_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> Array:
     """d(sum of per-example regularizers)/d(delta); row i touches only example i."""
-    _, pert, _, seed, _ = _evaluate(params, x, delta, kind, clean)
-    return _backward(params, pert.acts, seed)[1]
+    return reg_grad_delta_tangent(params, x, delta, kind, clean)[0]
 
 
 def reg_grad_params_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> tuple[Array, Array, float]:
-    """What one perturbed pass at delta yields: d(sum of per-example
-    regularizers)/d(theta) with delta held fixed, d(same)/d(delta), and the sum."""
-    clean, pert, value, seed_pert, seed_clean = _evaluate(params, x, delta, kind, clean)
+    """What one perturbed pass at delta yields to the leader: d(sum of
+    per-example regularizers)/d(theta) with delta held fixed, d(same)/d(delta),
+    and the sum."""
+    clean, pert, value, seed_pert, seed_clean, _ = _evaluate(params, x, delta, kind, clean)
     gtheta, gdelta = _backward(params, pert.acts, seed_pert)
     return gtheta + _backward(params, clean.acts, seed_clean)[0], gdelta, value
-

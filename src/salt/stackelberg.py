@@ -11,13 +11,15 @@ that tracks how the ascent's endpoint moves with theta.
 
 The interaction part is computed by a reverse sweep over the recorded
 trajectory. Each sweep step needs two curvature contractions of the inner
-objective, in theta and in delta. On the production path one paired probe
-yields both: hvp_fd (two evaluations, the oracle acceptance criterion 4
-checks) of the joint gradient (theta, delta), one perturbed pass per probe
-point. Test oracles take them from exact second-derivative matrices when the
-objective provides them. A direct forward-mode recursion that materializes
-the full endpoint Jacobian is kept alongside as a cross-check for small
-instances.
+objective at the iterate it came from, in theta and in delta. The follower
+records, with each ascent step's gradient, the tangent map of that step's
+pass, which gives both contractions exactly: on the production objective a
+tangent forward and a tangent backward over the recorded perturbed pass
+(forward-over-reverse, Pearlmutter 1994), with no probe radius and no further
+forward pass; on test oracles, products with their second-derivative
+matrices. A direct forward-mode recursion that materializes the full endpoint
+Jacobian is kept alongside as a cross-check for small instances, and hvp_fd
+as an independent finite-difference probe.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .diffmodel import Array, Batch, ForwardPass, ModelParams, _output, task_los
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, NormKind, ProjMode, ascend, project_jvp_rows, sample_init
-from .regularizers import RegularizerKind, clean_pass, reg_grad_delta_sum, reg_grad_params_sum
+from .regularizers import RegularizerKind, TangentMap, clean_pass, reg_grad_delta_tangent
 from .vat import vat_gradient
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
@@ -49,18 +51,19 @@ _FD_RADIUS_SCALE = 1e-4
 class InnerObjective:
     """Scalar objective the follower ascends, summed over examples.
 
-    All callables take (delta, theta) with delta an (n, d) matrix and theta
-    the flat parameter vector. grad_delta returns (n, d); grads returns the
-    pair (d obj/d theta (P,), d obj/d delta (n, d)) from one evaluation.
-    The optional second-derivative matrices serve the test oracles:
-    hess_delta_delta is (D, D) and hess_delta_theta (D, P) with D = n * d,
-    indexed [i, j] = d2 obj / d delta_i d theta_j for the mixed one.
+    linearize(delta, theta), with delta an (n, d) matrix and theta the flat
+    parameter vector, returns d obj/d delta (n, d) and the TangentMap at that
+    point. The optional second-derivative matrices serve the forward-mode
+    oracle: hess_delta_delta is (D, D) and hess_delta_theta (D, P) with
+    D = n * d, indexed [i, j] = d2 obj / d delta_i d theta_j for the mixed one.
     """
 
-    grad_delta: Callable[[Array, Array], Array]
-    grads: Callable[[Array, Array], tuple[Array, Array]]
+    linearize: Callable[[Array, Array], tuple[Array, TangentMap]]
     hess_delta_delta: Callable[[Array, Array], Array] | None = None
     hess_delta_theta: Callable[[Array, Array], Array] | None = None
+
+    def grad_delta(self, delta: Array, theta: Array) -> Array:
+        return self.linearize(delta, theta)[0]
 
 
 def make_adv_objective(
@@ -76,22 +79,19 @@ def make_adv_objective(
     x = np.asarray(x, dtype=np.float64)
     clean = clean_pass(params, x, kind) if clean is None else clean
 
-    def call(fn: Callable, delta: Array, theta: Array):
+    def linearize(delta: Array, theta: Array) -> tuple[Array, TangentMap]:
         if theta is params.values:
-            return fn(params, x, delta, kind, clean)
-        return fn(ModelParams(values=theta, shapes=params.shapes), x, delta, kind)
+            return reg_grad_delta_tangent(params, x, delta, kind, clean)
+        return reg_grad_delta_tangent(ModelParams(values=theta, shapes=params.shapes), x, delta, kind)
 
-    return InnerObjective(
-        grad_delta=lambda delta, theta: call(reg_grad_delta_sum, delta, theta),
-        grads=lambda delta, theta: call(reg_grad_params_sum, delta, theta)[:2],
-    )
+    return InnerObjective(linearize=linearize)
 
 
 def attach_fd_second_order(obj: InnerObjective, h: float = 1e-6) -> InnerObjective:
     """Equip an objective with full second-derivative matrices built by
-    central differences of its gradient functions. Results are memoized on
-    the evaluation point so forward and reverse mode consume identical
-    matrices."""
+    central differences of its delta gradient, and take its tangent maps from
+    them. Results are memoized on the evaluation point so forward and reverse
+    mode consume identical matrices."""
     cache: dict[tuple, Array] = {}
 
     def hdd(delta: Array, theta: Array) -> Array:
@@ -122,7 +122,13 @@ def attach_fd_second_order(obj: InnerObjective, h: float = 1e-6) -> InnerObjecti
             cache[key] = np.stack(cols, axis=1)
         return cache[key]
 
-    return replace(obj, hess_delta_delta=hdd, hess_delta_theta=hdt)
+    def linearize(delta: Array, theta: Array) -> tuple[Array, TangentMap]:
+        return obj.grad_delta(delta, theta), lambda u: (
+            hdt(delta, theta).T @ u.ravel(),
+            (hdd(delta, theta).T @ u.ravel()).reshape(u.shape),
+        )
+
+    return replace(obj, linearize=linearize, hess_delta_delta=hdd, hess_delta_theta=hdt)
 
 
 # ---------- forward unroll ----------
@@ -134,12 +140,15 @@ class UnrollTape:
 
     deltas holds K+1 iterates (deltas[0] is the raw Gaussian draw, never
     projected); pre_projections holds the K pre-projection points at which
-    the projection Jacobian acts. Fingerprints tie the tape to the exact
-    parameters and inputs it was recorded under.
+    the projection Jacobian acts; tangents[k] is the objective's tangent map
+    at deltas[k], recorded with the ascent step taken from there.
+    Fingerprints tie the tape to the exact parameters and inputs it was
+    recorded under.
     """
 
     deltas: tuple[Array, ...]
     pre_projections: tuple[Array, ...]
+    tangents: tuple[TangentMap, ...]
     cfg: AdvConfig
     seed: int | None
     theta_sha1: str
@@ -161,18 +170,27 @@ def unroll_forward(
     obj: InnerObjective,
     rng: np.random.Generator | int,
 ) -> UnrollTape:
-    """Run k_steps of projected ascent on obj, recording the trajectory."""
+    """Run k_steps of projected ascent on obj, recording the trajectory and
+    the tangent map of each step's gradient evaluation."""
     x = np.asarray(x, dtype=np.float64)
     seed: int | None = None
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         rng = np.random.default_rng(seed)
     theta = params.values
+    tangents: list[TangentMap] = []
+
+    def grad_delta(delta: Array) -> Array:
+        grad, tangent = obj.linearize(delta, theta)
+        tangents.append(tangent)
+        return grad
+
     delta0 = sample_init(cfg.sigma, x.shape, rng).values
-    deltas, pres = ascend(lambda delta: obj.grad_delta(delta, theta), delta0, cfg)
+    deltas, pres = ascend(grad_delta, delta0, cfg)
     return UnrollTape(
         deltas=tuple(deltas),
         pre_projections=tuple(pres),
+        tangents=tuple(tangents),
         cfg=cfg,
         seed=seed,
         theta_sha1=_sha1(theta),
@@ -189,7 +207,7 @@ def _check_tape(tape: UnrollTape, params: ModelParams, x: Array, cfg: AdvConfig)
         raise ContractViolation("tape was recorded under different inputs")
 
 
-# ---------- curvature probes ----------
+# ---------- finite-difference curvature probe (independent oracle) ----------
 
 
 def hvp_fd(grad_fn: Callable[[Array], Array], point: Array, v: Array) -> Array:
@@ -222,42 +240,25 @@ def interaction_adjoint(
     x: Array,
     obj: InnerObjective,
     cfg: AdvConfig,
-    exact: bool = False,
     cotangent: Array | None = None,
 ) -> Array:
     """alpha * (d reg_mean / d delta_K) @ (d delta_K / d theta), accumulated in reverse.
 
     Walks the tape backwards, pushing the endpoint cotangent through the
     projection Jacobian at each recorded pre-projection point, then through
-    the ascent update's curvature. With exact=False one finite-difference
-    probe of obj.grads gives both contractions, split at P; the probe is
-    elementwise, so each half is bit for bit a separate probe of that
-    gradient. With exact=True obj must carry second-derivative matrices.
-    cotangent is d reg_mean / d delta_K, computed when not given.
+    the ascent update's curvature, which the tangent map recorded at that
+    step's starting iterate gives. cotangent is d reg_mean / d delta_K,
+    computed from obj when not given.
     """
     _check_tape(tape, params, x, cfg)
-    theta = params.values
-    n, d = tape.deltas[0].shape
     g = np.zeros(params.n_params)
     if tape.k_steps == 0:
         return cfg.alpha * g
-    if exact and (obj.hess_delta_delta is None or obj.hess_delta_theta is None):
-        raise ContractViolation("exact mode needs second-derivative matrices on the objective")
-    u = obj.grad_delta(tape.deltas[-1], theta) / n if cotangent is None else cotangent
-
-    def joint_grad(flat: Array) -> Array:
-        gtheta, gdelta = obj.grads(flat.reshape(n, d), theta)
-        return np.concatenate([gtheta, gdelta.ravel()])
-
+    n = tape.deltas[0].shape[0]
+    u = obj.grad_delta(tape.deltas[-1], params.values) / n if cotangent is None else cotangent
     for k in range(tape.k_steps, 0, -1):
         u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
-        prev = tape.deltas[k - 1]
-        if exact:
-            mixed = obj.hess_delta_theta(prev, theta).T @ u.ravel()
-            curv = (obj.hess_delta_delta(prev, theta).T @ u.ravel()).reshape(n, d)
-        else:
-            paired = hvp_fd(joint_grad, prev.ravel(), u.ravel())
-            mixed, curv = paired[: theta.size], paired[theta.size :].reshape(n, d)
+        mixed, curv = tape.tangents[k - 1](u)
         g = g + cfg.eta * mixed
         u = u + cfg.eta * curv
     return cfg.alpha * g

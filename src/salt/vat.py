@@ -16,7 +16,7 @@ from .diffmodel import (
     Batch,
     ForwardPass,
     ModelParams,
-    _backward,
+    _backward_input,
     _forward,
     _output,
     _task_seed_sum,
@@ -47,8 +47,7 @@ def task_ascent(params: ModelParams, batch: Batch) -> Callable[[Array], Array]:
 
     def grad_delta(delta: Array) -> Array:
         out, acts = _forward(params, batch.inputs + delta)
-        _, gdelta = _backward(params, acts, _task_seed_sum(params, out, batch.targets))
-        return gdelta
+        return _backward_input(params, acts, _task_seed_sum(params, out, batch.targets))[0]
 
     return grad_delta
 

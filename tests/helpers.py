@@ -22,7 +22,8 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> InnerObjective:
 
     A is (D, D) symmetric, B is (D, P). Gradients and Hessians are exact:
     d g / d delta = A flat(delta) + B theta, d g / d theta = B^T flat(delta),
-    d2 g / d delta^2 = A, and the mixed matrix [i, j] = B[i, j].
+    d2 g / d delta^2 = A, and the mixed matrix [i, j] = B[i, j], so the
+    tangent map along u is (B^T flat(u), A flat(u)) everywhere.
     """
     a_mat = np.asarray(a_mat, dtype=np.float64)
     b_mat = np.asarray(b_mat, dtype=np.float64)
@@ -32,12 +33,11 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> InnerObjective:
     def _grad_delta(delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return (a_mat @ delta.ravel() + b_mat @ theta).reshape(delta.shape)
 
-    def _grads(delta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return b_mat.T @ delta.ravel(), _grad_delta(delta, theta)
+    def _tangent(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return b_mat.T @ u.ravel(), (a_mat @ u.ravel()).reshape(u.shape)
 
     return InnerObjective(
-        grad_delta=_grad_delta,
-        grads=_grads,
+        linearize=lambda delta, theta: (_grad_delta(delta, theta), _tangent),
         hess_delta_delta=lambda delta, theta: a_mat,
         hess_delta_theta=lambda delta, theta: b_mat,
     )

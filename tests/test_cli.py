@@ -190,6 +190,15 @@ def test_calibrate_bad_file(tmp_path):
     assert "confidence" in proc.stderr
 
 
+def test_missing_input_files_are_errors(tmp_path):
+    missing = str(tmp_path / "nope")
+    for args in (("train", "--config", missing + ".json"), ("calibrate", "--predictions", missing + ".csv")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and args[2] in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_no_subcommand_is_an_error():
     proc = run_cli()
     assert proc.returncode == 2

@@ -17,14 +17,13 @@ from salt.diffmodel import (
     save_checkpoint,
     softmax,
     task_loss,
-    unflatten,
 )
 from salt.errors import ContractViolation
 
 
 def forward_oracle(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Per-example, per-unit loops; no matrix ops shared with the implementation."""
-    layers = unflatten(params)
+    layers = params.layers
     out = np.zeros((x.shape[0], layers[-1][0].shape[1]))
     for i in range(x.shape[0]):
         a = [float(v) for v in x[i]]

@@ -75,6 +75,7 @@ def _tape_with_pre(pre, cfg):
     return UnrollTape(
         deltas=(np.zeros_like(pre), pre),
         pre_projections=(pre,),
+        tangents=(),
         cfg=cfg,
         seed=None,
         theta_sha1="",

@@ -1,4 +1,4 @@
-"""Unrolled inner ascent, curvature probes, and the leader's full gradient.
+"""Unrolled inner ascent, curvature (tangent maps and probes), and the leader's full gradient.
 
 Quadratic inner objectives (tests/helpers.py) have closed-form trajectories
 and exact second derivatives, so every differentiation path here is checked
@@ -13,8 +13,8 @@ from helpers import quadratic_objective, random_quadratic, shipped_config
 from salt.diffmodel import Batch, grad_params, init_params
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
-from salt.perturb import AdvConfig, NormKind, ProjMode, project_jvp_rows
-from salt.regularizers import RegularizerKind, clean_pass
+from salt.perturb import AdvConfig, NormKind, ProjMode
+from salt.regularizers import RegularizerKind, clean_pass, reg_grad_delta_tangent, reg_grad_params_sum
 from salt.stackelberg import (
     attach_fd_second_order,
     hvp_fd,
@@ -164,7 +164,7 @@ def _quad_setup(seed, n=2, d=2, k_steps=1, epsilon=1e6, eta=0.4, alpha=1.0):
 def test_adjoint_k1_closed_form():
     a_mat, b_mat, obj, params, x, cfg, tape = _quad_setup(seed=6)
     n = x.shape[0]
-    got = interaction_adjoint(tape, params, x, obj, cfg, exact=True)
+    got = interaction_adjoint(tape, params, x, obj, cfg)
     v = (a_mat @ tape.deltas[1].ravel() + b_mat @ params.values) / n
     want = cfg.alpha * cfg.eta * (b_mat.T @ v)
     assert _rel(got, want) <= 1e-12
@@ -179,7 +179,7 @@ def test_adjoint_zero_when_objective_ignores_params():
     x = np.zeros((2, 2))
     cfg = AdvConfig(epsilon=1e6, eta=0.3, sigma=0.5, k_steps=3)
     tape = unroll_forward(params, x, cfg, obj, rng=1)
-    got = interaction_adjoint(tape, params, x, obj, cfg, exact=True)
+    got = interaction_adjoint(tape, params, x, obj, cfg)
     assert np.array_equal(got, np.zeros(6))
 
 
@@ -187,13 +187,13 @@ def test_adjoint_scales_linearly_with_alpha():
     out = {}
     for alpha in (1.0, 2.5):
         _, _, obj, params, x, cfg, tape = _quad_setup(seed=8, k_steps=2, alpha=alpha)
-        out[alpha] = interaction_adjoint(tape, params, x, obj, cfg, exact=True)
+        out[alpha] = interaction_adjoint(tape, params, x, obj, cfg)
     assert _rel(out[2.5], 2.5 * out[1.0]) <= 1e-14
 
 
 def test_adjoint_k0_is_zero():
     _, _, obj, params, x, cfg, tape = _quad_setup(seed=9, k_steps=0)
-    got = interaction_adjoint(tape, params, x, obj, cfg, exact=True)
+    got = interaction_adjoint(tape, params, x, obj, cfg)
     assert np.array_equal(got, np.zeros(6))
 
 
@@ -210,19 +210,8 @@ def test_adjoint_matches_forward_oracle_with_clipping_active():
     jac = jacobian_forward_oracle(tape, params, x, obj, cfg)
     v = obj.grad_delta(tape.deltas[-1], params.values).ravel() / n
     want = cfg.alpha * (v @ jac)
-    got = interaction_adjoint(tape, params, x, obj, cfg, exact=True)
+    got = interaction_adjoint(tape, params, x, obj, cfg)
     assert _rel(got, want) <= 1e-12
-
-
-def test_exact_mode_requires_second_derivatives():
-    rng = np.random.default_rng(11)
-    params = init_params([2, 4, 3], rng)
-    x = rng.normal(size=(3, 2))
-    cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
-    obj = make_adv_objective(params, x, KIND)
-    tape = unroll_forward(params, x, cfg, obj, rng=0)
-    with pytest.raises(ContractViolation):
-        interaction_adjoint(tape, params, x, obj, cfg, exact=True)
 
 
 # ---------- mode equivalence on real models ----------
@@ -237,37 +226,67 @@ def test_adjoint_modes_agree_on_mlp(seed):
     obj = make_adv_objective(params, x, KIND)
     tape = unroll_forward(params, x, cfg, obj, rng=seed)
     rich = attach_fd_second_order(obj)
+    rich_tape = unroll_forward(params, x, cfg, rich, rng=seed)
 
-    exact = interaction_adjoint(tape, params, x, rich, cfg, exact=True)
+    from_matrices = interaction_adjoint(rich_tape, params, x, rich, cfg)
     jac = jacobian_forward_oracle(tape, params, x, rich, cfg)
     v = obj.grad_delta(tape.deltas[-1], params.values).ravel() / x.shape[0]
     oracle = cfg.alpha * (v @ jac)
-    assert _rel(exact, oracle) <= 1e-8
+    assert _rel(from_matrices, oracle) <= 1e-8
 
-    fd = interaction_adjoint(tape, params, x, obj, cfg, exact=False)
-    assert _rel(fd, exact) <= 1e-3
+    tangent = interaction_adjoint(tape, params, x, obj, cfg)
+    assert _rel(tangent, from_matrices) <= 1e-3
 
 
-def _two_probe_adjoint(tape, params, obj, cfg):
-    """The reverse sweep with a separate hvp_fd probe for each contraction."""
-    theta = params.values
-    n, d = tape.deltas[0].shape
-    g = np.zeros(params.n_params)
-    u = obj.grad_delta(tape.deltas[-1], theta) / n
-    for k in range(tape.k_steps, 0, -1):
-        u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
-        prev = tape.deltas[k - 1].ravel()
-        mixed = hvp_fd(lambda f: obj.grads(f.reshape(n, d), theta)[0], prev, u.ravel())
-        curv = hvp_fd(lambda f: obj.grad_delta(f.reshape(n, d), theta).ravel(), prev, u.ravel()).reshape(n, d)
-        g = g + cfg.eta * mixed
-        u = u + cfg.eta * curv
-    return cfg.alpha * g
+def _tangent_fd_errors(params, x, delta, kind, u, steps):
+    """Relative errors of the tangent map at delta along u against central
+    differences of reg_grad_params_sum's (theta, delta) gradients, per step."""
+    _, tangent = reg_grad_delta_tangent(params, x, delta, kind)
+    got = np.concatenate([part.ravel() for part in tangent(u)])
+    errs = []
+    for h in steps:
+        plus = reg_grad_params_sum(params, x, delta + h * u, kind)
+        minus = reg_grad_params_sum(params, x, delta - h * u, kind)
+        fd = np.concatenate([(plus[i] - minus[i]).ravel() for i in (0, 1)]) / (2.0 * h)
+        errs.append(_rel(got, fd))
+    return errs
+
+
+def test_tangent_matches_central_differences():
+    """The exact tangent against central differences of the joint gradient:
+    the gap shrinks like h^2, so it is the differences' truncation error."""
+    from salt.harness.datasets import gen_two_moons
+
+    steps = (1e-3, 1e-4)
+    canonical = shipped_config("canonical_salt")
+    cfg, kind = canonical.adv, canonical.model.regularizer_kind
+    train, _ = gen_two_moons(canonical.dataset.n_train, canonical.dataset.n_test, canonical.dataset.noise_std, 0)
+    x = train.inputs[: canonical.batch_size]
+    params = init_params(canonical.model.layers, np.random.default_rng(0))
+    assert (params.n_params, x.shape[0], cfg.eta, kind) == (1218, 25, 1e6, KIND)
+    # the iterate the K = 2 ascent's second step starts from: eta = 1e6 puts most rows on the ball
+    prev = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind), rng=0).deltas[1]
+    assert np.mean(np.isclose(np.sqrt((prev**2).sum(axis=1)), cfg.epsilon)) > 0.5  # saturated
+    u = np.random.default_rng(40).normal(size=x.shape)
+    errs = _tangent_fd_errors(params, x, prev, kind, u, steps)
+    assert errs[1] <= errs[0] / 50 and errs[1] <= 1e-7, errs
+
+    rng = np.random.default_rng(41)
+    head = init_params([2, 16, 16, 1], rng, scale=1.5)
+    xs = rng.normal(size=(6, 2))
+    errs = _tangent_fd_errors(
+        head, xs, 0.3 * rng.normal(size=xs.shape), RegularizerKind.SQUARED_DIFFERENCE, rng.normal(size=xs.shape), steps
+    )
+    assert errs[1] <= errs[0] / 50 and errs[1] <= 1e-7, errs
 
 
 @pytest.mark.parametrize("mode", list(ProjMode))
 @pytest.mark.parametrize("norm", list(NormKind))
 @pytest.mark.parametrize("kind", list(RegularizerKind))
-def test_paired_probe_matches_two_probes_bit_for_bit(kind, norm, mode):
+def test_adjoint_matches_hessian_oracle(kind, norm, mode):
+    """The production adjoint, from the recorded passes' tangent maps, against
+    the same sweep over second-derivative matrices built by central
+    differences, with the projection active."""
     rng = np.random.default_rng(30)
     params = init_params([2, 6, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=2.0)
     x = rng.normal(size=(4, 2))
@@ -276,25 +295,29 @@ def test_paired_probe_matches_two_probes_bit_for_bit(kind, norm, mode):
     tape = unroll_forward(params, x, cfg, obj, rng=4)
     clipped = [np.abs(pre).max() > cfg.epsilon for pre in tape.pre_projections]
     assert any(clipped), "setup failed to trigger the projection"
-    want = _two_probe_adjoint(tape, params, obj, cfg)
+    rich = attach_fd_second_order(obj)
+    rich_tape = unroll_forward(params, x, cfg, rich, rng=4)
+    assert all(np.array_equal(a, b) for a, b in zip(tape.deltas, rich_tape.deltas))
+    want = interaction_adjoint(rich_tape, params, x, rich, cfg)
     assert np.linalg.norm(want) > 0
-    assert np.array_equal(interaction_adjoint(tape, params, x, obj, cfg), want)
+    got = interaction_adjoint(tape, params, x, obj, cfg)
+    assert _rel(got, want) <= 1e-7
     v = obj.grad_delta(tape.deltas[-1], params.values) / x.shape[0]
-    assert np.array_equal(interaction_adjoint(tape, params, x, obj, cfg, cotangent=v), want)
+    assert np.array_equal(interaction_adjoint(tape, params, x, obj, cfg, cotangent=v), got)
 
 
 def test_adv_objective_shares_clean_pass_only_at_its_own_theta():
-    from salt.regularizers import reg_grad_params_sum
-
     rng = np.random.default_rng(31)
     params = init_params([2, 5, 3], rng, scale=1.5)
     x = rng.normal(size=(3, 2))
     delta = rng.normal(size=x.shape) * 0.3
+    u = rng.normal(size=x.shape)
     obj = make_adv_objective(params, x, KIND)
     for theta in (params.values, params.values + 1e-3 * rng.normal(size=params.n_params)):
-        g_theta, g_delta, _ = reg_grad_params_sum(params.replace_values(theta), x, delta, KIND)
-        got_theta, got_delta = obj.grads(delta, theta)
-        assert np.array_equal(got_theta, g_theta) and np.array_equal(got_delta, g_delta)
+        g_delta, tangent = reg_grad_delta_tangent(params.replace_values(theta), x, delta, KIND)
+        got_delta, got_tangent = obj.linearize(delta, theta)
+        assert np.array_equal(got_delta, g_delta)
+        assert all(np.array_equal(a, b) for a, b in zip(got_tangent(u), tangent(u)))
         assert np.array_equal(obj.grad_delta(delta, theta), g_delta)
 
 
@@ -426,9 +449,12 @@ def test_training_step_deterministic_and_guarded():
 
 def test_step_forward_and_backward_counts(monkeypatch):
     """Passes per leader update at the canonical shape (2-32-32-2, batch 25,
-    K = 2). SALT: 1 clean + K unroll + 1 endpoint + 2K probe points forwards;
-    K unroll + 1 task + 2 endpoint + 2 per probe point backwards. The flat
-    steps share their clean pass the same way."""
+    K = 2). Every backward pass runs _backward_input; _backward also forms
+    the parameter gradient. SALT: 1 clean + K unroll + 1 endpoint forwards;
+    K unroll backwards to the inputs, 1 task + 2 endpoint parameter-gradient
+    backwards, and per reverse step one tangent forward, one tangent backward
+    and one parameter-gradient backward of the clean branch. The flat steps
+    share their clean pass the same way."""
     import sys
 
     from salt import diffmodel
@@ -436,9 +462,10 @@ def test_step_forward_and_backward_counts(monkeypatch):
     from salt.harness.experiment import erm_training_step
     from salt.vat import adv_training_step, vat_training_step
 
-    counts = {"_forward": 0, "_backward": 0}
+    names = ("_forward", "_backward_input", "_backward", "_forward_tangent", "_backward_tangent")
+    counts = dict.fromkeys(names, 0)
     salt_modules = [m for name, m in sys.modules.items() if name == "salt" or name.startswith("salt.")]
-    for name in counts:
+    for name in names:
         original = getattr(diffmodel, name)
 
         def counted(*args, _name=name, _fn=original):
@@ -457,14 +484,14 @@ def test_step_forward_and_backward_counts(monkeypatch):
     params = init_params(cfg.model.layers, np.random.default_rng(0))
     state = OptimizerState(kind="Adam", lr=1e-3)
     kind = cfg.model.regularizer_kind
-    assert (1 + k + 1 + 2 * k, k + 1 + 2 + 2 * (2 * k)) == (8, 13)
+    assert (1 + k + 1, k + 3 + k, 3 + k) == (4, 7, 5)
     steps = {
-        "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, 0), 8, 13),
-        "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, 0), k + 2, k + 3),
-        "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, 0), k + 2, k + 2),
-        "ERM": (lambda: erm_training_step(params, batch, state), 1, 1),
+        "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, 0), (4, 7, 5, k, k)),
+        "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, 0), (k + 2, k + 3, 3, 0, 0)),
+        "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, 0), (k + 2, k + 2, 2, 0, 0)),
+        "ERM": (lambda: erm_training_step(params, batch, state), (1, 1, 1, 0, 0)),
     }
-    for name, (step, forwards, backwards) in steps.items():
-        counts.update(_forward=0, _backward=0)
+    for name, (step, want) in steps.items():
+        counts.update(dict.fromkeys(names, 0))
         step()
-        assert counts == {"_forward": forwards, "_backward": backwards}, name
+        assert counts == dict(zip(names, want)), name
