@@ -8,13 +8,19 @@ anything wider is a classification head returning logits.
 
 Parameters live in a single flat float64 vector plus shape metadata, which
 keeps optimizer state, finite differencing and checkpointing trivial.
+
+The forward pass, the input backward pass and the losses also take a stack
+of m parameter vectors (m, P), or inputs with a leading stack axis
+(m, n, d), and then return one result per member. Every member's result is
+bit-identical to running that member alone: the stacked ops are the same
+IEEE ops, batched by np.matmul and by reductions over the last axis.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +35,8 @@ class ModelParams:
 
     shapes lists weight and bias shapes in layer order:
     (d_in, d_1), (1, d_1), (d_1, d_2), (1, d_2), ...
-    values concatenates the row-major entries in the same order.
+    values concatenates the row-major entries in the same order. values may
+    also be an (m, P) stack of such vectors, one per row.
     """
 
     values: Array
@@ -40,19 +47,19 @@ class ModelParams:
         shapes = tuple((int(r), int(c)) for r, c in self.shapes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "shapes", shapes)
-        if values.ndim != 1:
-            raise ContractViolation("parameter values must be a flat vector")
+        if values.ndim not in (1, 2):
+            raise ContractViolation("parameter values must be a flat vector or a stack of them")
         expected = sum(r * c for r, c in shapes)
-        if values.size != expected:
+        if values.shape[-1] != expected:
             raise ContractViolation(
-                f"parameter vector has {values.size} entries, shapes require {expected}"
+                f"parameter vector has {values.shape[-1]} entries, shapes require {expected}"
             )
         if not np.all(np.isfinite(values)):
             raise ContractViolation("parameter vector contains non-finite entries")
 
     @property
     def n_params(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
     @property
     def input_dim(self) -> int:
@@ -67,11 +74,13 @@ class ModelParams:
 
     @cached_property
     def layers(self) -> tuple[tuple[Array, Array], ...]:
-        """(W, b) pairs in layer order: views into values, built on first use."""
+        """(W, b) pairs in layer order: views into values, built on first use.
+        A stack of m vectors gives (m, r, c) views."""
+        lead = self.values.shape[:-1]
         mats: list[Array] = []
         off = 0
         for r, c in self.shapes:
-            mats.append(self.values[off : off + r * c].reshape(r, c))
+            mats.append(self.values[..., off : off + r * c].reshape(*lead, r, c))
             off += r * c
         return tuple(zip(mats[0::2], mats[1::2]))
 
@@ -100,7 +109,8 @@ class Batch:
 
 @dataclass(frozen=True)
 class ModelOutput:
-    """Either logits (n, C) for classification or scalars (n,) for regression."""
+    """Either logits (n, C) for classification or scalars (n,) for regression,
+    each with a leading stack axis when the parameters are stacked."""
 
     logits: Array | None = None
     scalars: Array | None = None
@@ -111,8 +121,7 @@ class ModelOutput:
 
     @property
     def n(self) -> int:
-        out = self.logits if self.logits is not None else self.scalars
-        return out.shape[0]
+        return self.logits.shape[-2] if self.logits is not None else self.scalars.shape[-1]
 
 
 def init_params(sizes: Sequence[int], rng: np.random.Generator, scale: float = 1.0) -> ModelParams:
@@ -137,15 +146,32 @@ def _flatten_grads(grads: Sequence[Array]) -> Array:
 # ---------- forward / backward engine ----------
 
 
-class ForwardPass(NamedTuple):
-    """Raw output matrix and activations; acts[l] is the input to layer l."""
+# repr=False: tracers key calls by repr, and printing the arrays outlasts the pass.
+@dataclass(frozen=True, eq=False, repr=False)
+class ForwardPass:
+    """Raw output matrix and activations; acts[l] is the input to layer l.
+    Unpacks as (out, acts). The log-softmax of the output and its exp are
+    computed on first use and kept, so every regularizer evaluation that
+    shares a clean pass shares them too."""
 
     out: Array
     acts: list[Array]
-    __repr__ = object.__repr__  # tracers key calls by repr; printing the arrays outlasts the pass
+
+    def __iter__(self):
+        return iter((self.out, self.acts))
+
+    @cached_property
+    def log_probs(self) -> Array:
+        return log_softmax(self.out)
+
+    @cached_property
+    def probs(self) -> Array:
+        return np.exp(self.log_probs)
 
 
 def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
+    """inputs (n, d), or (m, n, d); with stacked parameters or inputs the
+    hidden activations and the output carry the leading stack axis."""
     layers = params.layers
     a = inputs
     acts = [a]
@@ -160,20 +186,23 @@ def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
 def _backward_input(params: ModelParams, acts: list[Array], dout: Array) -> tuple[Array, list[Array]]:
     """Backprop a seed on the raw output to the inputs. Returns (grad wrt
     inputs, seeds), where seeds[l] is the gradient wrt layer l's output
-    before its activation."""
+    before its activation. Stacked seeds or parameters give stacked results."""
     layers = params.layers
     seeds: list[Array] = [dout] * len(layers)
     g = dout
     for i in range(len(layers) - 1, -1, -1):
         seeds[i] = g
-        g = g @ layers[i][0].T
+        g = g @ layers[i][0].mT
         if i > 0:
             g = g * (1.0 - acts[i] ** 2)  # tanh'
     return g, seeds
 
 
 def _backward(params: ModelParams, acts: list[Array], dout: Array) -> tuple[Array, Array]:
-    """Backprop a seed on the raw output. Returns (grad wrt values, grad wrt inputs)."""
+    """Backprop a seed on the raw output. Returns (grad wrt values, grad wrt inputs).
+    One problem at a time: the seed must be (n, C), not a stack."""
+    if dout.ndim != 2:
+        raise ContractViolation("parameter gradients are formed for one problem, not a stack")
     g, seeds = _backward_input(params, acts, dout)
     return _flatten_grads([m for a, s in zip(acts, seeds) for m in (a.T @ s, s.sum(axis=0, keepdims=True))]), g
 
@@ -208,7 +237,10 @@ def _backward_tangent(
     activations move by t_acts/t_outs (from _forward_tangent) and the output
     seed by t_dout. Returns the tangents of (grad wrt values, grad wrt inputs):
     with t_dout the seed's derivative along u, these are the second
-    derivatives of the backpropagated scalar along u."""
+    derivatives of the backpropagated scalar along u. One problem at a time,
+    as in _backward."""
+    if t_dout.ndim != 2:
+        raise ContractViolation("parameter gradients are formed for one problem, not a stack")
     layers = params.layers
     grads: list[Array] = [t_dout] * (2 * len(layers))
     t = t_dout
@@ -238,7 +270,7 @@ def mlp_forward(params: ModelParams, inputs: Array) -> ModelOutput:
 def _output(params: ModelParams, out: Array) -> ModelOutput:
     """Wrap a raw output matrix as logits, or as scalars for a width-1 head."""
     if params.output_dim == 1:
-        return ModelOutput(scalars=out[:, 0])
+        return ModelOutput(scalars=out[..., 0])
     return ModelOutput(logits=out)
 
 
@@ -274,18 +306,25 @@ def _check_labels(targets: Array, n_classes: int) -> Array:
     return labels
 
 
-def task_loss(output: ModelOutput, targets: Array) -> float:
-    """Batch-mean cross entropy (classification) or squared error (regression)."""
+def _per_member(total: Array) -> float | Array:
+    """A reduction over the last axis: a float for one problem, an (m,) array for a stack."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def task_loss(output: ModelOutput, targets: Array) -> float | Array:
+    """Batch-mean cross entropy (classification) or squared error (regression);
+    one per member for stacked outputs."""
     if output.is_classification:
-        labels = _check_labels(targets, output.logits.shape[1])
+        labels = _check_labels(targets, output.logits.shape[-1])
         if labels.shape[0] != output.n:
             raise ContractViolation("targets do not match batch size")
-        logp = log_softmax(output.logits)
-        return float(-logp[np.arange(labels.size), labels].mean())
+        picked = log_softmax(output.logits)[..., np.arange(labels.size), labels]
+        # a stack's pick comes out column-major; the mean must run over contiguous rows
+        return _per_member(-np.ascontiguousarray(picked).mean(axis=-1))
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != output.scalars.shape:
+    if targets.shape != output.scalars.shape[-1:]:
         raise ContractViolation("targets do not match batch size")
-    return float(((output.scalars - targets) ** 2).mean())
+    return _per_member(((output.scalars - targets) ** 2).mean(axis=-1))
 
 
 def _task_seed_sum(params: ModelParams, out: Array, targets: Array) -> Array:
@@ -319,8 +358,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "values": [float(v) for v in params.values],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")  # dumps runs the C encoder, dump the pure-Python one
 
 
 def load_checkpoint(path: str) -> ModelParams:

@@ -86,13 +86,14 @@ def sample_init(sigma: float, shape: tuple[int, int], rng: np.random.Generator) 
 
 
 def project_rows(values: Array, epsilon: float, norm: NormKind) -> Array:
-    """Project each row onto the epsilon ball. Idempotent bit-exactly."""
+    """Project each row (last axis) onto the epsilon ball; values may be (n, d)
+    or an (m, n, d) stack. Idempotent bit-exactly."""
     if epsilon <= 0:
         raise ContractViolation("epsilon must be positive")
     if norm == NormKind.L2:
-        norms = np.sqrt((values**2).sum(axis=1))
+        norms = np.sqrt((values**2).sum(axis=-1))
         scale = np.where(norms > epsilon * (1.0 + _PROJ_SLACK), epsilon / np.maximum(norms, 1e-300), 1.0)
-        return values * scale[:, None]
+        return values * scale[..., None]
     if norm == NormKind.LINF:
         return np.clip(values, -epsilon, epsilon)
     raise ContractViolation(f"unknown norm: {norm!r}")
@@ -114,16 +115,11 @@ def project_jvp_rows(
     if mode != ProjMode.EXACT_JACOBIAN:
         raise ContractViolation(f"unknown projection mode: {mode!r}")
     if norm == NormKind.L2:
-        norms = np.sqrt((values**2).sum(axis=1))
+        norms = np.sqrt((values**2).sum(axis=-1, keepdims=True))
         active = norms > epsilon * (1.0 + _PROJ_SLACK)
-        out = tangent.copy()
-        if np.any(active):
-            v = values[active]
-            u = tangent[active]
-            nrm = norms[active][:, None]
-            radial = (v * u).sum(axis=1, keepdims=True) / nrm**2
-            out[active] = (epsilon / nrm) * (u - v * radial)
-        return out
+        nrm = np.where(active, norms, 1.0)  # inactive rows: any finite norm; their result is discarded
+        radial = (values * tangent).sum(axis=-1, keepdims=True) / nrm**2
+        return np.where(active, (epsilon / nrm) * (tangent - values * radial), tangent)
     if norm == NormKind.LINF:
         return np.where(np.abs(values) > epsilon, 0.0, tangent)
     raise ContractViolation(f"unknown norm: {norm!r}")
@@ -140,7 +136,8 @@ def ascend(
 
     Returns the K+1 iterates (delta0 first, as given, never projected) and
     the K pre-projection points, at which the projection Jacobian acts when
-    the ascent is differentiated.
+    the ascent is differentiated. grad_delta may return a stack (m, n, d) for
+    an (n, d) delta0; the iterates after the first are then stacks too.
     """
     cur = delta0
     deltas = [cur]

@@ -3,6 +3,11 @@
 KL form for classification heads, squared-difference form for regression
 heads. Parameter gradients flow through both the clean and the perturbed
 branch.
+
+The value and the delta gradient also take stacked parameters (m, P) or a
+stacked delta (m, n, d), and then return one result per member, bit-identical
+to evaluating each member alone. Parameter gradients and tangent maps are for
+one problem at a time.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from .diffmodel import (
     _backward_tangent,
     _forward,
     _forward_tangent,
+    _per_member,
     log_softmax,
 )
 from .errors import ContractViolation
@@ -63,14 +69,14 @@ def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array
     return x
 
 
-def _kl_rows(clean_out: Array, pert_out: Array) -> tuple[Array, Array, Array, Array]:
-    """Per-example KL plus the pieces needed for its gradients."""
-    logp = log_softmax(clean_out)
+def _kl_rows(clean: ForwardPass, pert_out: Array) -> tuple[Array, Array, Array, Array]:
+    """Per-example KL plus the pieces needed for its gradients. The clean
+    pass keeps its log-softmax, so a shared clean pass computes it once."""
+    logp, p = clean.log_probs, clean.probs
     logq = log_softmax(pert_out)
-    p = np.exp(logp)
     diff = logp - logq
     terms = np.where(p > _PROB_FLOOR, p * diff, 0.0)
-    return terms.sum(axis=1), p, np.exp(logq), diff
+    return terms.sum(axis=-1), p, np.exp(logq), diff
 
 
 # Summed (per-example, unscaled) primitives; divide by n for the batch mean.
@@ -85,32 +91,32 @@ def clean_pass(params: ModelParams, x: Array, kind: RegularizerKind) -> ForwardP
 
 def _evaluate(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
-) -> tuple[ForwardPass, ForwardPass, float, Array, Array, Callable[[Array], tuple[Array, Array]]]:
+) -> tuple[ForwardPass, ForwardPass, float | Array, Array, Array, Callable[[Array], tuple[Array, Array]]]:
     """Both passes, the summed regularizer, its seeds on the perturbed and the
     clean output, and the map from a tangent of the perturbed output to the
-    tangents of those two seeds."""
+    tangents of those two seeds. delta may carry a leading stack axis."""
     x = _check_inputs(params, x, kind)
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != x.shape:
-        raise ContractViolation("delta must match the (n, d) shape of the inputs")
+    if delta.ndim > 3 or delta.shape[-2:] != x.shape:
+        raise ContractViolation("delta must match the (n, d) shape of the inputs, with an optional stack axis")
     clean = _forward(params, x) if clean is None else clean
     pert = _forward(params, x + delta)
     if kind == RegularizerKind.KL_DIVERGENCE:
-        kl, p, q, diff = _kl_rows(clean.out, pert.out)
+        kl, p, q, diff = _kl_rows(clean, pert.out)
 
         def seed_tangents(t: Array) -> tuple[Array, Array]:
             # softmax Jacobians: d(q - p) = q (t - <q, t>), d(p (diff - kl)) = -p (t - <p, t>)
             return q * (t - (q * t).sum(axis=1, keepdims=True)), p * ((p * t).sum(axis=1, keepdims=True) - t)
 
-        return clean, pert, float(kl.sum()), q - p, p * (diff - kl[:, None]), seed_tangents
-    resid = clean.out[:, 0] - pert.out[:, 0]
-    seeds = (-2.0 * resid)[:, None], (2.0 * resid)[:, None]
-    return clean, pert, float((resid**2).sum()), *seeds, lambda t: (2.0 * t, -2.0 * t)
+        return clean, pert, _per_member(kl.sum(axis=-1)), q - p, p * (diff - kl[..., None]), seed_tangents
+    resid = clean.out[..., 0] - pert.out[..., 0]
+    seeds = (-2.0 * resid)[..., None], (2.0 * resid)[..., None]
+    return clean, pert, _per_member((resid**2).sum(axis=-1)), *seeds, lambda t: (2.0 * t, -2.0 * t)
 
 
 def reg_value_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
-) -> float:
+) -> float | Array:
     return _evaluate(params, x, delta, kind, clean)[2]
 
 

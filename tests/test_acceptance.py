@@ -169,19 +169,20 @@ def test_criterion_04_hvp_probe_fidelity_and_linear_cost(capfd):
     batch = Batch(x, y)
     state = OptimizerState(kind="Adam", lr=1e-3)
     ks = [1, 2, 4, 8]
-    best = []
+    cfgs = [AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.1, k_steps=k) for k in ks]
+    best = [float("inf")] * len(ks)
     gc.disable()
     try:
-        for k in ks:
-            cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.1, k_steps=k)
+        for cfg in cfgs:
             salt_training_step(params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, 999)
-            times = []
-            for rep in range(13):
+        # every repetition times each k in turn, so a change of host speed
+        # part-way through hits all depths alike instead of bending the line
+        for rep in range(13):
+            for i, cfg in enumerate(cfgs):
                 t0 = time.perf_counter()
                 salt_training_step(params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, rep)
-                times.append(time.perf_counter() - t0)
-            # min over repeats: the best case is the scheduler-noise-free cost
-            best.append(min(times))
+                # min over repeats: the best case is the scheduler-noise-free cost
+                best[i] = min(best[i], time.perf_counter() - t0)
     finally:
         gc.enable()
     ka = np.asarray(ks, dtype=float)

@@ -166,3 +166,46 @@ def test_contract_violations():
         task_loss(mlp_forward(p, np.zeros((2, 2))), np.array([0, 3]))  # label out of range
     with pytest.raises(ContractViolation):
         task_loss(mlp_forward(p, np.zeros((2, 2))), np.array([0.5, 0.1]))  # non-integer labels
+
+
+def test_stacked_params_validate_every_member():
+    rng = np.random.default_rng(8)
+    p = init_params([2, 4, 3], rng)
+    stack = np.stack([p.values, 2.0 * p.values, -p.values])
+    sp = ModelParams(stack, p.shapes)
+    assert sp.n_params == p.n_params
+    assert [w.shape for w, _ in sp.layers] == [(3, 2, 4), (3, 4, 3)]
+    assert [b.shape for _, b in sp.layers] == [(3, 1, 4), (3, 1, 3)]
+    assert np.shares_memory(sp.layers[0][0], stack)
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[1, 5] = bad  # one member non-finite, the others fine
+        with pytest.raises(ContractViolation):
+            ModelParams(broken, p.shapes)
+    with pytest.raises(ContractViolation):
+        ModelParams(stack[:, :-1], p.shapes)
+    with pytest.raises(ContractViolation):
+        ModelParams(stack[None], p.shapes)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_stacked_forward_and_loss_are_each_members(width):
+    """Stacked parameters give, member by member, the bits of the unstacked
+    forward pass and task loss; parameter gradients refuse a stack."""
+    from salt.diffmodel import _backward, _forward
+
+    rng = np.random.default_rng(9)
+    p = init_params([2, 5, 4, width], rng, scale=1.5)
+    stack = p.values + 0.3 * rng.normal(size=(6, p.n_params))
+    sp = ModelParams(stack, p.shapes)
+    x = rng.normal(size=(7, 2))
+    y = rng.normal(size=7) if width == 1 else rng.integers(0, width, size=7)
+    fwd = _forward(sp, x)
+    losses = task_loss(mlp_forward(sp, x), y)
+    assert losses.shape == (6,)
+    for i in range(6):
+        one = _forward(ModelParams(stack[i], p.shapes), x)
+        assert all(np.array_equal(a[i], b) for a, b in zip(fwd.acts[1:] + [fwd.out], one.acts[1:] + [one.out]))
+        assert losses[i] == task_loss(mlp_forward(ModelParams(stack[i], p.shapes), x), y)
+    with pytest.raises(ContractViolation):
+        _backward(sp, fwd.acts, np.ones_like(fwd.out))

@@ -6,6 +6,7 @@ import pytest
 
 from salt.errors import ContractViolation
 from salt.gradcheck import (
+    _FD_CHUNK,
     hypergradient_fd,
     kink_margin_ok,
     run_gradcheck,
@@ -96,3 +97,71 @@ def test_kink_margin_detects_boundary_grazing():
 def test_run_gradcheck_validates_count():
     with pytest.raises(ContractViolation):
         run_gradcheck(instances=0)
+
+
+def _fd_one_at_a_time(params, batch, cfg, kind, delta0, h=1e-5):
+    """hypergradient_fd's central differences, one unstacked parameter vector per call."""
+    base = params.values
+    grad = np.empty(base.size)
+    for j in range(base.size):
+        e = np.zeros(base.size)
+        e[j] = h
+        fp = total_objective(params.replace_values(base + e), batch, cfg, kind, delta0)
+        fm = total_objective(params.replace_values(base - e), batch, cfg, kind, delta0)
+        grad[j] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def _canonical_instance():
+    from salt.diffmodel import Batch, init_params
+    from salt.harness.datasets import gen_two_moons
+    from salt.perturb import sample_init
+
+    from helpers import shipped_config
+
+    canonical = shipped_config("canonical_salt")
+    train, _ = gen_two_moons(canonical.dataset.n_train, canonical.dataset.n_test, canonical.dataset.noise_std, 0)
+    batch = Batch(train.inputs[: canonical.batch_size], train.targets[: canonical.batch_size])
+    params = init_params(canonical.model.layers, np.random.default_rng(0))
+    delta0 = sample_init(canonical.adv.sigma, batch.inputs.shape, np.random.default_rng(1)).values
+    return params, batch, canonical.adv, canonical.model.regularizer_kind, delta0
+
+
+def _toy_instance(index, norm=None):
+    from dataclasses import replace
+
+    inst, _ = sample_instance(0, index)
+    cfg = inst.cfg if norm is None else replace(inst.cfg, norm=norm)
+    return inst.params, inst.batch, cfg, inst.kind, inst.delta0
+
+
+@pytest.mark.parametrize(
+    "case", ["canonical", "toy-kl", "toy-squared-difference", "toy-l2-boundary", "toy-linf-boundary"]
+)
+def test_stacked_fd_is_bit_identical_to_one_at_a_time(case):
+    """Each stacked chunk member evaluates exactly as its unstacked vector
+    would: no tolerance."""
+    from salt.perturb import NormKind
+    from salt.regularizers import RegularizerKind
+
+    if case == "canonical":
+        args = _canonical_instance()
+        assert (args[0].n_params, args[1].n, args[2].eta, args[3]) == (1218, 25, 1e6, RegularizerKind.KL_DIVERGENCE)
+    else:
+        index, norm = {
+            "toy-kl": (0, None),
+            "toy-squared-difference": (3, None),
+            "toy-l2-boundary": (2, None),
+            "toy-linf-boundary": (2, NormKind.LINF),
+        }[case]
+        args = _toy_instance(index, norm)
+    params, batch, cfg, kind, delta0 = args
+    if case.endswith("boundary"):
+        x = batch.inputs
+        _, pres = ascend(regularizer_ascent(params, x, kind, clean_pass(params, x, kind)), delta0, cfg)
+        norms = [np.abs(pre) if cfg.norm == NormKind.LINF else np.sqrt((pre**2).sum(axis=1)) for pre in pres]
+        assert max(nrm.max() for nrm in norms) > cfg.epsilon  # the projection acts
+    if case == "toy-squared-difference":
+        assert kind == RegularizerKind.SQUARED_DIFFERENCE
+    assert params.n_params > _FD_CHUNK  # more than one chunk
+    assert np.array_equal(hypergradient_fd(*args), _fd_one_at_a_time(*args))

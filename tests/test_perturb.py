@@ -178,3 +178,28 @@ def test_projection_properties_random(seed, norm, eps):
             assert cos >= 1 - 1e-12
     else:
         assert np.all(np.abs(once) <= eps)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_projection_of_a_stack_is_each_members_projection(norm):
+    """A leading stack axis changes no bit of any member's projection or
+    projection Jacobian."""
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(7, 25, 3)) * rng.uniform(0.1, 2.0, size=(7, 1, 1))
+    tangent = rng.normal(size=stack.shape)
+    got = project_rows(stack, 1.0, norm)
+    jvp = project_jvp_rows(stack, tangent, 1.0, norm, ProjMode.EXACT_JACOBIAN)
+    for i in range(stack.shape[0]):
+        assert np.array_equal(got[i], project_rows(stack[i], 1.0, norm))
+        assert np.array_equal(jvp[i], project_jvp_rows(stack[i], tangent[i], 1.0, norm, ProjMode.EXACT_JACOBIAN))
+    assert not np.array_equal(got, stack)  # some rows were outside the ball
+
+
+def test_l2_jacobian_on_zero_rows_is_silent_identity():
+    values = np.zeros((3, 2))
+    values[1] = [3.0, 4.0]
+    tangent = np.arange(6.0).reshape(3, 2)
+    with np.errstate(all="raise"):
+        out = project_jvp_rows(values, tangent, 1.0, NormKind.L2, ProjMode.EXACT_JACOBIAN)
+    assert np.array_equal(out[[0, 2]], tangent[[0, 2]])
+    assert not np.array_equal(out[1], tangent[1])

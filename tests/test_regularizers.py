@@ -169,3 +169,27 @@ def test_head_mismatch_rejected():
         reg_value_sum(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.SQUARED_DIFFERENCE)
     with pytest.raises(ContractViolation):
         reg_value_sum(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 3)), RegularizerKind.KL_DIVERGENCE)
+
+
+@pytest.mark.parametrize("kind", list(RegularizerKind))
+def test_stacked_value_and_delta_gradient_are_each_members(kind):
+    """Stacked parameters, and a stacked delta under one parameter vector,
+    give each member's unstacked value and delta gradient bit for bit."""
+    rng = np.random.default_rng(21)
+    p = init_params([2, 16, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=1.5)
+    x = rng.normal(size=(5, 2))
+    stack = ModelParams(p.values + 0.2 * rng.normal(size=(4, p.n_params)), p.shapes)
+    deltas = rng.normal(size=(4, 5, 2)) * 0.4
+    cases = (
+        (stack, deltas[0], [(ModelParams(v, p.shapes), deltas[0]) for v in stack.values]),
+        (p, deltas, [(p, d) for d in deltas]),
+    )
+    for params, delta, singles in cases:
+        values = reg_value_sum(params, x, delta, kind)
+        grads = reg_grad_delta_sum(params, x, delta, kind)
+        assert values.shape == (4,) and grads.shape == (4, 5, 2)
+        for i, (one, d) in enumerate(singles):
+            assert values[i] == reg_value_sum(one, x, d, kind)
+            assert np.array_equal(grads[i], reg_grad_delta_sum(one, x, d, kind))
+    with pytest.raises(ContractViolation):
+        reg_value_sum(p, x, deltas[None], kind)
