@@ -21,14 +21,12 @@ from .diffmodel import (
 )
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, sample_init
-from .regularizers import RegularizerKind, kl_divergence
+from .regularizers import RegularizerKind
 from .stackelberg import (
     InnerObjective,
     StackelbergGrad,
     UnrollTape,
-    hvp_fd,
     interaction_adjoint,
-    jacobian_forward_oracle,
     make_adv_objective,
     salt_training_step,
     stackelberg_gradient,
@@ -57,11 +55,8 @@ __all__ = [
     "bin_predictions",
     "confidence_of",
     "grad_params",
-    "hvp_fd",
     "init_params",
     "interaction_adjoint",
-    "jacobian_forward_oracle",
-    "kl_divergence",
     "load_checkpoint",
     "make_adv_objective",
     "mlp_forward",

@@ -50,7 +50,7 @@ def _validate(confidences: Array, correct: Array) -> tuple[Array, Array]:
         raise ContractViolation("confidences must be a non-empty vector")
     if correct.shape != confidences.shape:
         raise ContractViolation("correct flags must match the confidences")
-    if np.any(confidences < 0.0) or np.any(confidences > 1.0):
+    if not np.all((confidences >= 0.0) & (confidences <= 1.0)):
         raise ContractViolation("confidences must lie in [0, 1]")
     flags = correct.astype(np.float64)
     if not np.all((flags == 0.0) | (flags == 1.0)):

@@ -98,14 +98,9 @@ def kink_margin_ok(tape: UnrollTape, cfg: AdvConfig) -> bool:
     """True when every pre-projection point keeps a clear relative margin from
     the ball boundary, on both sides."""
     for pre in tape.pre_projections:
-        if cfg.norm == NormKind.L2:
-            dist = np.abs(np.sqrt((pre**2).sum(axis=1)) - cfg.epsilon)
-            if np.any(dist <= _KINK_MARGIN * cfg.epsilon):
-                return False
-        else:
-            dist = np.abs(np.abs(pre) - cfg.epsilon)
-            if np.any(dist <= _KINK_MARGIN * cfg.epsilon):
-                return False
+        size = np.sqrt((pre**2).sum(axis=1)) if cfg.norm == NormKind.L2 else np.abs(pre)
+        if np.any(np.abs(size - cfg.epsilon) <= _KINK_MARGIN * cfg.epsilon):
+            return False
     return True
 
 

@@ -43,19 +43,6 @@ class RegularizerKind(str, Enum):
     SQUARED_DIFFERENCE = "SquaredDifference"
 
 
-def kl_divergence(p: Array, q: Array) -> float:
-    """KL(p || q) for two probability vectors; q must be strictly positive."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ContractViolation("p and q must be probability vectors of equal length")
-    if np.any(q <= 0.0):
-        raise ContractViolation("q must have strictly positive entries")
-    logp = np.log(np.maximum(p, _PROB_FLOOR))
-    terms = np.where(p > _PROB_FLOOR, p * (logp - np.log(q)), 0.0)
-    return float(terms.sum())
-
-
 def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:

@@ -36,11 +36,7 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> InnerObjective:
     def _tangent(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return b_mat.T @ u.ravel(), (a_mat @ u.ravel()).reshape(u.shape)
 
-    return InnerObjective(
-        linearize=lambda delta, theta: (_grad_delta(delta, theta), _tangent),
-        hess_delta_delta=lambda delta, theta: a_mat,
-        hess_delta_theta=lambda delta, theta: b_mat,
-    )
+    return InnerObjective(linearize=lambda delta, theta: (_grad_delta(delta, theta), _tangent))
 
 
 def random_quadratic(

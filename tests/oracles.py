@@ -1,0 +1,119 @@
+"""Verification oracles, independent of the package's own derivatives.
+
+- attach_fd_second_order: an inner objective's second-derivative matrices by
+  central differences of its delta gradient, with tangent maps taken from them.
+- jacobian_forward_oracle: d delta_K / d theta as a dense matrix, by the
+  forward recursion over such matrices.
+- hvp_fd: a two-evaluation central-difference Hessian-vector probe.
+- kl_divergence: KL(p || q) for two probability vectors.
+"""
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from salt.diffmodel import ModelParams
+from salt.errors import ContractViolation
+from salt.perturb import AdvConfig, NormKind, ProjMode
+from salt.stackelberg import InnerObjective, UnrollTape, _check_tape
+
+Hess = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+_FD_STEP = 1e-6  # attach_fd_second_order's central-difference step
+_ORACLE_SIZE_LIMIT = 1_000_000  # largest D * P Jacobian the forward oracle builds
+_FD_RADIUS_SCALE = 1e-4  # hvp_fd's probe radius, relative to 1 + ||point||_inf
+
+
+def _fd_jacobian(grad: Callable[[np.ndarray], np.ndarray], base: np.ndarray) -> np.ndarray:
+    """Central-difference columns of the flat map grad around base."""
+    cols = []
+    for i in range(base.size):
+        e = np.zeros(base.size)
+        e[i] = _FD_STEP
+        cols.append((grad(base + e) - grad(base - e)) / (2.0 * _FD_STEP))
+    return np.stack(cols, axis=1)
+
+
+def attach_fd_second_order(obj: InnerObjective) -> tuple[InnerObjective, Hess]:
+    """(objective whose tangent maps are products with the matrices, hess).
+    hess(delta, theta) -> (hdd (D, D), hdt (D, P)), D = n * d, memoized on the
+    point, so forward and reverse mode consume identical matrices."""
+    cache = {}
+
+    def hess(delta, theta):
+        key = (delta.tobytes(), theta.tobytes())
+        if key not in cache:
+            cache[key] = (
+                _fd_jacobian(lambda z: obj.grad_delta(z.reshape(delta.shape), theta).ravel(), delta.ravel()),
+                _fd_jacobian(lambda t: obj.grad_delta(delta, t).ravel(), theta),
+            )
+        return cache[key]
+
+    def linearize(delta, theta):
+        def tangent(u):
+            hdd, hdt = hess(delta, theta)
+            return hdt.T @ u.ravel(), (hdd.T @ u.ravel()).reshape(u.shape)
+
+        return obj.grad_delta(delta, theta), tangent
+
+    return InnerObjective(linearize), hess
+
+
+def jacobian_forward_oracle(
+    tape: UnrollTape, params: ModelParams, x: np.ndarray, cfg: AdvConfig, hess: Hess
+) -> np.ndarray:
+    """d delta_K / d theta as a (D, P) matrix: J <- Pi'(J + eta (Hdd J + Hdt))
+    over the tape's steps, with the matrices from hess."""
+    _check_tape(tape, params, x, cfg)
+    n, d = tape.deltas[0].shape
+    if n * d * params.n_params > _ORACLE_SIZE_LIMIT:
+        raise ContractViolation(f"forward oracle refused: {n * d} x {params.n_params} Jacobian")
+    jac = np.zeros((n * d, params.n_params))
+    for prev, pre in zip(tape.deltas, tape.pre_projections):
+        hdd, hdt = hess(prev, params.values)
+        jac = _project_jacobian(pre, jac + cfg.eta * (hdd @ jac + hdt), cfg)
+    return jac
+
+
+def _project_jacobian(pre: np.ndarray, jac: np.ndarray, cfg: AdvConfig) -> np.ndarray:
+    """Left-multiply the (D, P) Jacobian by the projection Jacobian at pre."""
+    if cfg.proj_mode == ProjMode.STRAIGHT_THROUGH:
+        return jac
+    blocks = jac.reshape(*pre.shape, -1)
+    if cfg.norm == NormKind.LINF:
+        return (blocks * (np.abs(pre) <= cfg.epsilon)[:, :, None]).reshape(jac.shape)
+    out = blocks.copy()
+    norms = np.sqrt((pre**2).sum(axis=1))
+    for i in np.nonzero(norms > cfg.epsilon * (1.0 + 1e-12))[0]:
+        radial = pre[i] @ blocks[i] / norms[i] ** 2
+        out[i] = (cfg.epsilon / norms[i]) * (blocks[i] - pre[i][:, None] * radial[None, :])
+    return out.reshape(jac.shape)
+
+
+def hvp_fd(grad_fn: Callable[[np.ndarray], np.ndarray], point: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Derivative of grad_fn at point along v by central differences: two
+    evaluations along v / ||v|| at radius 1e-4 (1 + ||point||_inf), or one to
+    size the zero result when v = 0."""
+    point = np.asarray(point, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if point.ndim != 1 or v.shape != point.shape:
+        raise ContractViolation("point and v must be matching flat vectors")
+    vnorm = float(np.linalg.norm(v))
+    if vnorm == 0.0:
+        return np.zeros_like(grad_fn(point))
+    r = _FD_RADIUS_SCALE * (1.0 + float(np.abs(point).max()))
+    vhat = v / vnorm
+    return (grad_fn(point + r * vhat) - grad_fn(point - r * vhat)) * (vnorm / (2.0 * r))
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) for two probability vectors; q must be strictly positive."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape or p.ndim != 1:
+        raise ContractViolation("p and q must be probability vectors of equal length")
+    if np.any(q <= 0.0):
+        raise ContractViolation("q must have strictly positive entries")
+    pos = p > 0.0
+    return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from helpers import shipped_config
+from oracles import attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.calibration import bin_predictions
 from salt.diffmodel import Batch, init_params
 from salt.gradcheck import run_gradcheck, sample_instance
@@ -40,10 +41,7 @@ from salt.regularizers import (
     reg_value_sum,
 )
 from salt.stackelberg import (
-    attach_fd_second_order,
-    hvp_fd,
     interaction_adjoint,
-    jacobian_forward_oracle,
     make_adv_objective,
     salt_training_step,
     stackelberg_gradient,
@@ -92,9 +90,9 @@ def test_criterion_02_forward_and_reverse_modes_agree(capfd):
         x = inst.batch.inputs
         obj = make_adv_objective(inst.params, x, inst.kind)
         tape = unroll_forward(inst.params, x, inst.cfg, obj, inst.delta0_seed)
-        rich = attach_fd_second_order(obj)
+        rich, hess = attach_fd_second_order(obj)
         rich_tape = unroll_forward(inst.params, x, inst.cfg, rich, inst.delta0_seed)
-        jac = jacobian_forward_oracle(tape, inst.params, x, rich, inst.cfg)
+        jac = jacobian_forward_oracle(tape, inst.params, x, inst.cfg, hess)
         v = obj.grad_delta(tape.deltas[-1], inst.params.values).ravel() / x.shape[0]
         oracle = v @ jac
         from_matrices = interaction_adjoint(rich_tape, inst.params, x, rich, inst.cfg)

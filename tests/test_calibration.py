@@ -145,6 +145,8 @@ def test_validation_errors():
     with pytest.raises(ContractViolation):
         bin_predictions(np.array([-0.1, 0.5]), flags, 10)
     with pytest.raises(ContractViolation):
+        bin_predictions(np.array([np.nan, 0.5]), flags, 10)
+    with pytest.raises(ContractViolation):
         bin_predictions(ok, np.array([1, 2]), 10)
     with pytest.raises(ContractViolation):
         bin_predictions(ok, np.array([1, 0, 1]), 10)

@@ -190,6 +190,15 @@ def test_calibrate_bad_file(tmp_path):
     assert "confidence" in proc.stderr
 
 
+def test_calibrate_rejects_nan_confidence(tmp_path):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("confidence,correct\n0.9,1\nnan,0\n0.4,0\n")
+    proc = run_cli("calibrate", "--predictions", str(preds))
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error: ") and "[0, 1]" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_missing_input_files_are_errors(tmp_path):
     missing = str(tmp_path / "nope")
     for args in (("train", "--config", missing + ".json"), ("calibrate", "--predictions", missing + ".csv")):

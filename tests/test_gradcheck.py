@@ -79,8 +79,8 @@ def _tape_with_pre(pre, cfg):
         tangents=(),
         cfg=cfg,
         seed=None,
-        theta_sha1="",
-        x_sha1="",
+        theta=np.zeros(0),
+        x=np.zeros(0),
     )
 
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kl_divergence
 from salt.diffmodel import ModelParams, _forward, init_params, mlp_forward, softmax
 from salt.errors import ContractViolation
 from salt.regularizers import (
     RegularizerKind,
-    kl_divergence,
     reg_grad_delta_sum,
     reg_grad_params_sum,
     reg_value_sum,
@@ -47,6 +47,18 @@ def test_kl_rejects_bad_inputs():
         kl_divergence(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ContractViolation):
         kl_divergence(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
+
+
+def test_kl_value_matches_per_row_oracle():
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        p = init_params([3, 7, int(rng.integers(2, 5))], rng, scale=1.5)
+        x = rng.normal(size=(6, 3))
+        delta = 0.5 * rng.normal(size=x.shape)
+        clean = softmax(mlp_forward(p, x).logits)
+        pert = softmax(mlp_forward(p, x + delta).logits)
+        want = sum(kl_divergence(c, q) for c, q in zip(clean, pert))
+        assert reg_value_sum(p, x, delta, RegularizerKind.KL_DIVERGENCE) == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_delta_is_exactly_zero():

@@ -10,16 +10,14 @@ import numpy as np
 import pytest
 
 from helpers import quadratic_objective, random_quadratic, shipped_config
+from oracles import attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.diffmodel import Batch, grad_params, init_params
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
 from salt.perturb import AdvConfig, NormKind, ProjMode
 from salt.regularizers import RegularizerKind, clean_pass, reg_grad_delta_tangent, reg_grad_params_sum
 from salt.stackelberg import (
-    attach_fd_second_order,
-    hvp_fd,
     interaction_adjoint,
-    jacobian_forward_oracle,
     make_adv_objective,
     salt_training_step,
     stackelberg_gradient,
@@ -207,7 +205,7 @@ def test_adjoint_matches_forward_oracle_with_clipping_active():
     )
     assert clipped, "setup failed to trigger the projection"
     n = x.shape[0]
-    jac = jacobian_forward_oracle(tape, params, x, obj, cfg)
+    jac = jacobian_forward_oracle(tape, params, x, cfg, lambda d, t: (a_mat, b_mat))
     v = obj.grad_delta(tape.deltas[-1], params.values).ravel() / n
     want = cfg.alpha * (v @ jac)
     got = interaction_adjoint(tape, params, x, obj, cfg)
@@ -225,11 +223,11 @@ def test_adjoint_modes_agree_on_mlp(seed):
     cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
     obj = make_adv_objective(params, x, KIND)
     tape = unroll_forward(params, x, cfg, obj, rng=seed)
-    rich = attach_fd_second_order(obj)
+    rich, hess = attach_fd_second_order(obj)
     rich_tape = unroll_forward(params, x, cfg, rich, rng=seed)
 
     from_matrices = interaction_adjoint(rich_tape, params, x, rich, cfg)
-    jac = jacobian_forward_oracle(tape, params, x, rich, cfg)
+    jac = jacobian_forward_oracle(tape, params, x, cfg, hess)
     v = obj.grad_delta(tape.deltas[-1], params.values).ravel() / x.shape[0]
     oracle = cfg.alpha * (v @ jac)
     assert _rel(from_matrices, oracle) <= 1e-8
@@ -295,7 +293,7 @@ def test_adjoint_matches_hessian_oracle(kind, norm, mode):
     tape = unroll_forward(params, x, cfg, obj, rng=4)
     clipped = [np.abs(pre).max() > cfg.epsilon for pre in tape.pre_projections]
     assert any(clipped), "setup failed to trigger the projection"
-    rich = attach_fd_second_order(obj)
+    rich, _ = attach_fd_second_order(obj)
     rich_tape = unroll_forward(params, x, cfg, rich, rng=4)
     assert all(np.array_equal(a, b) for a, b in zip(tape.deltas, rich_tape.deltas))
     want = interaction_adjoint(rich_tape, params, x, rich, cfg)
@@ -329,10 +327,10 @@ def test_forward_oracle_refuses_large_instances():
     obj = make_adv_objective(params, x, KIND)
     tape = unroll_forward(params, x, cfg, obj, rng=0)
     with pytest.raises(ContractViolation):
-        jacobian_forward_oracle(tape, params, x, obj, cfg)
+        jacobian_forward_oracle(tape, params, x, cfg, attach_fd_second_order(obj)[1])
 
 
-# ---------- tape fingerprinting ----------
+# ---------- tape check ----------
 
 
 def test_tape_rejects_mismatched_inputs():
@@ -352,7 +350,7 @@ def test_tape_rejects_mismatched_inputs():
     with pytest.raises(ContractViolation):
         interaction_adjoint(tape, params, x, obj, other_cfg)
     with pytest.raises(ContractViolation):
-        jacobian_forward_oracle(tape, other_params, x, obj, cfg)
+        jacobian_forward_oracle(tape, other_params, x, cfg, attach_fd_second_order(obj)[1])
 
 
 # ---------- full leader gradient ----------
