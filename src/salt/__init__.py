@@ -23,7 +23,6 @@ from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, sample_init
 from .regularizers import RegularizerKind
 from .stackelberg import (
-    InnerObjective,
     StackelbergGrad,
     UnrollTape,
     interaction_adjoint,
@@ -31,8 +30,9 @@ from .stackelberg import (
     salt_training_step,
     stackelberg_gradient,
     unroll_forward,
+    vat_gradient,
 )
-from .vat import vat_gradient, vat_training_step
+from .vat import vat_training_step
 from .calibration import CalibrationReport, bin_predictions, confidence_of
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "Batch",
     "CalibrationReport",
     "ContractViolation",
-    "InnerObjective",
     "ModelOutput",
     "ModelParams",
     "NormKind",

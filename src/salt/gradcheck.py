@@ -21,13 +21,15 @@ import numpy as np
 from .diffmodel import Array, Batch, ModelParams, _output, init_params, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ProjMode, ascend, sample_init
-from .regularizers import RegularizerKind, clean_pass, reg_value_sum
+from .regularizers import RegularizerKind, clean_pass, reg_grad_delta_sum, reg_value_sum
 from .stackelberg import UnrollTape, make_adv_objective, stackelberg_gradient, unroll_forward
-from .vat import regularizer_ascent
 
 # Relative distance from a pre-projection point to the ball boundary below
 # which an instance counts as kink-adjacent.
 _KINK_MARGIN = 1e-3
+
+# Central-difference step of hypergradient_fd.
+_FD_STEP = 1e-5
 
 # Parameters per stacked objective evaluation in hypergradient_fd (2x that
 # many members). At the canonical 25 x 32 hidden layers each activation array
@@ -68,7 +70,7 @@ def total_objective(
     parameters (m, P), an (m,) array of each member's objective."""
     x = batch.inputs
     clean = clean_pass(params, x, kind)
-    deltas, _ = ascend(regularizer_ascent(params, x, kind, clean), delta0, cfg)
+    deltas, _ = ascend(lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean), delta0, cfg)
     loss = task_loss(_output(params, clean.out), batch.targets)
     return loss + cfg.alpha * (reg_value_sum(params, x, deltas[-1], kind, clean) / batch.n)
 
@@ -79,7 +81,6 @@ def hypergradient_fd(
     cfg: AdvConfig,
     kind: RegularizerKind,
     delta0: Array,
-    h: float = 1e-5,
 ) -> Array:
     """Central differences of the total objective over every parameter,
     evaluated _FD_CHUNK parameters per stacked call."""
@@ -88,9 +89,9 @@ def hypergradient_fd(
     for j0 in range(0, base.size, _FD_CHUNK):
         js = np.arange(j0, min(j0 + _FD_CHUNK, base.size))
         e = np.zeros((js.size, base.size))
-        e[np.arange(js.size), js] = h
+        e[np.arange(js.size), js] = _FD_STEP
         f = total_objective(params.replace_values(np.concatenate([base + e, base - e])), batch, cfg, kind, delta0)
-        grad[js] = (f[: js.size] - f[js.size :]) / (2.0 * h)
+        grad[js] = (f[: js.size] - f[js.size :]) / (2.0 * _FD_STEP)
     return grad
 
 
@@ -141,10 +142,10 @@ def sample_instance(master_seed: int, index: int, k_steps: int | None = None) ->
             proj_mode=ProjMode.EXACT_JACOBIAN,
         )
         delta0_seed = int(rng.integers(0, 2**31))
-        delta0 = sample_init(cfg.sigma, x.shape, np.random.default_rng(delta0_seed)).values
+        delta0 = sample_init(cfg.sigma, x.shape, delta0_seed).values
         obj = make_adv_objective(params, x, kind)
         tape = unroll_forward(params, x, cfg, obj, delta0_seed)
-        endpoint_grad = obj.grad_delta(tape.deltas[-1], params.values) / n
+        endpoint_grad = obj(tape.deltas[-1], params.values)[0] / n
         if kink_margin_ok(tape, cfg) and np.linalg.norm(endpoint_grad) > 1e-8:
             inst = Instance(
                 params=params, batch=batch, cfg=cfg, kind=kind, delta0_seed=delta0_seed, delta0=delta0

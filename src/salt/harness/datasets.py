@@ -6,6 +6,7 @@ a fixed seed pins both splits.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -75,19 +76,6 @@ def gen_sine_regression(n_train: int, n_test: int, noise_std: float, seed: int) 
     return split(n_train), split(n_test)
 
 
-def save_csv(batch: Batch, path: str) -> None:
-    """Feature columns then a target column, floats at 17 significant digits."""
-    d = batch.inputs.shape[1]
-    is_class = np.issubdtype(batch.targets.dtype, np.integer)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(d)] + ["target"])
-        for i in range(batch.n):
-            row = [format(v, ".17g") for v in batch.inputs[i]]
-            row.append(str(int(batch.targets[i])) if is_class else format(batch.targets[i], ".17g"))
-            writer.writerow(row)
-
-
 def load_csv(path: str, kind: str = "auto") -> Batch:
     """Last column is the target. kind: auto | classification | regression;
     auto treats an integer-valued target column as class labels."""
@@ -107,9 +95,12 @@ def load_csv(path: str, kind: str = "auto") -> Batch:
             if len(row) != width:
                 raise ContractViolation(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ContractViolation(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                raise ContractViolation(f"{path}:{lineno}: non-finite value")
+            rows.append(values)
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)

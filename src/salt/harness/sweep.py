@@ -62,6 +62,9 @@ def sweep(
     if not template.model.is_classification:
         raise ContractViolation("sweep summaries need a classification model (accuracy and ece columns)")
     seeds = list(seeds) if seeds else [template.seed]
+    if len(set(values)) != len(values) or len(set(seeds)) != len(seeds):
+        # a repeat would rerun into, and overwrite, the same run directory
+        raise ContractViolation("sweep values and seeds must each be distinct")
     jobs = [(v, s) for v in values for s in seeds]
 
     def run_one(job) -> dict:

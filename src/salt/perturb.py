@@ -75,10 +75,13 @@ class Perturbation:
             raise ContractViolation("perturbation values must be an (n, d) matrix")
 
 
-def sample_init(sigma: float, shape: tuple[int, int], rng: np.random.Generator) -> Perturbation:
-    """i.i.d. N(0, sigma^2) entries, not yet projected."""
+def sample_init(sigma: float, shape: tuple[int, int], rng: np.random.Generator | int) -> Perturbation:
+    """i.i.d. N(0, sigma^2) entries, not yet projected. An int rng seeds a
+    fresh generator."""
     if sigma < 0:
         raise ContractViolation("sigma must be non-negative")
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(int(rng))
     return Perturbation(values=rng.standard_normal(shape) * sigma)
 
 

@@ -6,8 +6,8 @@ The outer objective is
 
 where delta_K is produced by k_steps of projected gradient ascent starting
 from a Gaussian draw. Its total derivative splits into a leader part (delta
-treated as a constant, shared with the flat baseline) and an interaction part
-that tracks how the ascent's endpoint moves with theta.
+treated as a constant: `vat_gradient`, the flat baseline's whole gradient)
+and an interaction part that tracks how the ascent's endpoint moves with theta.
 
 The interaction part is computed by a reverse sweep over the recorded
 trajectory. Each sweep step needs two curvature contractions of the inner
@@ -25,31 +25,20 @@ from typing import Callable
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ForwardPass, ModelParams, _output, task_loss
+from .diffmodel import Array, Batch, ForwardPass, ModelParams, _output, grad_params, task_loss
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, ascend, project_jvp_rows, sample_init
-from .regularizers import RegularizerKind, TangentMap, clean_pass, reg_grad_delta_tangent
-from .vat import vat_gradient
+from .regularizers import RegularizerKind, TangentMap, clean_pass, reg_grad_delta_tangent, reg_grad_params_sum
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
 # point and the interaction part is zeroed instead of amplifying noise.
 _DEGENERATE_NORM = 1e-14
 
 
-@dataclass(frozen=True)
-class InnerObjective:
-    """Scalar objective the follower ascends, summed over examples.
-
-    linearize(delta, theta), with delta an (n, d) matrix and theta the flat
-    parameter vector, returns d obj/d delta (n, d) and the TangentMap at that
-    point.
-    """
-
-    linearize: Callable[[Array, Array], tuple[Array, TangentMap]]
-
-    def grad_delta(self, delta: Array, theta: Array) -> Array:
-        return self.linearize(delta, theta)[0]
+# The follower's objective, summed over examples: obj(delta (n, d), theta (P,))
+# returns d obj/d delta (n, d) and the TangentMap at that point.
+Linearize = Callable[[Array, Array], tuple[Array, TangentMap]]
 
 
 def make_adv_objective(
@@ -57,7 +46,7 @@ def make_adv_objective(
     x: Array,
     kind: RegularizerKind,
     clean: ForwardPass | None = None,
-) -> InnerObjective:
+) -> Linearize:
     """The production inner objective: per-example regularizers, summed.
     At params' own theta (params.values itself) every call shares one clean
     pass, computed here when not given; any other theta, such as an oracle's
@@ -70,7 +59,7 @@ def make_adv_objective(
             return reg_grad_delta_tangent(params, x, delta, kind, clean)
         return reg_grad_delta_tangent(ModelParams(values=theta, shapes=params.shapes), x, delta, kind)
 
-    return InnerObjective(linearize=linearize)
+    return linearize
 
 
 # ---------- forward unroll ----------
@@ -92,7 +81,6 @@ class UnrollTape:
     pre_projections: tuple[Array, ...]
     tangents: tuple[TangentMap, ...]
     cfg: AdvConfig
-    seed: int | None
     theta: Array
     x: Array
 
@@ -105,21 +93,17 @@ def unroll_forward(
     params: ModelParams,
     x: Array,
     cfg: AdvConfig,
-    obj: InnerObjective,
+    obj: Linearize,
     rng: np.random.Generator | int,
 ) -> UnrollTape:
     """Run k_steps of projected ascent on obj, recording the trajectory and
     the tangent map of each step's gradient evaluation."""
     x = np.asarray(x, dtype=np.float64)
-    seed: int | None = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
     theta = params.values
     tangents: list[TangentMap] = []
 
     def grad_delta(delta: Array) -> Array:
-        grad, tangent = obj.linearize(delta, theta)
+        grad, tangent = obj(delta, theta)
         tangents.append(tangent)
         return grad
 
@@ -130,7 +114,6 @@ def unroll_forward(
         pre_projections=tuple(pres),
         tangents=tuple(tangents),
         cfg=cfg,
-        seed=seed,
         theta=theta.copy(),
         x=x.copy(),
     )
@@ -152,7 +135,7 @@ def interaction_adjoint(
     tape: UnrollTape,
     params: ModelParams,
     x: Array,
-    obj: InnerObjective,
+    obj: Linearize,
     cfg: AdvConfig,
     cotangent: Array | None = None,
 ) -> Array:
@@ -169,7 +152,7 @@ def interaction_adjoint(
     if tape.k_steps == 0:
         return cfg.alpha * g
     n = tape.deltas[0].shape[0]
-    u = obj.grad_delta(tape.deltas[-1], params.values) / n if cotangent is None else cotangent
+    u = obj(tape.deltas[-1], params.values)[0] / n if cotangent is None else cotangent
     for k in range(tape.k_steps, 0, -1):
         u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
         mixed, curv = tape.tangents[k - 1](u)
@@ -178,7 +161,34 @@ def interaction_adjoint(
     return cfg.alpha * g
 
 
-# ---------- the full outer gradient ----------
+# ---------- the leader part and the full outer gradient ----------
+
+
+def vat_gradient(
+    params: ModelParams, batch: Batch, delta: Array, cfg: AdvConfig, kind: RegularizerKind, clean: ForwardPass
+) -> tuple[Array, Array, float]:
+    """The leader part: task-loss gradient plus alpha times the regularizer's
+    parameter gradient, with delta held constant; also the summed
+    regularizer's delta gradient and value at delta, from the same perturbed
+    pass. clean is the pass at batch.inputs."""
+    task = grad_params(params, batch, clean)
+    reg, reg_delta, reg_sum = reg_grad_params_sum(params, batch.inputs, delta, kind, clean)
+    if cfg.alpha == 0.0:
+        return task, reg_delta, reg_sum
+    return task + cfg.alpha * (reg / batch.n), reg_delta, reg_sum
+
+
+def step_stats(
+    params: ModelParams, batch: Batch, clean: ForwardPass, reg_value: float, delta0: Array, delta_k: Array
+) -> dict:
+    """The stats every adversarial step reports, from its clean pass and its
+    follower's init and endpoint."""
+    return {
+        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
+        "reg_value": reg_value,
+        "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
+        "delta0_sum": float(delta0.sum()),
+    }
 
 
 @dataclass(frozen=True)
@@ -219,10 +229,7 @@ def stackelberg_gradient(
         interaction = interaction_adjoint(tape, params, x, obj, cfg, cotangent=v)
     t2 = time.perf_counter()
     stats = {
-        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
-        "reg_value": reg_sum / batch.n,
-        "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
-        "delta0_sum": float(tape.deltas[0].sum()),
+        **step_stats(params, batch, clean, reg_sum / batch.n, tape.deltas[0], delta_k),
         "interaction_ratio": float(np.linalg.norm(interaction)) / max(float(np.linalg.norm(leader)), 1e-300),
         "degenerate_interaction": degenerate,
         "t_unroll": t1 - t0,

@@ -2,12 +2,14 @@
 with known derivatives."""
 from __future__ import annotations
 
+import csv
 import os
 
 import numpy as np
 
+from salt.diffmodel import Batch
 from salt.harness.config import ExperimentConfig, load_config
-from salt.stackelberg import InnerObjective
+from salt.stackelberg import Linearize
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -17,7 +19,20 @@ def shipped_config(name: str) -> ExperimentConfig:
     return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
 
 
-def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> InnerObjective:
+def save_csv(batch: Batch, path: str) -> None:
+    """Feature columns then a target column, floats at 17 significant digits."""
+    d = batch.inputs.shape[1]
+    is_class = np.issubdtype(batch.targets.dtype, np.integer)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(d)] + ["target"])
+        for i in range(batch.n):
+            row = [format(v, ".17g") for v in batch.inputs[i]]
+            row.append(str(int(batch.targets[i])) if is_class else format(batch.targets[i], ".17g"))
+            writer.writerow(row)
+
+
+def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> Linearize:
     """g(delta, theta) = 0.5 * flat(delta)^T A flat(delta) + theta^T B^T flat(delta).
 
     A is (D, D) symmetric, B is (D, P). Gradients and Hessians are exact:
@@ -36,12 +51,12 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> InnerObjective:
     def _tangent(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return b_mat.T @ u.ravel(), (a_mat @ u.ravel()).reshape(u.shape)
 
-    return InnerObjective(linearize=lambda delta, theta: (_grad_delta(delta, theta), _tangent))
+    return lambda delta, theta: (_grad_delta(delta, theta), _tangent)
 
 
 def random_quadratic(
     rng: np.random.Generator, n: int, d: int, p: int, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, InnerObjective]:
+) -> tuple[np.ndarray, np.ndarray, Linearize]:
     """Random symmetric A and dense B, returned with the wrapped objective."""
     big_d = n * d
     raw = rng.normal(size=(big_d, big_d)) * scale

@@ -16,7 +16,7 @@ import numpy as np
 from salt.diffmodel import ModelParams
 from salt.errors import ContractViolation
 from salt.perturb import AdvConfig, NormKind, ProjMode
-from salt.stackelberg import InnerObjective, UnrollTape, _check_tape
+from salt.stackelberg import Linearize, UnrollTape, _check_tape
 
 Hess = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -35,7 +35,7 @@ def _fd_jacobian(grad: Callable[[np.ndarray], np.ndarray], base: np.ndarray) -> 
     return np.stack(cols, axis=1)
 
 
-def attach_fd_second_order(obj: InnerObjective) -> tuple[InnerObjective, Hess]:
+def attach_fd_second_order(obj: Linearize) -> tuple[Linearize, Hess]:
     """(objective whose tangent maps are products with the matrices, hess).
     hess(delta, theta) -> (hdd (D, D), hdt (D, P)), D = n * d, memoized on the
     point, so forward and reverse mode consume identical matrices."""
@@ -45,8 +45,8 @@ def attach_fd_second_order(obj: InnerObjective) -> tuple[InnerObjective, Hess]:
         key = (delta.tobytes(), theta.tobytes())
         if key not in cache:
             cache[key] = (
-                _fd_jacobian(lambda z: obj.grad_delta(z.reshape(delta.shape), theta).ravel(), delta.ravel()),
-                _fd_jacobian(lambda t: obj.grad_delta(delta, t).ravel(), theta),
+                _fd_jacobian(lambda z: obj(z.reshape(delta.shape), theta)[0].ravel(), delta.ravel()),
+                _fd_jacobian(lambda t: obj(delta, t)[0].ravel(), theta),
             )
         return cache[key]
 
@@ -55,9 +55,9 @@ def attach_fd_second_order(obj: InnerObjective) -> tuple[InnerObjective, Hess]:
             hdd, hdt = hess(delta, theta)
             return hdt.T @ u.ravel(), (hdd.T @ u.ravel()).reshape(u.shape)
 
-        return obj.grad_delta(delta, theta), tangent
+        return obj(delta, theta)[0], tangent
 
-    return InnerObjective(linearize), hess
+    return linearize, hess
 
 
 def jacobian_forward_oracle(

@@ -46,9 +46,9 @@ from salt.stackelberg import (
     salt_training_step,
     stackelberg_gradient,
     unroll_forward,
+    vat_gradient,
 )
 from salt.optim import OptimizerState
-from salt.vat import _follow, regularizer_ascent, vat_gradient
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -93,7 +93,7 @@ def test_criterion_02_forward_and_reverse_modes_agree(capfd):
         rich, hess = attach_fd_second_order(obj)
         rich_tape = unroll_forward(inst.params, x, inst.cfg, rich, inst.delta0_seed)
         jac = jacobian_forward_oracle(tape, inst.params, x, inst.cfg, hess)
-        v = obj.grad_delta(tape.deltas[-1], inst.params.values).ravel() / x.shape[0]
+        v = obj(tape.deltas[-1], inst.params.values)[0].ravel() / x.shape[0]
         oracle = v @ jac
         from_matrices = interaction_adjoint(rich_tape, inst.params, x, rich, inst.cfg)
         tangent = interaction_adjoint(tape, inst.params, x, obj, inst.cfg)
@@ -128,7 +128,7 @@ def test_criterion_03_k0_reduces_to_flat_gradient(capfd):
         seed = 5000 + i
         total = stackelberg_gradient(params, batch, cfg, kind, seed).total
         clean = clean_pass(params, x, kind)
-        _, delta0 = _follow(regularizer_ascent(params, x, kind, clean), x.shape, cfg, seed)
+        delta0 = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), seed).deltas[-1]
         flat = vat_gradient(params, batch, delta0, cfg, kind, clean)[0]
         worst = max(worst, float(np.abs(total - flat).max()))
     ok = worst <= 1e-12

@@ -153,6 +153,28 @@ def test_sweep_rejects_bad_values_and_seeds(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_sweep_rejects_repeated_values_and_seeds(tmp_path):
+    cfg = tiny_config(tmp_path, epochs=1)
+    for axis, values, seeds in (("k_steps", "1,1", "3"), ("epsilon", "1,1.0", "3"), ("k_steps", "1", "3,3")):
+        proc = run_cli("sweep", "--config", str(cfg), "--axis", axis, "--values", values, "--seeds", seeds)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "distinct" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_non_finite_csv(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("x0,x1,target\n0.1,0.2,0\nnan,0.4,1\n0.5,0.6,0\n0.7,0.8,1\n")
+    test = tmp_path / "test.csv"
+    test.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
+    dataset = {"kind": "csv", "train_path": str(train), "test_path": str(test)}
+    proc = run_cli("train", "--config", str(tiny_config(tmp_path, dataset=dataset)))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and f"{train}:3: non-finite value" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_calibrate_reports_and_writes(tmp_path):
     preds = tmp_path / "preds.csv"
     preds.write_text("confidence,correct\n0.75,1\n0.75,0\n0.95,1\n0.95,1\n")

@@ -7,6 +7,7 @@ import pytest
 from salt.errors import ContractViolation
 from salt.gradcheck import (
     _FD_CHUNK,
+    _FD_STEP,
     hypergradient_fd,
     kink_margin_ok,
     run_gradcheck,
@@ -14,9 +15,8 @@ from salt.gradcheck import (
     total_objective,
 )
 from salt.perturb import AdvConfig, ascend
-from salt.regularizers import clean_pass
+from salt.regularizers import clean_pass, reg_grad_delta_sum
 from salt.stackelberg import UnrollTape, make_adv_objective, unroll_forward
-from salt.vat import regularizer_ascent
 
 
 def test_records_are_accurate_and_typed():
@@ -36,14 +36,18 @@ def test_fixed_k_is_respected():
         assert r.k_steps == 2
 
 
+def _replay(params, x, kind, delta0, cfg):
+    """The ascent total_objective runs from a frozen init."""
+    clean = clean_pass(params, x, kind)
+    return ascend(lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean), delta0, cfg)
+
+
 def test_endpoint_replay_matches_recorded_unroll():
     inst, _ = sample_instance(5, 0)
     obj = make_adv_objective(inst.params, inst.batch.inputs, inst.kind)
     tape = unroll_forward(inst.params, inst.batch.inputs, inst.cfg, obj, inst.delta0_seed)
     assert np.array_equal(tape.deltas[0], inst.delta0)
-    x = inst.batch.inputs
-    grad_delta = regularizer_ascent(inst.params, x, inst.kind, clean_pass(inst.params, x, inst.kind))
-    deltas, pres = ascend(grad_delta, inst.delta0, inst.cfg)
+    deltas, pres = _replay(inst.params, inst.batch.inputs, inst.kind, inst.delta0, inst.cfg)
     assert len(deltas) == len(tape.deltas) and len(pres) == len(tape.pre_projections)
     for got, want in zip(deltas + pres, tape.deltas + tape.pre_projections):
         assert np.array_equal(got, want)
@@ -78,7 +82,6 @@ def _tape_with_pre(pre, cfg):
         pre_projections=(pre,),
         tangents=(),
         cfg=cfg,
-        seed=None,
         theta=np.zeros(0),
         x=np.zeros(0),
     )
@@ -99,7 +102,7 @@ def test_run_gradcheck_validates_count():
         run_gradcheck(instances=0)
 
 
-def _fd_one_at_a_time(params, batch, cfg, kind, delta0, h=1e-5):
+def _fd_one_at_a_time(params, batch, cfg, kind, delta0, h=_FD_STEP):
     """hypergradient_fd's central differences, one unstacked parameter vector per call."""
     base = params.values
     grad = np.empty(base.size)
@@ -157,8 +160,7 @@ def test_stacked_fd_is_bit_identical_to_one_at_a_time(case):
         args = _toy_instance(index, norm)
     params, batch, cfg, kind, delta0 = args
     if case.endswith("boundary"):
-        x = batch.inputs
-        _, pres = ascend(regularizer_ascent(params, x, kind, clean_pass(params, x, kind)), delta0, cfg)
+        _, pres = _replay(params, batch.inputs, kind, delta0, cfg)
         norms = [np.abs(pre) if cfg.norm == NormKind.LINF else np.sqrt((pre**2).sum(axis=1)) for pre in pres]
         assert max(nrm.max() for nrm in norms) > cfg.epsilon  # the projection acts
     if case == "toy-squared-difference":

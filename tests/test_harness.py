@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import CONFIG_DIR, shipped_config
+from helpers import CONFIG_DIR, save_csv, shipped_config
 from salt.diffmodel import load_checkpoint
 from salt.errors import ContractViolation
 from salt.harness.config import (
@@ -29,7 +29,6 @@ from salt.harness.datasets import (
     gen_sine_regression,
     gen_two_moons,
     load_csv,
-    save_csv,
 )
 from salt.harness.experiment import run_experiment, substream
 from salt.harness.sweep import parse_axis_value, sweep
@@ -138,6 +137,15 @@ def test_csv_errors_name_the_line(tmp_path):
     with open(path, "w") as fh:
         fh.write("target\n1\n")
     with pytest.raises(ContractViolation, match="at least one feature"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("row", ["nan,2.0,0", "1.0,inf,0", "1.0,2.0,-inf", "1.0,2.0,NaN"])
+def test_csv_rejects_non_finite_values(tmp_path, row):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write(f"x0,x1,target\n1.0,2.0,0\n{row}\n")
+    with pytest.raises(ContractViolation, match=r"bad\.csv:3: non-finite value"):
         load_csv(path)
 
 
@@ -459,3 +467,13 @@ def test_sweep_rejects_bad_requests(tmp_path):
     )
     with pytest.raises(ContractViolation, match="classification"):
         sweep(regression, "k_steps", [1], out_path=str(tmp_path / "x.csv"))
+
+
+def test_sweep_rejects_repeated_values_and_seeds(tmp_path):
+    template = _sweep_template(tmp_path)
+    out_path = str(tmp_path / "x.csv")
+    epsilons = [parse_axis_value("epsilon", v) for v in ("1", "1.0")]
+    for axis, values, seeds in (("k_steps", [1, 1], [3]), ("epsilon", epsilons, [3]), ("k_steps", [1], [3, 3])):
+        with pytest.raises(ContractViolation, match="distinct"):
+            sweep(template, axis, values, seeds=seeds, out_path=out_path)
+    assert not os.path.exists(template.outdir) and not os.path.exists(out_path)  # rejected before any run

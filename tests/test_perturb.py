@@ -102,6 +102,12 @@ def test_sample_init_statistics():
     assert sample_init(0.0, (5, 3), rng).values.sum() == 0.0
 
 
+def test_sample_init_int_seed_is_a_fresh_generator():
+    for seed in (0, 7, np.int64(2**31 - 1)):
+        got = sample_init(0.3, (4, 3), seed).values
+        assert np.array_equal(got, sample_init(0.3, (4, 3), np.random.default_rng(seed)).values)
+
+
 def test_ascend_closed_form_linear_regression():
     # f(x) = w^T x: one step moves delta by 2 eta (w^T delta) w, then projects
     w = np.array([2.0, -1.0])

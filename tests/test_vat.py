@@ -6,16 +6,10 @@ import pytest
 
 from salt.diffmodel import Batch, grad_params, init_params, mlp_forward, task_loss
 from salt.optim import OptimizerState
-from salt.perturb import AdvConfig
+from salt.perturb import AdvConfig, ascend, sample_init
 from salt.regularizers import RegularizerKind, clean_pass, reg_grad_params_sum, reg_value_sum
-from salt.vat import (
-    _follow,
-    adv_training_step,
-    regularizer_ascent,
-    task_ascent,
-    vat_gradient,
-    vat_training_step,
-)
+from salt.stackelberg import make_adv_objective, unroll_forward
+from salt.vat import adv_training_step, task_ascent, vat_gradient, vat_training_step
 
 KIND = RegularizerKind.KL_DIVERGENCE
 
@@ -31,34 +25,33 @@ def _setup(seed=0, sizes=(2, 8, 3), n=5):
     return p, Batch(inputs=x, targets=y)
 
 
+def _endpoint(p, x, cfg, seed, clean=None):
+    """The follower's endpoint, as the VAT step computes it."""
+    return unroll_forward(p, x, cfg, make_adv_objective(p, x, KIND, clean), seed).deltas[-1]
+
+
 def test_k0_returns_projected_init_unchanged_by_model():
     p, batch = _setup()
     cfg = AdvConfig(epsilon=0.5, eta=0.7, sigma=0.1, k_steps=0)
-    x = batch.inputs
-    _, d = _follow(regularizer_ascent(p, x, KIND, clean_pass(p, x, KIND)), x.shape, cfg, 42)
-    ref = np.random.default_rng(42).standard_normal(x.shape) * cfg.sigma
+    d = _endpoint(p, batch.inputs, cfg, 42)
+    ref = np.random.default_rng(42).standard_normal(batch.inputs.shape) * cfg.sigma
     assert np.array_equal(d, ref)  # K=0: the raw draw, no ascent, no projection
 
 
 def test_follower_matches_unroll_trajectory():
-    """VAT and SALT pair by construction: for the same config and seed the flat
-    follower's init and endpoint are the SALT tape's, bit for bit."""
-    from salt.stackelberg import make_adv_objective, salt_training_step, unroll_forward
+    """VAT and SALT pair by construction: for the same config and seed both
+    steps run the same follower, so their perturbation stats agree bit for bit."""
+    from salt.stackelberg import salt_training_step
 
     state = OptimizerState(kind="Adam", lr=1e-3)
     for sizes, kind in (((2, 8, 3), KIND), ((2, 8, 1), RegularizerKind.SQUARED_DIFFERENCE)):
         p, batch = _setup(seed=3, sizes=sizes)
-        x = batch.inputs
         for norm in ("L2", "LInf"):
             for k in (0, 1, 4):
                 cfg = AdvConfig(epsilon=0.3, eta=0.8, sigma=0.2, k_steps=k, norm=norm)
-                tape = unroll_forward(p, x, cfg, make_adv_objective(p, x, kind), rng=7)
-                delta0, delta_k = _follow(regularizer_ascent(p, x, kind, clean_pass(p, x, kind)), x.shape, cfg, 7)
-                assert np.array_equal(delta0, tape.deltas[0])
-                assert np.array_equal(delta_k, tape.deltas[-1])
                 _, _, vat_stats = vat_training_step(p, batch, cfg, kind, state, 7)
                 _, _, salt_stats = salt_training_step(p, batch, cfg, kind, state, 7)
-                for key in ("delta0_sum", "delta_norm", "reg_value"):
+                for key in ("clean_loss", "delta0_sum", "delta_norm", "reg_value"):
                     assert vat_stats[key] == salt_stats[key]
 
 
@@ -67,7 +60,7 @@ def test_vat_gradient_matches_sum_of_parts():
     cfg = AdvConfig(alpha=0.7, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     x = batch.inputs
     clean = clean_pass(p, x, KIND)
-    _, d = _follow(regularizer_ascent(p, x, KIND, clean), x.shape, cfg, 11)
+    d = _endpoint(p, x, cfg, 11, clean)
     g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
     want = grad_params(p, batch) + cfg.alpha * (reg_grad_params_sum(p, x, d, KIND)[0] / batch.n)
     assert np.array_equal(g, want)
@@ -86,7 +79,7 @@ def test_vat_gradient_matches_fd_with_frozen_delta():
     cfg = AdvConfig(alpha=1.3, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     x = batch.inputs
     clean = clean_pass(p, x, KIND)
-    _, d = _follow(regularizer_ascent(p, x, KIND, clean), x.shape, cfg, 2)
+    d = _endpoint(p, x, cfg, 2, clean)
 
     def total(theta):
         q = p.replace_values(theta)
@@ -112,7 +105,7 @@ def test_ascent_increases_regularizer():
         x = rng.normal(size=(4, 2))
         cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
         d0 = np.random.default_rng(seed + 1000).standard_normal(x.shape) * cfg.sigma
-        _, dk = _follow(regularizer_ascent(p, x, KIND, clean_pass(p, x, KIND)), x.shape, cfg, seed + 1000)
+        dk = _endpoint(p, x, cfg, seed + 1000)
         if reg_value_sum(p, x, dk, KIND) >= reg_value_sum(p, x, d0, KIND):
             wins += 1
     assert wins >= 0.95 * trials
@@ -129,7 +122,7 @@ def test_task_ascent_increases_task_loss():
         batch = Batch(inputs=x, targets=y)
         cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
         d0 = np.random.default_rng(seed + 500).standard_normal(x.shape) * cfg.sigma
-        _, dk = _follow(task_ascent(p, batch), x.shape, cfg, np.random.default_rng(seed + 500))
+        dk = ascend(task_ascent(p, batch), sample_init(cfg.sigma, x.shape, seed + 500).values, cfg)[0][-1]
         before = task_loss(mlp_forward(p, x + d0), y)
         after = task_loss(mlp_forward(p, x + dk), y)
         if after >= before:
