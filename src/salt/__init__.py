@@ -9,7 +9,7 @@ unrolled ascent (the anticipating variant).
 
 from .diffmodel import (
     Batch,
-    ModelOutput,
+    ForwardPass,
     ModelParams,
     grad_params,
     init_params,
@@ -42,7 +42,7 @@ __all__ = [
     "Batch",
     "CalibrationReport",
     "ContractViolation",
-    "ModelOutput",
+    "ForwardPass",
     "ModelParams",
     "NormKind",
     "Perturbation",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmodel import Array, ModelOutput, softmax
+from .diffmodel import Array, ForwardPass, softmax
 from .errors import ContractViolation
 
 _CSV_HEADER = ["bin_lower", "bin_upper", "count", "mean_confidence", "accuracy", "calib_error"]
@@ -36,11 +36,11 @@ class CalibrationReport:
     n: int
 
 
-def confidence_of(output: ModelOutput) -> Array:
+def confidence_of(fwd: ForwardPass) -> Array:
     """Top-class softmax probability per example. Classification heads only."""
-    if not output.is_classification:
+    if not fwd.is_classification:
         raise ContractViolation("confidence is only defined for classification outputs")
-    return softmax(output.logits).max(axis=1)
+    return softmax(fwd.logits).max(axis=1)
 
 
 def _validate(confidences: Array, correct: Array) -> tuple[Array, Array]:

@@ -107,23 +107,6 @@ class Batch:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
-class ModelOutput:
-    """Either logits (n, C) for classification or scalars (n,) for regression,
-    each with a leading stack axis when the parameters are stacked."""
-
-    logits: Array | None = None
-    scalars: Array | None = None
-
-    @property
-    def is_classification(self) -> bool:
-        return self.logits is not None
-
-    @property
-    def n(self) -> int:
-        return self.logits.shape[-2] if self.logits is not None else self.scalars.shape[-1]
-
-
 def init_params(sizes: Sequence[int], rng: np.random.Generator, scale: float = 1.0) -> ModelParams:
     """Glorot-normal weights (scaled), zero biases."""
     if len(sizes) < 2:
@@ -150,15 +133,24 @@ def _flatten_grads(grads: Sequence[Array]) -> Array:
 @dataclass(frozen=True, eq=False, repr=False)
 class ForwardPass:
     """Raw output matrix and activations; acts[l] is the input to layer l.
-    Unpacks as (out, acts). The log-softmax of the output and its exp are
-    computed on first use and kept, so every regularizer evaluation that
-    shares a clean pass shares them too."""
+    A width-1 output holds a regression head's scalars, a wider one logits.
+    The log-softmax of the output and its exp are computed on first use and
+    kept, so the task loss and the regularizers of one clean pass share them."""
 
     out: Array
     acts: list[Array]
 
-    def __iter__(self):
-        return iter((self.out, self.acts))
+    @property
+    def is_classification(self) -> bool:
+        return self.out.shape[-1] > 1
+
+    @property
+    def logits(self) -> Array:
+        return self.out
+
+    @property
+    def scalars(self) -> Array:
+        return self.out[..., 0]
 
     @cached_property
     def log_probs(self) -> Array:
@@ -255,8 +247,8 @@ def _backward_tangent(
     return _flatten_grads(grads), t
 
 
-def mlp_forward(params: ModelParams, inputs: Array) -> ModelOutput:
-    """Run the network. Raises on an input-width mismatch."""
+def _check_inputs(params: ModelParams, inputs: Array) -> Array:
+    """inputs as a float (n, d) matrix whose width matches the first layer."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ContractViolation("inputs must be an (n, d) matrix")
@@ -264,14 +256,12 @@ def mlp_forward(params: ModelParams, inputs: Array) -> ModelOutput:
         raise ContractViolation(
             f"input width {inputs.shape[1]} does not match first layer width {params.input_dim}"
         )
-    return _output(params, _forward(params, inputs).out)
+    return inputs
 
 
-def _output(params: ModelParams, out: Array) -> ModelOutput:
-    """Wrap a raw output matrix as logits, or as scalars for a width-1 head."""
-    if params.output_dim == 1:
-        return ModelOutput(scalars=out[..., 0])
-    return ModelOutput(logits=out)
+def mlp_forward(params: ModelParams, inputs: Array) -> ForwardPass:
+    """Run the network. Raises on an input-width mismatch."""
+    return _forward(params, _check_inputs(params, inputs))
 
 
 # ---------- probability and loss helpers ----------
@@ -311,40 +301,39 @@ def _per_member(total: Array) -> float | Array:
     return float(total) if np.ndim(total) == 0 else total
 
 
-def task_loss(output: ModelOutput, targets: Array) -> float | Array:
+def task_loss(fwd: ForwardPass, targets: Array) -> float | Array:
     """Batch-mean cross entropy (classification) or squared error (regression);
-    one per member for stacked outputs."""
-    if output.is_classification:
-        labels = _check_labels(targets, output.logits.shape[-1])
-        if labels.shape[0] != output.n:
+    one per member for a stacked pass."""
+    if fwd.is_classification:
+        labels = _check_labels(targets, fwd.out.shape[-1])
+        if labels.shape[0] != fwd.out.shape[-2]:
             raise ContractViolation("targets do not match batch size")
-        picked = log_softmax(output.logits)[..., np.arange(labels.size), labels]
+        picked = fwd.log_probs[..., np.arange(labels.size), labels]
         # a stack's pick comes out column-major; the mean must run over contiguous rows
         return _per_member(-np.ascontiguousarray(picked).mean(axis=-1))
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != output.scalars.shape[-1:]:
+    if targets.shape != fwd.scalars.shape[-1:]:
         raise ContractViolation("targets do not match batch size")
-    return _per_member(((output.scalars - targets) ** 2).mean(axis=-1))
+    return _per_member(((fwd.scalars - targets) ** 2).mean(axis=-1))
 
 
-def _task_seed_sum(params: ModelParams, out: Array, targets: Array) -> Array:
+def _task_seed_sum(fwd: ForwardPass, targets: Array) -> Array:
     """d(sum of per-example task losses)/d(raw output). Divided by the batch
     size it seeds the batch-mean loss."""
-    if params.output_dim == 1:
-        t = np.asarray(targets, dtype=np.float64)
-        return (2.0 * (out[:, 0] - t))[:, None]
-    labels = _check_labels(targets, out.shape[1])
-    seed = softmax(out)
-    seed[np.arange(out.shape[0]), labels] -= 1.0
+    if not fwd.is_classification:
+        return (2.0 * (fwd.scalars - np.asarray(targets, dtype=np.float64)))[:, None]
+    labels = _check_labels(targets, fwd.out.shape[1])
+    seed = softmax(fwd.out)
+    seed[np.arange(fwd.out.shape[0]), labels] -= 1.0
     return seed
 
 
 def grad_params(params: ModelParams, batch: Batch, fwd: ForwardPass | None = None) -> Array:
     """Gradient of the batch-mean task loss with respect to the flat
     parameters. fwd is the batch's forward pass, computed when not given."""
-    out, acts = _forward(params, batch.inputs) if fwd is None else fwd
-    seed = _task_seed_sum(params, out, batch.targets) / out.shape[0]
-    gtheta, _ = _backward(params, acts, seed)
+    fwd = _forward(params, batch.inputs) if fwd is None else fwd
+    seed = _task_seed_sum(fwd, batch.targets) / fwd.out.shape[0]
+    gtheta, _ = _backward(params, fwd.acts, seed)
     return gtheta
 
 

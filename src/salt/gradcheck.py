@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ModelParams, _output, init_params, task_loss
+from .diffmodel import Array, Batch, ModelParams, init_params, mlp_forward, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ProjMode, ascend, sample_init
-from .regularizers import RegularizerKind, clean_pass, reg_grad_delta_sum, reg_value_sum
+from .regularizers import RegularizerKind, reg_grad_delta_sum, reg_value_sum
 from .stackelberg import UnrollTape, make_adv_objective, stackelberg_gradient, unroll_forward
 
 # Relative distance from a pre-projection point to the ball boundary below
@@ -69,9 +69,9 @@ def total_objective(
     re-run from a fixed init under the current parameters. For stacked
     parameters (m, P), an (m,) array of each member's objective."""
     x = batch.inputs
-    clean = clean_pass(params, x, kind)
+    clean = mlp_forward(params, x)
     deltas, _ = ascend(lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean), delta0, cfg)
-    loss = task_loss(_output(params, clean.out), batch.targets)
+    loss = task_loss(clean, batch.targets)
     return loss + cfg.alpha * (reg_value_sum(params, x, deltas[-1], kind, clean) / batch.n)
 
 

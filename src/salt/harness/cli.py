@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractViolation, FileNotFoundError) as exc:
+    except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
-from ..errors import ContractViolation
+from ..errors import ContractViolation, require_int
 from ..perturb import AdvConfig
 from ..regularizers import RegularizerKind
 
@@ -34,11 +34,12 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("two_moons", "blobs", "sine", "csv"):
             raise ContractViolation(f"unknown dataset kind: {self.kind!r}")
-        if self.kind == "csv":
-            if not self.train_path or not self.test_path:
-                raise ContractViolation("csv dataset needs train_path and test_path")
-        elif self.n_train < 1 or self.n_test < 1:
-            raise ContractViolation("dataset sizes must be positive")
+        if self.kind == "csv" and (not self.train_path or not self.test_path):
+            raise ContractViolation("csv dataset needs train_path and test_path")
+        require_int("n_train", self.n_train, 1)
+        require_int("n_test", self.n_test, 1)
+        if self.noise_std < 0:
+            raise ContractViolation("noise_std must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,12 @@ class ModelSpec:
     layers: tuple[int, ...] = (2, 32, 32, 2)
 
     def __post_init__(self) -> None:
+        for width in self.layers:
+            require_int("layer width", width, 1)
         layers = tuple(int(v) for v in self.layers)
         object.__setattr__(self, "layers", layers)
-        if len(layers) < 2 or any(v < 1 for v in layers):
-            raise ContractViolation("model layers must be at least [d_in, d_out] with positive widths")
+        if len(layers) < 2:
+            raise ContractViolation("model layers must be at least [d_in, d_out]")
 
     @property
     def is_classification(self) -> bool:
@@ -93,8 +96,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method(self.method))
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ContractViolation("epochs and batch_size must be positive")
+        require_int("seed", self.seed, 0)
+        require_int("epochs", self.epochs, 1)
+        require_int("batch_size", self.batch_size, 1)
 
 
 def _take(section: str, raw: dict, cls: type) -> dict:

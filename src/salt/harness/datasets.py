@@ -110,4 +110,7 @@ def load_csv(path: str, kind: str = "auto") -> Batch:
         raise ContractViolation(f"{path}: classification requires integer-valued targets")
     if kind == "regression" or (kind == "auto" and not integral):
         return Batch(x, target)
+    beyond = np.flatnonzero((target < -(2.0**63)) | (target >= 2.0**63))
+    if beyond.size:
+        raise ContractViolation(f"{path}:{beyond[0] + 2}: label {target[beyond[0]]:g} is beyond the int64 range")
     return Batch(x, target.astype(np.int64))

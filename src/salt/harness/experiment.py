@@ -24,7 +24,6 @@ from ..diffmodel import (
     Batch,
     ModelParams,
     _forward,
-    _output,
     grad_params,
     init_params,
     mlp_forward,
@@ -56,12 +55,13 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
 
 
 def _evaluate(params: ModelParams, batch: Batch) -> dict:
-    out = mlp_forward(params, batch.inputs)
-    loss = task_loss(out, batch.targets)
-    if out.is_classification:
-        pred = out.logits.argmax(axis=1)
-        return {"loss": loss, "acc": float((pred == batch.targets).mean()), "out": out}
-    return {"loss": loss, "rmse": float(np.sqrt(loss)), "out": out}
+    """Loss and accuracy or RMSE, plus what the reliability report reads."""
+    fwd = mlp_forward(params, batch.inputs)
+    loss = task_loss(fwd, batch.targets)
+    if fwd.is_classification:
+        correct = fwd.logits.argmax(axis=1) == batch.targets
+        return {"loss": loss, "acc": float(correct.mean()), "confidence": confidence_of(fwd), "correct": correct}
+    return {"loss": loss, "rmse": float(np.sqrt(loss))}
 
 
 def erm_training_step(
@@ -71,7 +71,7 @@ def erm_training_step(
     grad = grad_params(params, batch, clean)
     new_params, new_state = optimizer_step(params, opt_state, grad)
     stats = {
-        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
+        "clean_loss": task_loss(clean, batch.targets),
         "reg_value": 0.0,
         "delta_norm": 0.0,
     }
@@ -159,8 +159,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             if is_class:
                 row["train_acc"] = tr["acc"]
                 row["val_acc"] = te["acc"]
-                correct = (te["out"].logits.argmax(axis=1) == test.targets).astype(float)
-                report = bin_predictions(confidence_of(te["out"]), correct)
+                report = bin_predictions(te["confidence"], te["correct"])
                 row["ece"] = report.ece
             else:
                 row["train_rmse"] = tr["rmse"]

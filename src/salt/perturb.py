@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .diffmodel import Array
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 
 # Norms within this relative slack of epsilon count as already projected, so
 # re-projecting a projected vector is a bit-exact no-op.
@@ -56,8 +56,7 @@ class AdvConfig:
             raise ContractViolation("alpha, sigma and eta must be non-negative")
         if self.epsilon <= 0:
             raise ContractViolation("epsilon must be positive")
-        if self.k_steps < 0:
-            raise ContractViolation("k_steps must be >= 0")
+        require_int("k_steps", self.k_steps, 0)
         object.__setattr__(self, "norm", NormKind(self.norm))
         object.__setattr__(self, "proj_mode", ProjMode(self.proj_mode))
 

@@ -23,6 +23,7 @@ from .diffmodel import (
     _backward,
     _backward_input,
     _backward_tangent,
+    _check_inputs as _check_shape,
     _forward,
     _forward_tangent,
     _per_member,
@@ -44,11 +45,7 @@ class RegularizerKind(str, Enum):
 
 
 def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ContractViolation("inputs must be an (n, d) matrix")
-    if x.shape[1] != params.input_dim:
-        raise ContractViolation("input width does not match the model")
+    x = _check_shape(params, x)
     if kind == RegularizerKind.KL_DIVERGENCE and params.output_dim == 1:
         raise ContractViolation("KL regularizer needs a classification head")
     if kind == RegularizerKind.SQUARED_DIFFERENCE and params.output_dim != 1:
@@ -68,12 +65,7 @@ def _kl_rows(clean: ForwardPass, pert_out: Array) -> tuple[Array, Array, Array, 
 
 # Summed (per-example, unscaled) primitives; divide by n for the batch mean.
 # Each takes an optional clean pass: x and theta are fixed through a training
-# step, so a step computes clean_pass once and hands it to every evaluation.
-
-
-def clean_pass(params: ModelParams, x: Array, kind: RegularizerKind) -> ForwardPass:
-    """The forward pass at the clean inputs, checked as the primitives check them."""
-    return _forward(params, _check_inputs(params, x, kind))
+# step, so a step computes mlp_forward once and hands it to every evaluation.
 
 
 def _evaluate(

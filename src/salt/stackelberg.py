@@ -25,11 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ForwardPass, ModelParams, _output, grad_params, task_loss
+from .diffmodel import Array, Batch, ForwardPass, ModelParams, grad_params, mlp_forward, task_loss
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, ascend, project_jvp_rows, sample_init
-from .regularizers import RegularizerKind, TangentMap, clean_pass, reg_grad_delta_tangent, reg_grad_params_sum
+from .regularizers import RegularizerKind, TangentMap, reg_grad_delta_tangent, reg_grad_params_sum
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
 # point and the interaction part is zeroed instead of amplifying noise.
@@ -52,7 +52,7 @@ def make_adv_objective(
     pass, computed here when not given; any other theta, such as an oracle's
     finite difference, gets its own."""
     x = np.asarray(x, dtype=np.float64)
-    clean = clean_pass(params, x, kind) if clean is None else clean
+    clean = mlp_forward(params, x) if clean is None else clean
 
     def linearize(delta: Array, theta: Array) -> tuple[Array, TangentMap]:
         if theta is params.values:
@@ -178,13 +178,11 @@ def vat_gradient(
     return task + cfg.alpha * (reg / batch.n), reg_delta, reg_sum
 
 
-def step_stats(
-    params: ModelParams, batch: Batch, clean: ForwardPass, reg_value: float, delta0: Array, delta_k: Array
-) -> dict:
+def step_stats(batch: Batch, clean: ForwardPass, reg_value: float, delta0: Array, delta_k: Array) -> dict:
     """The stats every adversarial step reports, from its clean pass and its
     follower's init and endpoint."""
     return {
-        "clean_loss": task_loss(_output(params, clean.out), batch.targets),
+        "clean_loss": task_loss(clean, batch.targets),
         "reg_value": reg_value,
         "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
         "delta0_sum": float(delta0.sum()),
@@ -215,7 +213,7 @@ def stackelberg_gradient(
     gradient at its endpoint, and add the interaction term."""
     x = batch.inputs
     t0 = time.perf_counter()
-    clean = clean_pass(params, x, kind)
+    clean = mlp_forward(params, x)
     obj = make_adv_objective(params, x, kind, clean)
     tape = unroll_forward(params, x, cfg, obj, rng)
     t1 = time.perf_counter()
@@ -229,7 +227,7 @@ def stackelberg_gradient(
         interaction = interaction_adjoint(tape, params, x, obj, cfg, cotangent=v)
     t2 = time.perf_counter()
     stats = {
-        **step_stats(params, batch, clean, reg_sum / batch.n, tape.deltas[0], delta_k),
+        **step_stats(batch, clean, reg_sum / batch.n, tape.deltas[0], delta_k),
         "interaction_ratio": float(np.linalg.norm(interaction)) / max(float(np.linalg.norm(leader)), 1e-300),
         "degenerate_interaction": degenerate,
         "t_unroll": t1 - t0,

@@ -19,14 +19,14 @@ from .diffmodel import (
     ModelParams,
     _backward_input,
     _forward,
-    _output,
     _task_seed_sum,
     grad_params,
+    mlp_forward,
     task_loss,
 )
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, ascend, sample_init
-from .regularizers import RegularizerKind, clean_pass
+from .regularizers import RegularizerKind
 from .stackelberg import make_adv_objective, step_stats, unroll_forward, vat_gradient
 
 
@@ -34,8 +34,8 @@ def task_ascent(params: ModelParams, batch: Batch) -> Callable[[Array], Array]:
     """The Adv follower's ascent direction: d(summed task loss at x + delta)/d(delta)."""
 
     def grad_delta(delta: Array) -> Array:
-        out, acts = _forward(params, batch.inputs + delta)
-        return _backward_input(params, acts, _task_seed_sum(params, out, batch.targets))[0]
+        fwd = _forward(params, batch.inputs + delta)
+        return _backward_input(params, fwd.acts, _task_seed_sum(fwd, batch.targets))[0]
 
     return grad_delta
 
@@ -51,11 +51,11 @@ def vat_training_step(
     """One flat-gradient update: the follower's unroll, then a leader step
     that treats its endpoint as data."""
     x = batch.inputs
-    clean = clean_pass(params, x, kind)
+    clean = mlp_forward(params, x)
     tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
     grad, _, reg_sum = vat_gradient(params, batch, tape.deltas[-1], cfg, kind, clean)
     new_params, new_state = optimizer_step(params, opt_state, grad)
-    stats = step_stats(params, batch, clean, reg_sum / batch.n, tape.deltas[0], tape.deltas[-1])
+    stats = step_stats(batch, clean, reg_sum / batch.n, tape.deltas[0], tape.deltas[-1])
     return new_params, new_state, stats
 
 
@@ -75,5 +75,4 @@ def adv_training_step(
     clean, hit = _forward(params, x), _forward(params, attacked.inputs)
     grad = grad_params(params, batch, clean) + cfg.alpha * grad_params(params, attacked, hit)
     new_params, new_state = optimizer_step(params, opt_state, grad)
-    reg_value = task_loss(_output(params, hit.out), batch.targets)
-    return new_params, new_state, step_stats(params, batch, clean, reg_value, delta0, delta_k)
+    return new_params, new_state, step_stats(batch, clean, task_loss(hit, batch.targets), delta0, delta_k)

@@ -22,7 +22,7 @@ import pytest
 from helpers import shipped_config
 from oracles import attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.calibration import bin_predictions
-from salt.diffmodel import Batch, init_params
+from salt.diffmodel import Batch, init_params, mlp_forward
 from salt.gradcheck import run_gradcheck, sample_instance
 from salt.harness.config import Method, config_to_dict, override
 from salt.harness.experiment import run_experiment
@@ -35,7 +35,6 @@ from salt.perturb import (
 )
 from salt.regularizers import (
     RegularizerKind,
-    clean_pass,
     reg_grad_delta_sum,
     reg_grad_params_sum,
     reg_value_sum,
@@ -127,7 +126,7 @@ def test_criterion_03_k0_reduces_to_flat_gradient(capfd):
         cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.1, k_steps=0)
         seed = 5000 + i
         total = stackelberg_gradient(params, batch, cfg, kind, seed).total
-        clean = clean_pass(params, x, kind)
+        clean = mlp_forward(params, x)
         delta0 = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), seed).deltas[-1]
         flat = vat_gradient(params, batch, delta0, cfg, kind, clean)[0]
         worst = max(worst, float(np.abs(total - flat).max()))

@@ -14,7 +14,7 @@ from salt.calibration import (
     read_predictions_csv,
     write_reliability_csv,
 )
-from salt.diffmodel import ModelOutput, softmax
+from salt.diffmodel import ForwardPass, softmax
 from salt.errors import ContractViolation
 
 
@@ -124,17 +124,17 @@ def test_reliability_csv_roundtrip_recombines(tmp_path):
 def test_confidence_of_matches_softmax_oracle():
     rng = np.random.default_rng(9)
     logits = rng.normal(size=(30, 5))
-    got = confidence_of(ModelOutput(logits=logits))
+    got = confidence_of(ForwardPass(logits, []))
     assert np.array_equal(got, softmax(logits).max(axis=1))
-    assert confidence_of(ModelOutput(logits=np.zeros((1, 4))))[0] == pytest.approx(0.25)
-    assert confidence_of(ModelOutput(logits=np.array([[10.0, 0.0]])))[0] == pytest.approx(
+    assert confidence_of(ForwardPass(np.zeros((1, 4)), []))[0] == pytest.approx(0.25)
+    assert confidence_of(ForwardPass(np.array([[10.0, 0.0]]), []))[0] == pytest.approx(
         1.0, abs=1e-4
     )
 
 
 def test_confidence_rejects_regression():
     with pytest.raises(ContractViolation):
-        confidence_of(ModelOutput(scalars=np.zeros(3)))
+        confidence_of(ForwardPass(np.zeros((3, 1)), []))
 
 
 def test_validation_errors():

@@ -70,11 +70,22 @@ def test_train_rejects_unknown_key(tmp_path):
 
 
 def test_train_rejects_bad_values(tmp_path):
-    for extra, named in (({"adv": {"norm": "L3"}}, "L3"), ({"method": "SGDA"}, "SGDA")):
+    for extra, named in (
+        ({"adv": {"norm": "L3"}}, "L3"),
+        ({"method": "SGDA"}, "SGDA"),
+        ({"model": {"layers": [2, 3.5, 2]}}, "bad model value: layer width must be an integer, got 3.5"),
+        ({"epochs": 1.5}, "bad config value: epochs must be an integer, got 1.5"),
+        ({"batch_size": 2.5}, "bad config value: batch_size must be an integer"),
+        ({"adv": {"k_steps": 1.5}}, "bad adv value: k_steps must be an integer"),
+        ({"seed": "a"}, "bad config value: seed must be an integer"),
+        ({"dataset": {"kind": "two_moons", "n_train": 10.5}}, "bad dataset value: n_train must be an integer"),
+        ({"dataset": {"kind": "blobs", "noise_std": -0.1}}, "bad dataset value: noise_std must be non-negative"),
+    ):
         proc = run_cli("train", "--config", str(tiny_config(tmp_path, **extra)))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and named in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()  # rejected before resolved_config.json is written
 
 
 def test_train_rejects_malformed_json(tmp_path):
@@ -175,6 +186,18 @@ def test_train_rejects_non_finite_csv(tmp_path):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_train_rejects_labels_beyond_int64(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1e20\n0.5,0.6,0\n0.7,0.8,1\n")
+    test = tmp_path / "test.csv"
+    test.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
+    dataset = {"kind": "csv", "train_path": str(train), "test_path": str(test)}
+    proc = run_cli("train", "--config", str(tiny_config(tmp_path, dataset=dataset)))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and f"{train}:3: label 1e+20 is beyond the int64 range" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_calibrate_reports_and_writes(tmp_path):
     preds = tmp_path / "preds.csv"
     preds.write_text("confidence,correct\n0.75,1\n0.75,0\n0.95,1\n0.95,1\n")
@@ -228,6 +251,15 @@ def test_missing_input_files_are_errors(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and args[2] in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_unreadable_input_paths_are_errors(tmp_path):
+    """A directory where a file is expected exits 2 with the OS error, not a traceback."""
+    for args in (("train", "--config", str(tmp_path)), ("calibrate", "--predictions", str(tmp_path))):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Is a directory" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_no_subcommand_is_an_error():

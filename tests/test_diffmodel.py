@@ -89,6 +89,33 @@ def test_task_loss_closed_forms():
     assert abs(task_loss(out, np.array([1.0, 1.0])) - (2.0**2 + 1.0**2) / 2) < 1e-12
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("width", [1, 3])
+def test_task_loss_reads_cached_log_probs_bit_for_bit(width, stacked):
+    """task_loss takes the log-softmax a pass keeps: the loss has the same bits
+    whether or not log_probs was read first, and the bits of the loss
+    computed from the raw output alone."""
+    from salt.diffmodel import _forward
+
+    rng = np.random.default_rng(11)
+    p = init_params([2, 5, width], rng, scale=1.5)
+    if stacked:
+        p = ModelParams(p.values + 0.3 * rng.normal(size=(4, p.n_params)), p.shapes)
+    x = rng.normal(size=(7, 2))
+    y = rng.normal(size=7) if width == 1 else rng.integers(0, width, size=7)
+    fresh = task_loss(_forward(p, x), y)
+    read_first = _forward(p, x)
+    assert read_first.log_probs.shape == read_first.out.shape
+    cached = task_loss(read_first, y)
+    out = read_first.out
+    if width == 1:
+        want = ((out[..., 0] - y) ** 2).mean(axis=-1)
+    else:
+        want = -np.ascontiguousarray(log_softmax(out)[..., np.arange(7), y]).mean(axis=-1)
+    assert np.shape(cached) == ((4,) if stacked else ())
+    assert np.array_equal(fresh, cached) and np.array_equal(cached, want)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_grad_params_matches_fd(seed):
     rng = np.random.default_rng(seed)

@@ -14,8 +14,9 @@ from salt.gradcheck import (
     sample_instance,
     total_objective,
 )
+from salt.diffmodel import mlp_forward
 from salt.perturb import AdvConfig, ascend
-from salt.regularizers import clean_pass, reg_grad_delta_sum
+from salt.regularizers import reg_grad_delta_sum
 from salt.stackelberg import UnrollTape, make_adv_objective, unroll_forward
 
 
@@ -38,7 +39,7 @@ def test_fixed_k_is_respected():
 
 def _replay(params, x, kind, delta0, cfg):
     """The ascent total_objective runs from a frozen init."""
-    clean = clean_pass(params, x, kind)
+    clean = mlp_forward(params, x)
     return ascend(lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean), delta0, cfg)
 
 
@@ -54,7 +55,7 @@ def test_endpoint_replay_matches_recorded_unroll():
 
 
 def test_total_objective_alpha0_is_task_loss():
-    from salt.diffmodel import mlp_forward, task_loss
+    from salt.diffmodel import task_loss
     from dataclasses import replace
 
     inst, _ = sample_instance(6, 1)

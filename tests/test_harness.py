@@ -149,6 +149,16 @@ def test_csv_rejects_non_finite_values(tmp_path, row):
         load_csv(path)
 
 
+@pytest.mark.parametrize("kind", ["auto", "classification"])
+def test_csv_rejects_labels_beyond_int64(tmp_path, kind):
+    path = str(tmp_path / "big.csv")
+    with open(path, "w") as fh:
+        fh.write("x0,x1,target\n1.0,2.0,0\n1.0,2.0,1\n3.0,4.0,1e20\n")
+    with pytest.raises(ContractViolation, match=r"big\.csv:4: label 1e\+20 is beyond the int64 range"):
+        load_csv(path, kind)
+    assert load_csv(path, "regression").targets[2] == 1e20
+
+
 # ---------- config ----------
 
 
@@ -212,6 +222,25 @@ def test_config_validates_values():
         config_from_dict({"dataset": {"kind": "csv"}})  # csv needs paths
     with pytest.raises(ContractViolation):
         config_from_dict({"optimizer": {"kind": "RMSProp"}})
+    # integer fields take integers only, not floats, strings or bools
+    for raw, named in (
+        ({"model": {"layers": [2, 3.5, 2]}}, "bad model value: layer width must be an integer, got 3.5"),
+        ({"model": {"layers": [2, True, 2]}}, "bad model value: layer width must be an integer, got True"),
+        ({"epochs": 1.5}, "bad config value: epochs must be an integer"),
+        ({"epochs": True}, "bad config value: epochs must be an integer"),
+        ({"batch_size": 2.5}, "bad config value: batch_size must be an integer"),
+        ({"seed": "a"}, "bad config value: seed must be an integer"),
+        ({"seed": -1}, "bad config value: seed must be >= 0"),
+        ({"adv": {"k_steps": 1.5}}, "bad adv value: k_steps must be an integer"),
+        ({"adv": {"k_steps": False}}, "bad adv value: k_steps must be an integer"),
+        ({"dataset": {"n_train": 10.5}}, "bad dataset value: n_train must be an integer"),
+        ({"dataset": {"n_test": 0}}, "bad dataset value: n_test must be >= 1"),
+        ({"dataset": {"kind": "blobs", "noise_std": -0.1}}, "bad dataset value: noise_std must be non-negative"),
+        ({"dataset": {"kind": "sine", "noise_std": -0.1}}, "bad dataset value: noise_std must be non-negative"),
+    ):
+        with pytest.raises(ContractViolation) as exc:
+            config_from_dict(raw)
+        assert str(exc.value).startswith(named), raw
 
 
 def test_load_config_errors(tmp_path):

@@ -11,11 +11,11 @@ import pytest
 
 from helpers import quadratic_objective, random_quadratic, shipped_config
 from oracles import attach_fd_second_order, hvp_fd, jacobian_forward_oracle
-from salt.diffmodel import Batch, grad_params, init_params
+from salt.diffmodel import Batch, grad_params, init_params, mlp_forward
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
 from salt.perturb import AdvConfig, NormKind, ProjMode
-from salt.regularizers import RegularizerKind, clean_pass, reg_grad_delta_tangent, reg_grad_params_sum
+from salt.regularizers import RegularizerKind, reg_grad_delta_tangent, reg_grad_params_sum
 from salt.stackelberg import (
     interaction_adjoint,
     make_adv_objective,
@@ -365,7 +365,7 @@ def _mlp_batch(seed, sizes=(2, 5, 3), n=4):
 def _flat_gradient(params, batch, cfg, seed):
     """VAT's follower endpoint for the seed, and VAT's leader gradient there."""
     x = batch.inputs
-    clean = clean_pass(params, x, KIND)
+    clean = mlp_forward(params, x)
     delta = unroll_forward(params, x, cfg, make_adv_objective(params, x, KIND, clean), seed).deltas[-1]
     return delta, vat_gradient(params, batch, delta, cfg, KIND, clean)[0]
 
@@ -398,7 +398,7 @@ def test_gradient_alpha0_reduces_to_clean_gradient():
 
 
 def test_end_to_end_hypergradient_matches_finite_differences():
-    from salt.diffmodel import mlp_forward, task_loss
+    from salt.diffmodel import task_loss
     from salt.regularizers import reg_value_sum
 
     for seed in range(3):

@@ -7,7 +7,7 @@ import pytest
 from salt.diffmodel import Batch, grad_params, init_params, mlp_forward, task_loss
 from salt.optim import OptimizerState
 from salt.perturb import AdvConfig, ascend, sample_init
-from salt.regularizers import RegularizerKind, clean_pass, reg_grad_params_sum, reg_value_sum
+from salt.regularizers import RegularizerKind, reg_grad_params_sum, reg_value_sum
 from salt.stackelberg import make_adv_objective, unroll_forward
 from salt.vat import adv_training_step, task_ascent, vat_gradient, vat_training_step
 
@@ -59,7 +59,7 @@ def test_vat_gradient_matches_sum_of_parts():
     p, batch = _setup(seed=5)
     cfg = AdvConfig(alpha=0.7, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     x = batch.inputs
-    clean = clean_pass(p, x, KIND)
+    clean = mlp_forward(p, x)
     d = _endpoint(p, x, cfg, 11, clean)
     g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
     want = grad_params(p, batch) + cfg.alpha * (reg_grad_params_sum(p, x, d, KIND)[0] / batch.n)
@@ -70,7 +70,7 @@ def test_vat_gradient_alpha_zero_is_clean_gradient():
     p, batch = _setup(seed=6)
     cfg = AdvConfig(alpha=0.0, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     d = np.full_like(batch.inputs, 100.0)
-    clean = clean_pass(p, batch.inputs, KIND)
+    clean = mlp_forward(p, batch.inputs)
     assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND, clean)[0], grad_params(p, batch))
 
 
@@ -78,7 +78,7 @@ def test_vat_gradient_matches_fd_with_frozen_delta():
     p, batch = _setup(seed=8, sizes=(2, 5, 2), n=3)
     cfg = AdvConfig(alpha=1.3, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     x = batch.inputs
-    clean = clean_pass(p, x, KIND)
+    clean = mlp_forward(p, x)
     d = _endpoint(p, x, cfg, 2, clean)
 
     def total(theta):
