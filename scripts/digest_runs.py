@@ -6,16 +6,37 @@ directory and sorted, so two trees compare with `diff`. Arguments may also be
 single files, such as a saved `salt gradcheck` stdout. timing.jsonl is
 skipped: it holds wall-clock times, which differ on every run.
 
+With --produce OUTDIR, first run the reference producers with this tree's
+`src/` into the new directory OUTDIR, saving each stdout there, then list
+OUTDIR with paths relative to it:
+- scripts/run_canonical.py: 200 epochs of all four methods on the canonical
+  config, into canonical/<method>/;
+- salt train --config configs/sine_regression.json, into sine/;
+- salt gradcheck --instances 20 --seed 0.
+Run it once per tree and diff the two listings to show byte identity.
+
 Usage:
     python3 scripts/digest_runs.py DIR_OR_FILE [DIR_OR_FILE ...]
+    python3 scripts/digest_runs.py --produce OUTDIR
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import os
+import subprocess
+import sys
 
 SKIPPED = {"timing.jsonl"}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRODUCERS = (
+    ("canonical.stdout", [os.path.join(ROOT, "scripts", "run_canonical.py"), "--outdir", "canonical"]),
+    (
+        "sine.stdout",
+        ["-m", "salt", "train", "--config", os.path.join(ROOT, "configs", "sine_regression.json"), "--outdir", "sine"],
+    ),
+    ("gradcheck.stdout", ["-m", "salt", "gradcheck", "--instances", "20", "--seed", "0"]),
+)
 
 
 def artifact_paths(roots: list[str]) -> list[str]:
@@ -39,11 +60,33 @@ def sha256_of(path: str) -> str:
     return h.hexdigest()
 
 
+def produce(outdir: str) -> None:
+    """Run PRODUCERS inside outdir, which must be new or empty."""
+    os.makedirs(outdir, exist_ok=True)
+    if os.listdir(outdir):
+        raise SystemExit(f"digest_runs: {outdir} is not empty")
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, args in PRODUCERS:
+        with open(os.path.join(outdir, name), "w") as fh:
+            code = subprocess.run([sys.executable, *args], cwd=outdir, env=env, stdout=fh).returncode
+        if code != 0:
+            raise SystemExit(f"digest_runs: {' '.join(args)} exited {code}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("roots", nargs="+", metavar="DIR_OR_FILE")
+    ap.add_argument("roots", nargs="*", metavar="DIR_OR_FILE")
+    ap.add_argument("--produce", metavar="OUTDIR", help="run the reference producers into OUTDIR, then list it")
     args = ap.parse_args()
-    for path in artifact_paths(args.roots):
+    if bool(args.produce) == bool(args.roots):
+        ap.error("give either DIR_OR_FILE arguments or --produce OUTDIR")
+    roots = args.roots
+    if args.produce:
+        produce(args.produce)
+        os.chdir(args.produce)
+        roots = [os.curdir]
+    for path in artifact_paths(roots):
         print(f"{sha256_of(path)}  {path}")
 
 

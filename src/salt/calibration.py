@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmodel import Array, ForwardPass, softmax
+from .diffmodel import Array, ForwardPass
 from .errors import ContractViolation
 
 _CSV_HEADER = ["bin_lower", "bin_upper", "count", "mean_confidence", "accuracy", "calib_error"]
@@ -37,10 +37,12 @@ class CalibrationReport:
 
 
 def confidence_of(fwd: ForwardPass) -> Array:
-    """Top-class softmax probability per example. Classification heads only."""
+    """Top-class softmax probability per example. Classification heads only.
+    The top entry of the pass's exp(out - max) is exp(0) = 1, so this is
+    1 / S, bit for bit softmax(out).max(axis=1)."""
     if not fwd.is_classification:
         raise ContractViolation("confidence is only defined for classification outputs")
-    return softmax(fwd.logits).max(axis=1)
+    return 1.0 / fwd.softmax_parts[2][..., 0]
 
 
 def _validate(confidences: Array, correct: Array) -> tuple[Array, Array]:
@@ -80,19 +82,26 @@ def bin_predictions(
         edges = np.linspace(0.0, 1.0, m_bins + 1)
         idx = np.ceil(confidences * m_bins).astype(np.int64) - 1
         idx = np.clip(idx, 0, m_bins - 1)
+    # One grouping pass: a stable sort keeps each bin's confidences in input
+    # order, so summing its contiguous slice matches confidences[idx == m].sum()
+    # bit for bit. The flags are 0/1, so bincount sums them exactly.
+    counts = np.bincount(idx, minlength=m_bins)
+    hits = np.bincount(idx, weights=flags, minlength=m_bins)
+    grouped = confidences[np.argsort(idx, kind="stable")]
     bins: list[BinStats] = []
     ece = 0.0
+    lo = 0
     for m in range(m_bins):
-        mask = idx == m
-        count = int(mask.sum())
+        count = int(counts[m])
         if count == 0:
             mean_conf = 0.0
             acc = 0.0
             gap = 0.0
         else:
-            mean_conf = float(confidences[mask].mean())
-            acc = float(flags[mask].mean())
+            mean_conf = float(grouped[lo : lo + count].sum()) / count
+            acc = float(hits[m]) / count
             gap = abs(acc - mean_conf)
+            lo += count
         bins.append(
             BinStats(
                 lower=float(edges[m]),

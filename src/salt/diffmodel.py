@@ -134,8 +134,9 @@ def _flatten_grads(grads: Sequence[Array]) -> Array:
 class ForwardPass:
     """Raw output matrix and activations; acts[l] is the input to layer l.
     A width-1 output holds a regression head's scalars, a wider one logits.
-    The log-softmax of the output and its exp are computed on first use and
-    kept, so the task loss and the regularizers of one clean pass share them."""
+    The softmax parts of the output, its log-softmax and that one's exp are
+    computed on first use and kept, so the task loss, its gradient seed, the
+    regularizers and the confidences of one pass share one softmax."""
 
     out: Array
     acts: list[Array]
@@ -153,8 +154,15 @@ class ForwardPass:
         return self.out[..., 0]
 
     @cached_property
+    def softmax_parts(self) -> tuple[Array, Array, Array]:
+        """(s, e, S): shifted logits out - max, e = exp(s) and the row sums
+        of e (keepdims). The top entry of each row of e is exp(0) = 1."""
+        return _softmax_parts(self.out)
+
+    @cached_property
     def log_probs(self) -> Array:
-        return log_softmax(self.out)
+        s, _, total = self.softmax_parts
+        return s - np.log(total)
 
     @cached_property
     def probs(self) -> Array:
@@ -168,9 +176,13 @@ def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
     a = inputs
     acts = [a]
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        a = np.tanh(z) if i < len(layers) - 1 else z
+        # one buffer per layer: the bias add and tanh write into the matmul's
+        # result, the same IEEE ops as a @ w + b and np.tanh without two
+        # fresh arrays, which on a 500-row pass cost more than the arithmetic
+        a = a @ w
+        a += b
         if i < len(layers) - 1:
+            np.tanh(a, out=a)
             acts.append(a)
     return ForwardPass(a, acts)
 
@@ -267,19 +279,22 @@ def mlp_forward(params: ModelParams, inputs: Array) -> ForwardPass:
 # ---------- probability and loss helpers ----------
 
 
+def _softmax_parts(logits: Array) -> tuple[Array, Array, Array]:
+    z = np.asarray(logits, dtype=np.float64)
+    s = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(s)
+    return s, e, e.sum(axis=-1, keepdims=True)
+
+
 def softmax(logits: Array) -> Array:
     """Numerically stable softmax over the last axis."""
-    z = np.asarray(logits, dtype=np.float64)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    _, e, total = _softmax_parts(logits)
+    return e / total
 
 
 def log_softmax(logits: Array) -> Array:
-    z = np.asarray(logits, dtype=np.float64)
-    m = z.max(axis=-1, keepdims=True)
-    s = z - m
-    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    s, _, total = _softmax_parts(logits)
+    return s - np.log(total)
 
 
 def _check_labels(targets: Array, n_classes: int) -> Array:
@@ -323,7 +338,8 @@ def _task_seed_sum(fwd: ForwardPass, targets: Array) -> Array:
     if not fwd.is_classification:
         return (2.0 * (fwd.scalars - np.asarray(targets, dtype=np.float64)))[:, None]
     labels = _check_labels(targets, fwd.out.shape[1])
-    seed = softmax(fwd.out)
+    _, e, total = fwd.softmax_parts
+    seed = e / total  # softmax(fwd.out), bit for bit
     seed[np.arange(fwd.out.shape[0]), labels] -= 1.0
     return seed
 

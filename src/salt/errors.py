@@ -1,5 +1,6 @@
 """Errors raised when a caller breaks an API contract."""
 
+import math
 import numbers
 
 
@@ -13,3 +14,12 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ContractViolation(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ContractViolation(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_real(name: str, value) -> float:
+    """value as a float; raise unless it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolation(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ContractViolation(f"{name} must be finite, got {value!r}")
+    return float(value)

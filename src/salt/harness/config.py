@@ -9,7 +9,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
-from ..errors import ContractViolation, require_int
+from ..errors import ContractViolation, require_int, require_real
 from ..perturb import AdvConfig
 from ..regularizers import RegularizerKind
 
@@ -77,9 +77,16 @@ class OptimizerSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("SGD", "Adam"):
             raise ContractViolation(f"unknown optimizer kind: {self.kind!r}")
-        if self.lr <= 0:
-            raise ContractViolation("learning rate must be positive")
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        if require_real("lr", self.lr) <= 0:
+            raise ContractViolation(f"lr must be positive, got {self.lr!r}")
+        if require_real("eps", self.eps) <= 0:
+            raise ContractViolation(f"eps must be positive, got {self.eps!r}")
+        if not isinstance(self.betas, (list, tuple)) or len(self.betas) != 2:
+            raise ContractViolation(f"betas must be a pair, got {self.betas!r}")
+        betas = tuple(require_real("each of betas", b) for b in self.betas)
+        if not all(0.0 <= b < 1.0 for b in betas):
+            raise ContractViolation(f"betas must lie in [0, 1), got {list(betas)}")
+        object.__setattr__(self, "betas", betas)
 
 
 @dataclass(frozen=True)

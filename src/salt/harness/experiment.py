@@ -64,6 +64,17 @@ def _evaluate(params: ModelParams, batch: Batch) -> dict:
     return {"loss": loss, "rmse": float(np.sqrt(loss))}
 
 
+def _check_class_labels(cfg: ExperimentConfig, train: Batch, test: Batch) -> None:
+    """Every label of both splits must name one of the head's classes. A CSV
+    row's data line is its index + 2, as in load_csv."""
+    n_classes = cfg.model.layers[-1]
+    for split, data, path in (("train", train, cfg.dataset.train_path), ("test", test, cfg.dataset.test_path)):
+        bad = np.flatnonzero((data.targets < 0) | (data.targets >= n_classes))
+        if bad.size:
+            where = f"{path}:{bad[0] + 2}" if cfg.dataset.kind == "csv" else f"{split} split"
+            raise ContractViolation(f"{where}: label {data.targets[bad[0]]} is out of range for {n_classes} classes")
+
+
 def erm_training_step(
     params: ModelParams, batch: Batch, opt_state: OptimizerState
 ) -> tuple[ModelParams, OptimizerState, dict]:
@@ -106,6 +117,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         )
     if is_class != np.issubdtype(train.targets.dtype, np.integer):
         raise ContractViolation("model head does not match the dataset target type")
+    if is_class:
+        _check_class_labels(cfg, train, test)
 
     kind = cfg.model.regularizer_kind
     model_rng = substream(cfg.seed, "model-init")

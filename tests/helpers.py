@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 
 import numpy as np
 
@@ -17,6 +18,26 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
 def shipped_config(name: str) -> ExperimentConfig:
     """A config from configs/, e.g. shipped_config("canonical_salt")."""
     return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+
+
+def count_reductions(fn) -> int:
+    """Number of numpy reductions fn() makes: calls of a ufunc's reduce
+    method, which ndarray.sum, max, mean, all and the np.* reductions all
+    reach, counted from sys.setprofile's c_call events. A count, not a
+    timing, so it repeats exactly."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and arg.__name__ == "reduce" and isinstance(getattr(arg, "__self__", None), np.ufunc):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def save_csv(batch: Batch, path: str) -> None:

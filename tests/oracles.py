@@ -6,6 +6,8 @@
   forward recursion over such matrices.
 - hvp_fd: a two-evaluation central-difference Hessian-vector probe.
 - kl_divergence: KL(p || q) for two probability vectors.
+- bin_predictions_masked: the reliability report by one boolean mask per bin,
+  the reference for calibration.bin_predictions's single grouping pass.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from salt.calibration import BinStats, CalibrationReport, _validate
 from salt.diffmodel import ModelParams
 from salt.errors import ContractViolation
 from salt.perturb import AdvConfig, NormKind, ProjMode
@@ -117,3 +120,35 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
         raise ContractViolation("q must have strictly positive entries")
     pos = p > 0.0
     return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())
+
+
+def bin_predictions_masked(
+    confidences: np.ndarray, correct: np.ndarray, m_bins: int = 10, equal_mass: bool = False
+) -> CalibrationReport:
+    """calibration.bin_predictions as a masked loop: each bin's mean
+    confidence and accuracy are means over confidences[idx == m]."""
+    if m_bins < 1:
+        raise ContractViolation("need at least one bin")
+    confidences, flags = _validate(confidences, correct)
+    n = confidences.size
+    if equal_mass:
+        edges = np.quantile(confidences, np.linspace(0.0, 1.0, m_bins + 1))
+        edges[0] = 0.0
+        edges[-1] = 1.0
+        idx = np.searchsorted(edges[1:-1], confidences, side="left")
+    else:
+        edges = np.linspace(0.0, 1.0, m_bins + 1)
+        idx = np.clip(np.ceil(confidences * m_bins).astype(np.int64) - 1, 0, m_bins - 1)
+    bins: list[BinStats] = []
+    ece = 0.0
+    for m in range(m_bins):
+        mask = idx == m
+        count = int(mask.sum())
+        mean_conf = acc = gap = 0.0
+        if count:
+            mean_conf = float(confidences[mask].mean())
+            acc = float(flags[mask].mean())
+            gap = abs(acc - mean_conf)
+        bins.append(BinStats(float(edges[m]), float(edges[m + 1]), count, mean_conf, acc, gap))
+        ece += (count / n) * gap
+    return CalibrationReport(bins=tuple(bins), ece=ece, n=n)

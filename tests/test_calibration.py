@@ -17,6 +17,8 @@ from salt.calibration import (
 from salt.diffmodel import ForwardPass, softmax
 from salt.errors import ContractViolation
 
+from oracles import bin_predictions_masked
+
 
 def test_hand_derived_four_sample_case():
     r = bin_predictions(np.array([0.75, 0.75, 0.95, 0.95]), np.array([1, 0, 1, 1]), 10)
@@ -130,6 +132,58 @@ def test_confidence_of_matches_softmax_oracle():
     assert confidence_of(ForwardPass(np.array([[10.0, 0.0]]), []))[0] == pytest.approx(
         1.0, abs=1e-4
     )
+
+
+def _softmax_written_out(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+def test_confidence_of_is_the_top_softmax_entry_bit_for_bit(n_classes):
+    """1 / S equals softmax(out).max(axis=1) with no tolerance: over tied top
+    entries, rows with every entry tied, and logit scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(n_classes)
+    for scale in np.logspace(-3, 3, 13):
+        z = rng.normal(size=(40, n_classes)) * scale
+        top = z.max(axis=1)
+        z[:8, 0] = top[:8]
+        z[:8, 1] = top[:8]
+        z[8:12] = top[8:12, None]
+        got = confidence_of(ForwardPass(z, []))
+        assert np.array_equal(got, _softmax_written_out(z).max(axis=1)), scale
+        assert np.array_equal(got, softmax(z).max(axis=1)), scale
+
+
+def _bits(report):
+    stats = [(b.lower, b.upper, b.mean_confidence, b.accuracy, b.calib_error) for b in report.bins]
+    return report.n, report.ece.hex(), [b.count for b in report.bins], [tuple(v.hex() for v in s) for s in stats]
+
+
+@pytest.mark.parametrize("equal_mass", [False, True])
+@pytest.mark.parametrize("m_bins", [1, 3, 10, 15])
+def test_bin_predictions_matches_the_masked_loop_bit_for_bit(m_bins, equal_mass):
+    """The single grouping pass reproduces the per-bin masked means exactly,
+    for bool and float flags, with empty bins, ties and values on the edges."""
+    rng = np.random.default_rng(2 * m_bins + equal_mass)
+    empty_bins = 0
+    for case in range(40):
+        n = int(rng.integers(1, 700 if case % 2 else 8))
+        if case % 4 == 0:  # a narrow band leaves equal-width bins empty
+            lo = rng.uniform(0.0, 0.9)
+            conf = rng.uniform(lo, lo + 0.1, size=n)
+        elif case % 4 == 1:
+            conf = rng.uniform(size=n)
+        elif case % 4 == 2:  # repeated values, the bin edges, 0 and 1
+            conf = rng.choice(np.linspace(0.0, 1.0, 2 * m_bins + 1), size=n)
+        else:  # one value: the equal-mass edges collapse
+            conf = np.full(n, rng.uniform())
+        correct = rng.uniform(size=n) < conf
+        for flags in (correct, correct.astype(np.float64)):
+            got = bin_predictions(conf, flags, m_bins, equal_mass)
+            assert _bits(got) == _bits(bin_predictions_masked(conf, flags, m_bins, equal_mass)), case
+        empty_bins += sum(b.count == 0 for b in got.bins)
+    assert m_bins == 1 or empty_bins > 0
 
 
 def test_confidence_rejects_regression():

@@ -80,6 +80,10 @@ def test_train_rejects_bad_values(tmp_path):
         ({"seed": "a"}, "bad config value: seed must be an integer"),
         ({"dataset": {"kind": "two_moons", "n_train": 10.5}}, "bad dataset value: n_train must be an integer"),
         ({"dataset": {"kind": "blobs", "noise_std": -0.1}}, "bad dataset value: noise_std must be non-negative"),
+        ({"optimizer": {"betas": [0.9, 0.98, 0.5]}}, "bad optimizer value: betas must be a pair"),
+        ({"optimizer": {"betas": [0.9, 1.5]}}, "bad optimizer value: betas must lie in [0, 1)"),
+        ({"optimizer": {"eps": -1}}, "bad optimizer value: eps must be positive"),
+        ({"optimizer": {"lr": True}}, "bad optimizer value: lr must be a real number"),
     ):
         proc = run_cli("train", "--config", str(tiny_config(tmp_path, **extra)))
         assert proc.returncode == 2, proc.stderr
@@ -196,6 +200,18 @@ def test_train_rejects_labels_beyond_int64(tmp_path):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and f"{train}:3: label 1e+20 is beyond the int64 range" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_train_rejects_labels_outside_the_head(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,-1\n0.5,0.6,0\n0.7,0.8,1\n")
+    test = tmp_path / "test.csv"
+    test.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
+    dataset = {"kind": "csv", "train_path": str(train), "test_path": str(test)}
+    proc = run_cli("train", "--config", str(tiny_config(tmp_path, dataset=dataset)))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr == f"error: {train}:3: label -1 is out of range for 2 classes\n"
+    assert proc.stdout == "" and not (tmp_path / "run").exists()
 
 
 def test_calibrate_reports_and_writes(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 
 from salt.diffmodel import (
     Batch,
+    ForwardPass,
     ModelParams,
+    _task_seed_sum,
     grad_params,
     init_params,
     load_checkpoint,
@@ -114,6 +116,28 @@ def test_task_loss_reads_cached_log_probs_bit_for_bit(width, stacked):
         want = -np.ascontiguousarray(log_softmax(out)[..., np.arange(7), y]).mean(axis=-1)
     assert np.shape(cached) == ((4,) if stacked else ())
     assert np.array_equal(fresh, cached) and np.array_equal(cached, want)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+def test_task_seed_is_softmax_minus_one_hot_bit_for_bit(n_classes):
+    """The classification seed is e / S from the pass's cached softmax parts:
+    the bits of softmax(out) less the one-hot labels, whether or not
+    log_probs was read first, and forming it leaves the cached parts intact."""
+    rng = np.random.default_rng(n_classes)
+    for scale in np.logspace(-3, 3, 7):
+        out = rng.normal(size=(25, n_classes)) * scale
+        out[:3, 1] = out[:3, 0]
+        y = rng.integers(0, n_classes, size=25)
+        e = np.exp(out - out.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert np.array_equal(want, softmax(out))
+        want[np.arange(25), y] -= 1.0
+        fresh, read_first = ForwardPass(out, []), ForwardPass(out, [])
+        log_probs = read_first.log_probs.copy()
+        assert np.array_equal(_task_seed_sum(fresh, y), want), scale
+        assert np.array_equal(_task_seed_sum(read_first, y), want), scale
+        assert np.array_equal(read_first.log_probs, log_probs)
+        assert np.array_equal(fresh.softmax_parts[1], e)
 
 
 @pytest.mark.parametrize("seed", range(20))

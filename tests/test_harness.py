@@ -237,6 +237,19 @@ def test_config_validates_values():
         ({"dataset": {"n_test": 0}}, "bad dataset value: n_test must be >= 1"),
         ({"dataset": {"kind": "blobs", "noise_std": -0.1}}, "bad dataset value: noise_std must be non-negative"),
         ({"dataset": {"kind": "sine", "noise_std": -0.1}}, "bad dataset value: noise_std must be non-negative"),
+        # optimizer: lr and eps positive finite reals, betas a pair in [0, 1)
+        ({"optimizer": {"lr": True}}, "bad optimizer value: lr must be a real number, got True"),
+        ({"optimizer": {"lr": "0.1"}}, "bad optimizer value: lr must be a real number"),
+        ({"optimizer": {"lr": 0}}, "bad optimizer value: lr must be positive, got 0"),
+        ({"optimizer": {"lr": float("inf")}}, "bad optimizer value: lr must be finite"),
+        ({"optimizer": {"eps": -1}}, "bad optimizer value: eps must be positive, got -1"),
+        ({"optimizer": {"eps": 0.0}}, "bad optimizer value: eps must be positive"),
+        ({"optimizer": {"betas": [0.9, 0.98, 0.5]}}, "bad optimizer value: betas must be a pair"),
+        ({"optimizer": {"betas": 0.9}}, "bad optimizer value: betas must be a pair"),
+        ({"optimizer": {"betas": [0.9, 1.5]}}, "bad optimizer value: betas must lie in [0, 1), got [0.9, 1.5]"),
+        ({"optimizer": {"betas": [-0.1, 0.9]}}, "bad optimizer value: betas must lie in [0, 1)"),
+        ({"optimizer": {"betas": [False, 0.9]}}, "bad optimizer value: each of betas must be a real number"),
+        ({"optimizer": {"betas": [0.9, float("nan")]}}, "bad optimizer value: each of betas must be finite"),
     ):
         with pytest.raises(ContractViolation) as exc:
             config_from_dict(raw)
@@ -421,6 +434,25 @@ def test_run_rejects_mismatched_model(tmp_path):
     cfg = override(_tiny(Method.ERM), model=ModelSpec(layers=(2, 4, 1)), outdir=str(tmp_path / "y"))
     with pytest.raises(ContractViolation, match="head"):
         run_experiment(cfg)
+
+
+def test_run_rejects_labels_outside_the_head(tmp_path):
+    """Labels are checked against the head width before anything is written;
+    for a CSV the error names the file and the line."""
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
+    test.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,2\n")
+    csv_data = DatasetSpec(kind="csv", train_path=str(train), test_path=str(test))
+    blobs = DatasetSpec(kind="blobs", n_train=30, n_test=30)
+    for dataset, named in (
+        (csv_data, rf"{test}:4: label 2 is out of range for 2 classes"),
+        (blobs, "train split: label 2 is out of range for 2 classes"),
+    ):
+        cfg = override(_tiny(Method.ERM), dataset=dataset, outdir=str(tmp_path / "run"))
+        with pytest.raises(ContractViolation) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == named
+        assert not (tmp_path / "run").exists()
 
 
 # ---------- sweeps ----------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import quadratic_objective, random_quadratic, shipped_config
+from helpers import count_reductions, quadratic_objective, random_quadratic, shipped_config
 from oracles import attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.diffmodel import Batch, grad_params, init_params, mlp_forward
 from salt.errors import ContractViolation
@@ -450,7 +450,9 @@ def test_step_forward_and_backward_counts(monkeypatch):
     K unroll backwards to the inputs, 1 task + 2 endpoint parameter-gradient
     backwards, and per reverse step one tangent forward, one tangent backward
     and one parameter-gradient backward of the clean branch. The flat steps
-    share their clean pass the same way."""
+    share their clean pass the same way. The last figure is the numpy
+    reductions per step: a clean pass's one softmax feeds its loss, its seed
+    and the regularizer."""
     import sys
 
     from salt import diffmodel
@@ -482,12 +484,33 @@ def test_step_forward_and_backward_counts(monkeypatch):
     kind = cfg.model.regularizer_kind
     assert (1 + k + 1, k + 3 + k, 3 + k) == (4, 7, 5)
     steps = {
-        "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, 0), (4, 7, 5, k, k)),
-        "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, 0), (k + 2, k + 3, 3, 0, 0)),
-        "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, 0), (k + 2, k + 2, 2, 0, 0)),
-        "ERM": (lambda: erm_training_step(params, batch, state), (1, 1, 1, 0, 0)),
+        "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, 0), (4, 7, 5, k, k), 56),
+        "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, 0), (k + 2, k + 3, 3, 0, 0), 34),
+        "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, 0), (k + 2, k + 2, 2, 0, 0), 34),
+        "ERM": (lambda: erm_training_step(params, batch, state), (1, 1, 1, 0, 0), 11),
     }
-    for name, (step, want) in steps.items():
+    for name, (step, want, reductions) in steps.items():
         counts.update(dict.fromkeys(names, 0))
-        step()
+        assert count_reductions(step) == reductions, name
         assert counts == dict(zip(names, want)), name
+
+
+def test_epoch_evaluation_reduction_count():
+    """numpy reductions in one epoch's evaluation at the canonical point: one
+    forward per split, whose one softmax gives the loss and the confidences,
+    then the test split's reliability report, grouped in one pass."""
+    from salt.calibration import bin_predictions
+    from salt.harness.datasets import gen_two_moons
+    from salt.harness.experiment import _evaluate
+
+    cfg = shipped_config("canonical_salt")
+    train, test = gen_two_moons(cfg.dataset.n_train, cfg.dataset.n_test, cfg.dataset.noise_std, 0)
+    params = init_params(cfg.model.layers, np.random.default_rng(0))
+
+    def evaluate_epoch():
+        _evaluate(params, train)
+        te = _evaluate(params, test)
+        bin_predictions(te["confidence"], te["correct"])
+
+    assert count_reductions(lambda: _evaluate(params, test)) == 6
+    assert count_reductions(evaluate_epoch) == 16
