@@ -16,7 +16,6 @@ from .diffmodel import (
     load_checkpoint,
     mlp_forward,
     save_checkpoint,
-    softmax,
     task_loss,
 )
 from .errors import ContractViolation
@@ -62,7 +61,6 @@ __all__ = [
     "salt_training_step",
     "sample_init",
     "save_checkpoint",
-    "softmax",
     "stackelberg_gradient",
     "task_loss",
     "unroll_forward",

@@ -157,7 +157,9 @@ class ForwardPass:
     def softmax_parts(self) -> tuple[Array, Array, Array]:
         """(s, e, S): shifted logits out - max, e = exp(s) and the row sums
         of e (keepdims). The top entry of each row of e is exp(0) = 1."""
-        return _softmax_parts(self.out)
+        s = self.out - self.out.max(axis=-1, keepdims=True)
+        e = np.exp(s)
+        return s, e, e.sum(axis=-1, keepdims=True)
 
     @cached_property
     def log_probs(self) -> Array:
@@ -279,24 +281,6 @@ def mlp_forward(params: ModelParams, inputs: Array) -> ForwardPass:
 # ---------- probability and loss helpers ----------
 
 
-def _softmax_parts(logits: Array) -> tuple[Array, Array, Array]:
-    z = np.asarray(logits, dtype=np.float64)
-    s = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    return s, e, e.sum(axis=-1, keepdims=True)
-
-
-def softmax(logits: Array) -> Array:
-    """Numerically stable softmax over the last axis."""
-    _, e, total = _softmax_parts(logits)
-    return e / total
-
-
-def log_softmax(logits: Array) -> Array:
-    s, _, total = _softmax_parts(logits)
-    return s - np.log(total)
-
-
 def _check_labels(targets: Array, n_classes: int) -> Array:
     labels = np.asarray(targets)
     if not np.issubdtype(labels.dtype, np.integer):
@@ -339,7 +323,7 @@ def _task_seed_sum(fwd: ForwardPass, targets: Array) -> Array:
         return (2.0 * (fwd.scalars - np.asarray(targets, dtype=np.float64)))[:, None]
     labels = _check_labels(targets, fwd.out.shape[1])
     _, e, total = fwd.softmax_parts
-    seed = e / total  # softmax(fwd.out), bit for bit
+    seed = e / total  # the softmax of fwd.out
     seed[np.arange(fwd.out.shape[0]), labels] -= 1.0
     return seed
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffmodel import Array, Batch, ModelParams, init_params, mlp_forward, task_loss
 from .errors import ContractViolation
-from .perturb import AdvConfig, NormKind, ProjMode, ascend, sample_init
+from .perturb import AdvConfig, NormKind, ascend
 from .regularizers import RegularizerKind, reg_grad_delta_sum, reg_value_sum
 from .stackelberg import UnrollTape, make_adv_objective, stackelberg_gradient, unroll_forward
 
@@ -139,18 +139,13 @@ def sample_instance(master_seed: int, index: int, k_steps: int | None = None) ->
             sigma=sigma,
             k_steps=int(k_steps if k_steps is not None else rng.integers(1, 4)),
             norm=NormKind.L2,
-            proj_mode=ProjMode.EXACT_JACOBIAN,
         )
         delta0_seed = int(rng.integers(0, 2**31))
-        delta0 = sample_init(cfg.sigma, x.shape, delta0_seed).values
         obj = make_adv_objective(params, x, kind)
         tape = unroll_forward(params, x, cfg, obj, delta0_seed)
-        endpoint_grad = obj(tape.deltas[-1], params.values)[0] / n
+        endpoint_grad = obj(tape.deltas[-1])[0] / n
         if kink_margin_ok(tape, cfg) and np.linalg.norm(endpoint_grad) > 1e-8:
-            inst = Instance(
-                params=params, batch=batch, cfg=cfg, kind=kind, delta0_seed=delta0_seed, delta0=delta0
-            )
-            return inst, resamples
+            return Instance(params, batch, cfg, kind, delta0_seed, tape.deltas[0]), resamples
         resamples += 1
     raise ContractViolation(f"could not sample a clean instance for index {index}")
 

@@ -38,8 +38,8 @@ class DatasetSpec:
             raise ContractViolation("csv dataset needs train_path and test_path")
         require_int("n_train", self.n_train, 1)
         require_int("n_test", self.n_test, 1)
-        if self.noise_std < 0:
-            raise ContractViolation("noise_std must be non-negative")
+        if require_real("noise_std", self.noise_std) < 0:
+            raise ContractViolation(f"noise_std must be non-negative, got {self.noise_std!r}")
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,12 @@ def sweep(
     if len(set(values)) != len(values) or len(set(seeds)) != len(seeds):
         # a repeat would rerun into, and overwrite, the same run directory
         raise ContractViolation("sweep values and seeds must each be distinct")
-    jobs = [(v, s) for v in values for s in seeds]
+    # every config is built, and so checked, before the first run starts
+    jobs = [(v, s, _apply(template, axis, v, s)) for v in values for s in seeds]
 
     def run_one(job) -> dict:
-        value, seed = job
-        rec = run_experiment(_apply(template, axis, value, seed))
-        final = rec.final
+        value, seed, cfg = job
+        final = run_experiment(cfg).final
         return {
             "axis_value": value.value if isinstance(value, NormKind) else value,
             "seed": seed,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .diffmodel import Array
-from .errors import ContractViolation, require_int
+from .errors import ContractViolation, require_int, require_real
 
 # Norms within this relative slack of epsilon count as already projected, so
 # re-projecting a projected vector is a bit-exact no-op.
@@ -52,10 +52,11 @@ class AdvConfig:
     proj_mode: ProjMode = ProjMode.EXACT_JACOBIAN
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.sigma < 0 or self.eta < 0:
-            raise ContractViolation("alpha, sigma and eta must be non-negative")
-        if self.epsilon <= 0:
-            raise ContractViolation("epsilon must be positive")
+        for name, value in (("alpha", self.alpha), ("sigma", self.sigma), ("eta", self.eta)):
+            if require_real(name, value) < 0:
+                raise ContractViolation(f"{name} must be non-negative, got {value!r}")
+        if require_real("epsilon", self.epsilon) <= 0:
+            raise ContractViolation(f"epsilon must be positive, got {self.epsilon!r}")
         require_int("k_steps", self.k_steps, 0)
         object.__setattr__(self, "norm", NormKind(self.norm))
         object.__setattr__(self, "proj_mode", ProjMode(self.proj_mode))

@@ -27,7 +27,6 @@ from .diffmodel import (
     _forward,
     _forward_tangent,
     _per_member,
-    log_softmax,
 )
 from .errors import ContractViolation
 
@@ -53,14 +52,14 @@ def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array
     return x
 
 
-def _kl_rows(clean: ForwardPass, pert_out: Array) -> tuple[Array, Array, Array, Array]:
-    """Per-example KL plus the pieces needed for its gradients. The clean
-    pass keeps its log-softmax, so a shared clean pass computes it once."""
-    logp, p = clean.log_probs, clean.probs
-    logq = log_softmax(pert_out)
-    diff = logp - logq
+def _kl_rows(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Array, Array, Array]:
+    """Per-example KL plus the pieces needed for its gradients, from the
+    log-softmax and softmax each pass keeps, so a shared clean pass computes
+    its own once."""
+    p = clean.probs
+    diff = clean.log_probs - pert.log_probs
     terms = np.where(p > _PROB_FLOOR, p * diff, 0.0)
-    return terms.sum(axis=-1), p, np.exp(logq), diff
+    return terms.sum(axis=-1), p, pert.probs, diff
 
 
 # Summed (per-example, unscaled) primitives; divide by n for the batch mean.
@@ -81,7 +80,7 @@ def _evaluate(
     clean = _forward(params, x) if clean is None else clean
     pert = _forward(params, x + delta)
     if kind == RegularizerKind.KL_DIVERGENCE:
-        kl, p, q, diff = _kl_rows(clean, pert.out)
+        kl, p, q, diff = _kl_rows(clean, pert)
 
         def seed_tangents(t: Array) -> tuple[Array, Array]:
             # softmax Jacobians: d(q - p) = q (t - <q, t>), d(p (diff - kl)) = -p (t - <p, t>)

@@ -36,9 +36,10 @@ from .regularizers import RegularizerKind, TangentMap, reg_grad_delta_tangent, r
 _DEGENERATE_NORM = 1e-14
 
 
-# The follower's objective, summed over examples: obj(delta (n, d), theta (P,))
-# returns d obj/d delta (n, d) and the TangentMap at that point.
-Linearize = Callable[[Array, Array], tuple[Array, TangentMap]]
+# The follower's objective at the leader's current theta, summed over
+# examples: obj(delta (n, d)) returns d obj/d delta (n, d) and the TangentMap
+# at that point.
+Linearize = Callable[[Array], tuple[Array, TangentMap]]
 
 
 def make_adv_objective(
@@ -47,19 +48,11 @@ def make_adv_objective(
     kind: RegularizerKind,
     clean: ForwardPass | None = None,
 ) -> Linearize:
-    """The production inner objective: per-example regularizers, summed.
-    At params' own theta (params.values itself) every call shares one clean
-    pass, computed here when not given; any other theta, such as an oracle's
-    finite difference, gets its own."""
+    """The production inner objective at params: per-example regularizers,
+    summed. Every call shares one clean pass, computed here when not given."""
     x = np.asarray(x, dtype=np.float64)
     clean = mlp_forward(params, x) if clean is None else clean
-
-    def linearize(delta: Array, theta: Array) -> tuple[Array, TangentMap]:
-        if theta is params.values:
-            return reg_grad_delta_tangent(params, x, delta, kind, clean)
-        return reg_grad_delta_tangent(ModelParams(values=theta, shapes=params.shapes), x, delta, kind)
-
-    return linearize
+    return lambda delta: reg_grad_delta_tangent(params, x, delta, kind, clean)
 
 
 # ---------- forward unroll ----------
@@ -99,11 +92,10 @@ def unroll_forward(
     """Run k_steps of projected ascent on obj, recording the trajectory and
     the tangent map of each step's gradient evaluation."""
     x = np.asarray(x, dtype=np.float64)
-    theta = params.values
     tangents: list[TangentMap] = []
 
     def grad_delta(delta: Array) -> Array:
-        grad, tangent = obj(delta, theta)
+        grad, tangent = obj(delta)
         tangents.append(tangent)
         return grad
 
@@ -114,7 +106,7 @@ def unroll_forward(
         pre_projections=tuple(pres),
         tangents=tuple(tangents),
         cfg=cfg,
-        theta=theta.copy(),
+        theta=params.values.copy(),
         x=x.copy(),
     )
 
@@ -152,7 +144,7 @@ def interaction_adjoint(
     if tape.k_steps == 0:
         return cfg.alpha * g
     n = tape.deltas[0].shape[0]
-    u = obj(tape.deltas[-1], params.values)[0] / n if cotangent is None else cotangent
+    u = obj(tape.deltas[-1])[0] / n if cotangent is None else cotangent
     for k in range(tape.k_steps, 0, -1):
         u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
         mixed, curv = tape.tangents[k - 1](u)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -53,8 +54,9 @@ def save_csv(batch: Batch, path: str) -> None:
             writer.writerow(row)
 
 
-def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> Linearize:
-    """g(delta, theta) = 0.5 * flat(delta)^T A flat(delta) + theta^T B^T flat(delta).
+def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> Callable[[np.ndarray], Linearize]:
+    """theta -> g(., theta), with
+    g(delta, theta) = 0.5 * flat(delta)^T A flat(delta) + theta^T B^T flat(delta).
 
     A is (D, D) symmetric, B is (D, P). Gradients and Hessians are exact:
     d g / d delta = A flat(delta) + B theta, d g / d theta = B^T flat(delta),
@@ -72,13 +74,14 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> Linearize:
     def _tangent(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return b_mat.T @ u.ravel(), (a_mat @ u.ravel()).reshape(u.shape)
 
-    return lambda delta, theta: (_grad_delta(delta, theta), _tangent)
+    return lambda theta: lambda delta: (_grad_delta(delta, theta), _tangent)
 
 
 def random_quadratic(
     rng: np.random.Generator, n: int, d: int, p: int, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, Linearize]:
-    """Random symmetric A and dense B, returned with the wrapped objective."""
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], Linearize]]:
+    """Random symmetric A and dense B, returned with the objective as a
+    function of theta."""
     big_d = n * d
     raw = rng.normal(size=(big_d, big_d)) * scale
     a_mat = 0.5 * (raw + raw.T)

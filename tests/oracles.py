@@ -2,10 +2,14 @@
 
 - attach_fd_second_order: an inner objective's second-derivative matrices by
   central differences of its delta gradient, with tangent maps taken from them.
+- adv_objectives: the production inner objective as a function of theta, the
+  family attach_fd_second_order differentiates in theta.
 - jacobian_forward_oracle: d delta_K / d theta as a dense matrix, by the
   forward recursion over such matrices.
 - hvp_fd: a two-evaluation central-difference Hessian-vector probe.
 - kl_divergence: KL(p || q) for two probability vectors.
+- softmax, log_softmax: the softmax of a logit matrix written out, the
+  reference for the parts a forward pass keeps.
 - bin_predictions_masked: the reliability report by one boolean mask per bin,
   the reference for calibration.bin_predictions's single grouping pass.
 """
@@ -19,9 +23,13 @@ from salt.calibration import BinStats, CalibrationReport, _validate
 from salt.diffmodel import ModelParams
 from salt.errors import ContractViolation
 from salt.perturb import AdvConfig, NormKind, ProjMode
-from salt.stackelberg import Linearize, UnrollTape, _check_tape
+from salt.regularizers import RegularizerKind
+from salt.stackelberg import Linearize, UnrollTape, _check_tape, make_adv_objective
 
-Hess = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# theta (P,) -> the inner objective at theta
+Family = Callable[[np.ndarray], Linearize]
+# delta (n, d) -> (hdd (D, D), hdt (D, P)) at one theta, D = n * d
+Hess = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 _FD_STEP = 1e-6  # attach_fd_second_order's central-difference step
 _ORACLE_SIZE_LIMIT = 1_000_000  # largest D * P Jacobian the forward oracle builds
@@ -38,27 +46,33 @@ def _fd_jacobian(grad: Callable[[np.ndarray], np.ndarray], base: np.ndarray) -> 
     return np.stack(cols, axis=1)
 
 
-def attach_fd_second_order(obj: Linearize) -> tuple[Linearize, Hess]:
-    """(objective whose tangent maps are products with the matrices, hess).
-    hess(delta, theta) -> (hdd (D, D), hdt (D, P)), D = n * d, memoized on the
-    point, so forward and reverse mode consume identical matrices."""
+def adv_objectives(params: ModelParams, x: np.ndarray, kind: RegularizerKind) -> Family:
+    """theta -> make_adv_objective at theta, with its own clean pass."""
+    return lambda theta: make_adv_objective(params.replace_values(theta), x, kind)
+
+
+def attach_fd_second_order(family: Family, theta: np.ndarray) -> tuple[Linearize, Hess]:
+    """(family(theta) with tangent maps that are products with the matrices,
+    hess). hess(delta) -> (hdd, hdt) at theta, memoized on delta, so forward
+    and reverse mode consume identical matrices."""
+    obj = family(theta)
     cache = {}
 
-    def hess(delta, theta):
-        key = (delta.tobytes(), theta.tobytes())
+    def hess(delta):
+        key = delta.tobytes()
         if key not in cache:
             cache[key] = (
-                _fd_jacobian(lambda z: obj(z.reshape(delta.shape), theta)[0].ravel(), delta.ravel()),
-                _fd_jacobian(lambda t: obj(delta, t)[0].ravel(), theta),
+                _fd_jacobian(lambda z: obj(z.reshape(delta.shape))[0].ravel(), delta.ravel()),
+                _fd_jacobian(lambda t: family(t)(delta)[0].ravel(), theta),
             )
         return cache[key]
 
-    def linearize(delta, theta):
+    def linearize(delta):
         def tangent(u):
-            hdd, hdt = hess(delta, theta)
+            hdd, hdt = hess(delta)
             return hdt.T @ u.ravel(), (hdd.T @ u.ravel()).reshape(u.shape)
 
-        return obj(delta, theta)[0], tangent
+        return obj(delta)[0], tangent
 
     return linearize, hess
 
@@ -67,14 +81,14 @@ def jacobian_forward_oracle(
     tape: UnrollTape, params: ModelParams, x: np.ndarray, cfg: AdvConfig, hess: Hess
 ) -> np.ndarray:
     """d delta_K / d theta as a (D, P) matrix: J <- Pi'(J + eta (Hdd J + Hdt))
-    over the tape's steps, with the matrices from hess."""
+    over the tape's steps, with the matrices from hess at params."""
     _check_tape(tape, params, x, cfg)
     n, d = tape.deltas[0].shape
     if n * d * params.n_params > _ORACLE_SIZE_LIMIT:
         raise ContractViolation(f"forward oracle refused: {n * d} x {params.n_params} Jacobian")
     jac = np.zeros((n * d, params.n_params))
     for prev, pre in zip(tape.deltas, tape.pre_projections):
-        hdd, hdt = hess(prev, params.values)
+        hdd, hdt = hess(prev)
         jac = _project_jacobian(pre, jac + cfg.eta * (hdd @ jac + hdt), cfg)
     return jac
 
@@ -120,6 +134,18 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
         raise ContractViolation("q must have strictly positive entries")
     pos = p > 0.0
     return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """exp(z - max) over its row sum, along the last axis."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """(z - max) less the log of exp(z - max)'s row sum, along the last axis."""
+    s = logits - logits.max(axis=-1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
 def bin_predictions_masked(

@@ -84,6 +84,13 @@ def test_train_rejects_bad_values(tmp_path):
         ({"optimizer": {"betas": [0.9, 1.5]}}, "bad optimizer value: betas must lie in [0, 1)"),
         ({"optimizer": {"eps": -1}}, "bad optimizer value: eps must be positive"),
         ({"optimizer": {"lr": True}}, "bad optimizer value: lr must be a real number"),
+        # adversary and dataset reals: finite and not bools (json reads NaN and Infinity)
+        ({"adv": {"epsilon": float("nan")}}, "bad adv value: epsilon must be finite, got nan"),
+        ({"adv": {"eta": float("inf")}}, "bad adv value: eta must be finite, got inf"),
+        ({"adv": {"alpha": float("nan")}}, "bad adv value: alpha must be finite, got nan"),
+        ({"adv": {"sigma": float("inf")}}, "bad adv value: sigma must be finite, got inf"),
+        ({"adv": {"alpha": True}}, "bad adv value: alpha must be a real number, got True"),
+        ({"dataset": {"kind": "two_moons", "noise_std": float("nan")}}, "bad dataset value: noise_std must be finite"),
     ):
         proc = run_cli("train", "--config", str(tiny_config(tmp_path, **extra)))
         assert proc.returncode == 2, proc.stderr
@@ -176,6 +183,19 @@ def test_sweep_rejects_repeated_values_and_seeds(tmp_path):
         assert proc.stderr.startswith("error: ") and "distinct" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_checks_every_value_before_any_run(tmp_path):
+    """A bad value anywhere in the list stops the sweep before its first run:
+    no run directory, no summary, nothing on stdout, and the error names the
+    value."""
+    cfg = tiny_config(tmp_path, epochs=1)
+    for values, named in (("1.0,-1", "must be positive, got -1.0"), ("1.0,nan", "must be finite, got nan")):
+        proc = run_cli("sweep", "--config", str(cfg), "--axis", "epsilon", "--values", values, "--seeds", "0,1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_non_finite_csv(tmp_path):

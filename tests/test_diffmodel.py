@@ -14,13 +14,13 @@ from salt.diffmodel import (
     grad_params,
     init_params,
     load_checkpoint,
-    log_softmax,
     mlp_forward,
     save_checkpoint,
-    softmax,
     task_loss,
 )
 from salt.errors import ContractViolation
+
+from oracles import log_softmax, softmax
 
 
 def forward_oracle(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -69,14 +69,18 @@ def test_head_kind_follows_output_width():
 
 
 def test_softmax_known_values():
-    s = softmax(np.array([[1.0, 2.0, 3.0]]))
+    """A pass's cached softmax, as e / S and as probs, against hand values."""
+    fwd = ForwardPass(np.array([[1.0, 2.0, 3.0]]), [])
+    s = fwd.probs
     z = math.exp(1) + math.exp(2) + math.exp(3)
     assert np.allclose(s, [[math.exp(1) / z, math.exp(2) / z, math.exp(3) / z]], atol=1e-15)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-15)
+    _, e, total = fwd.softmax_parts
+    assert np.allclose(e / total, s, atol=1e-15)
     # shift invariance and overflow safety
-    big = softmax(np.array([[1000.0, 1001.0]]))
-    assert np.allclose(big, softmax(np.array([[0.0, 1.0]])), atol=1e-15)
-    assert np.allclose(np.exp(log_softmax(np.array([[1.0, 2.0, 3.0]]))), s, atol=1e-15)
+    big = ForwardPass(np.array([[1000.0, 1001.0]]), []).probs
+    assert np.allclose(big, ForwardPass(np.array([[0.0, 1.0]]), []).probs, atol=1e-15)
+    assert np.allclose(fwd.log_probs, np.log(s), atol=1e-15)
 
 
 def test_task_loss_closed_forms():
@@ -181,7 +185,7 @@ def test_grad_input_matches_fd(objective):
         obj = make_adv_objective(p, x, kind)
 
         def grad_delta(delta):
-            return obj(delta, p.values)[0]
+            return obj(delta)[0]
 
         def val(delta):
             return reg_value_sum(p, x, delta, kind)

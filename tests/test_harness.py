@@ -250,10 +250,24 @@ def test_config_validates_values():
         ({"optimizer": {"betas": [-0.1, 0.9]}}, "bad optimizer value: betas must lie in [0, 1)"),
         ({"optimizer": {"betas": [False, 0.9]}}, "bad optimizer value: each of betas must be a real number"),
         ({"optimizer": {"betas": [0.9, float("nan")]}}, "bad optimizer value: each of betas must be finite"),
+        # adversary and dataset reals: finite and not bools, as the optimizer's
+        ({"adv": {"epsilon": float("nan")}}, "bad adv value: epsilon must be finite, got nan"),
+        ({"adv": {"epsilon": -1}}, "bad adv value: epsilon must be positive, got -1"),
+        ({"adv": {"eta": float("inf")}}, "bad adv value: eta must be finite, got inf"),
+        ({"adv": {"sigma": float("-inf")}}, "bad adv value: sigma must be finite, got -inf"),
+        ({"adv": {"alpha": float("nan")}}, "bad adv value: alpha must be finite, got nan"),
+        ({"adv": {"alpha": True}}, "bad adv value: alpha must be a real number, got True"),
+        ({"adv": {"alpha": -0.5}}, "bad adv value: alpha must be non-negative, got -0.5"),
+        ({"adv": {"eta": "0.1"}}, "bad adv value: eta must be a real number, got '0.1'"),
+        ({"dataset": {"noise_std": float("nan")}}, "bad dataset value: noise_std must be finite, got nan"),
+        ({"dataset": {"noise_std": False}}, "bad dataset value: noise_std must be a real number, got False"),
     ):
         with pytest.raises(ContractViolation) as exc:
             config_from_dict(raw)
         assert str(exc.value).startswith(named), raw
+    # checked, not converted: an integer stays an integer in the resolved config
+    cfg = config_from_dict({"adv": {"alpha": 1, "epsilon": 2}, "dataset": {"noise_std": 0}})
+    assert [type(v) for v in (cfg.adv.alpha, cfg.adv.epsilon, cfg.dataset.noise_std)] == [int, int, int]
 
 
 def test_load_config_errors(tmp_path):

@@ -160,6 +160,8 @@ def test_adv_config_validation():
         AdvConfig(k_steps=-1)
     with pytest.raises(ContractViolation):
         AdvConfig(eta=-0.5)
+    with pytest.raises(ContractViolation, match="epsilon must be finite"):
+        AdvConfig(epsilon=float("nan"))
     cfg = AdvConfig(norm="LInf", proj_mode="StraightThrough")
     assert cfg.norm is NormKind.LINF and cfg.proj_mode is ProjMode.STRAIGHT_THROUGH
 

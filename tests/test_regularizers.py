@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kl_divergence
-from salt.diffmodel import ModelParams, _forward, init_params, mlp_forward, softmax
+from oracles import kl_divergence, log_softmax, softmax
+from salt import regularizers
+from salt.diffmodel import ModelParams, _forward, init_params, mlp_forward
 from salt.errors import ContractViolation
 from salt.regularizers import (
     RegularizerKind,
     reg_grad_delta_sum,
+    reg_grad_delta_tangent,
     reg_grad_params_sum,
     reg_value_sum,
 )
@@ -205,3 +207,48 @@ def test_stacked_value_and_delta_gradient_are_each_members(kind):
             assert np.array_equal(grads[i], reg_grad_delta_sum(one, x, d, kind))
     with pytest.raises(ContractViolation):
         reg_value_sum(p, x, deltas[None], kind)
+
+
+def _kl_rows_from_logits(clean, pert):
+    """The KL rows as formed from the perturbed pass's raw output: its
+    log-softmax, and that one's exp as q."""
+    logp, p = clean.log_probs, clean.probs
+    logq = log_softmax(pert.out)
+    diff = logp - logq
+    terms = np.where(p > regularizers._PROB_FLOOR, p * diff, 0.0)
+    return terms.sum(axis=-1), p, np.exp(logq), diff
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+def test_kl_reads_the_perturbed_pass_softmax_bit_for_bit(n_classes, monkeypatch):
+    """The KL term reads q and log q from the perturbed pass's cached parts.
+    Its value, delta and theta gradients and tangent map have the bits of
+    the formula over log_softmax(pert.out) and its exp, for logit scales from
+    1e-3 to 1e3; so do the values and delta gradients of a stack of four
+    parameter vectors."""
+    kind = RegularizerKind.KL_DIVERGENCE
+    rng = np.random.default_rng(n_classes)
+    base = init_params([2, 8, n_classes], rng, scale=1.5)
+    x = rng.normal(size=(25, 2))
+    last = 8 * n_classes + n_classes  # the output layer's weights and bias
+
+    def outputs(p, stack, delta, u):
+        g_delta, tangent = reg_grad_delta_tangent(p, x, delta, kind)
+        g_theta, _, value = reg_grad_params_sum(p, x, delta, kind)
+        stacked = reg_value_sum(stack, x, delta, kind), reg_grad_delta_sum(stack, x, delta, kind)
+        return [np.asarray(value), g_delta, g_theta, *tangent(u), *stacked]
+
+    for scale in np.logspace(-3, 3, 7):
+        values = base.values.copy()
+        values[-last:] *= scale
+        p = base.replace_values(values)
+        stack = ModelParams(values + 0.1 * rng.normal(size=(4, p.n_params)), p.shapes)
+        delta = rng.normal(size=x.shape) * 0.3
+        u = rng.normal(size=x.shape)
+        got = outputs(p, stack, delta, u)
+        with monkeypatch.context() as m:
+            m.setattr(regularizers, "_kl_rows", _kl_rows_from_logits)
+            want = outputs(p, stack, delta, u)
+        assert got[-2].shape == (4,) and got[-1].shape == (4, 25, 2)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a, b), (scale, i)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import count_reductions, quadratic_objective, random_quadratic, shipped_config
-from oracles import attach_fd_second_order, hvp_fd, jacobian_forward_oracle
+from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.diffmodel import Batch, grad_params, init_params, mlp_forward
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
@@ -46,11 +46,11 @@ def _rel(got, want):
 def test_unroll_matches_closed_form_without_clipping():
     rng = np.random.default_rng(0)
     n, d = 2, 3
-    a_mat, b_mat, obj = random_quadratic(rng, n, d, 6, scale=0.4)
+    a_mat, b_mat, family = random_quadratic(rng, n, d, 6, scale=0.4)
     params = _carrier(rng)
     x = np.zeros((n, d))
     cfg = AdvConfig(epsilon=1e9, eta=0.37, sigma=0.5, k_steps=4)
-    tape = unroll_forward(params, x, cfg, obj, rng=123)
+    tape = unroll_forward(params, x, cfg, family(params.values), rng=123)
 
     flat = tape.deltas[0].ravel()
     theta = params.values
@@ -66,11 +66,11 @@ def test_unroll_matches_closed_form_without_clipping():
 
 def test_unroll_saturates_small_ball():
     rng = np.random.default_rng(1)
-    _, _, obj = random_quadratic(rng, 3, 2, 6, scale=1.0)
+    _, _, family = random_quadratic(rng, 3, 2, 6, scale=1.0)
     params = _carrier(rng)
     x = np.zeros((3, 2))
     cfg = AdvConfig(epsilon=0.05, eta=10.0, sigma=1.0, k_steps=3, norm=NormKind.L2)
-    tape = unroll_forward(params, x, cfg, obj, rng=5)
+    tape = unroll_forward(params, x, cfg, family(params.values), rng=5)
     assert np.sqrt((tape.deltas[0] ** 2).sum(axis=1)).max() > cfg.epsilon  # raw draw escapes
     for k in range(1, 4):
         norms = np.sqrt((tape.deltas[k] ** 2).sum(axis=1))
@@ -79,8 +79,9 @@ def test_unroll_saturates_small_ball():
 
 def test_unroll_int_seed_reproducible():
     rng = np.random.default_rng(2)
-    _, _, obj = random_quadratic(rng, 2, 2, 6)
+    _, _, family = random_quadratic(rng, 2, 2, 6)
     params = _carrier(rng)
+    obj = family(params.values)
     x = np.zeros((2, 2))
     cfg = AdvConfig(epsilon=1.0, eta=0.3, sigma=0.2, k_steps=2)
     t1 = unroll_forward(params, x, cfg, obj, rng=99)
@@ -150,8 +151,9 @@ def test_hvp_fd_rejects_bad_shapes():
 
 def _quad_setup(seed, n=2, d=2, k_steps=1, epsilon=1e6, eta=0.4, alpha=1.0):
     rng = np.random.default_rng(seed)
-    a_mat, b_mat, obj = random_quadratic(rng, n, d, 6, scale=0.5)
+    a_mat, b_mat, family = random_quadratic(rng, n, d, 6, scale=0.5)
     params = _carrier(rng)
+    obj = family(params.values)
     x = np.zeros((n, d))
     cfg = AdvConfig(alpha=alpha, epsilon=epsilon, eta=eta, sigma=0.5, k_steps=k_steps)
     tape = unroll_forward(params, x, cfg, obj, rng=seed + 10)
@@ -171,8 +173,8 @@ def test_adjoint_zero_when_objective_ignores_params():
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(4, 4))
     a_mat = 0.5 * (raw + raw.T)
-    obj = quadratic_objective(a_mat, np.zeros((4, 6)))
     params = _carrier(rng)
+    obj = quadratic_objective(a_mat, np.zeros((4, 6)))(params.values)
     x = np.zeros((2, 2))
     cfg = AdvConfig(epsilon=1e6, eta=0.3, sigma=0.5, k_steps=3)
     tape = unroll_forward(params, x, cfg, obj, rng=1)
@@ -204,8 +206,8 @@ def test_adjoint_matches_forward_oracle_with_clipping_active():
     )
     assert clipped, "setup failed to trigger the projection"
     n = x.shape[0]
-    jac = jacobian_forward_oracle(tape, params, x, cfg, lambda d, t: (a_mat, b_mat))
-    v = obj(tape.deltas[-1], params.values)[0].ravel() / n
+    jac = jacobian_forward_oracle(tape, params, x, cfg, lambda d: (a_mat, b_mat))
+    v = obj(tape.deltas[-1])[0].ravel() / n
     want = cfg.alpha * (v @ jac)
     got = interaction_adjoint(tape, params, x, obj, cfg)
     assert _rel(got, want) <= 1e-12
@@ -222,12 +224,12 @@ def test_adjoint_modes_agree_on_mlp(seed):
     cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
     obj = make_adv_objective(params, x, KIND)
     tape = unroll_forward(params, x, cfg, obj, rng=seed)
-    rich, hess = attach_fd_second_order(obj)
+    rich, hess = attach_fd_second_order(adv_objectives(params, x, KIND), params.values)
     rich_tape = unroll_forward(params, x, cfg, rich, rng=seed)
 
     from_matrices = interaction_adjoint(rich_tape, params, x, rich, cfg)
     jac = jacobian_forward_oracle(tape, params, x, cfg, hess)
-    v = obj(tape.deltas[-1], params.values)[0].ravel() / x.shape[0]
+    v = obj(tape.deltas[-1])[0].ravel() / x.shape[0]
     oracle = cfg.alpha * (v @ jac)
     assert _rel(from_matrices, oracle) <= 1e-8
 
@@ -292,29 +294,33 @@ def test_adjoint_matches_hessian_oracle(kind, norm, mode):
     tape = unroll_forward(params, x, cfg, obj, rng=4)
     clipped = [np.abs(pre).max() > cfg.epsilon for pre in tape.pre_projections]
     assert any(clipped), "setup failed to trigger the projection"
-    rich, _ = attach_fd_second_order(obj)
+    rich, _ = attach_fd_second_order(adv_objectives(params, x, kind), params.values)
     rich_tape = unroll_forward(params, x, cfg, rich, rng=4)
     assert all(np.array_equal(a, b) for a, b in zip(tape.deltas, rich_tape.deltas))
     want = interaction_adjoint(rich_tape, params, x, rich, cfg)
     assert np.linalg.norm(want) > 0
     got = interaction_adjoint(tape, params, x, obj, cfg)
     assert _rel(got, want) <= 1e-7
-    v = obj(tape.deltas[-1], params.values)[0] / x.shape[0]
+    v = obj(tape.deltas[-1])[0] / x.shape[0]
     assert np.array_equal(interaction_adjoint(tape, params, x, obj, cfg, cotangent=v), got)
 
 
-def test_adv_objective_shares_clean_pass_only_at_its_own_theta():
+@pytest.mark.parametrize("kind", list(RegularizerKind))
+def test_adv_objective_is_the_regularizer_at_its_own_params(kind):
+    """obj(delta) is reg_grad_delta_tangent at the params obj was made at, bit
+    for bit in the gradient and in the tangent map along u, whether obj
+    computed its clean pass or was given one."""
     rng = np.random.default_rng(31)
-    params = init_params([2, 5, 3], rng, scale=1.5)
+    params = init_params([2, 5, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=1.5)
     x = rng.normal(size=(3, 2))
-    delta = rng.normal(size=x.shape) * 0.3
-    u = rng.normal(size=x.shape)
-    obj = make_adv_objective(params, x, KIND)
-    for theta in (params.values, params.values + 1e-3 * rng.normal(size=params.n_params)):
-        g_delta, tangent = reg_grad_delta_tangent(params.replace_values(theta), x, delta, KIND)
-        got_delta, got_tangent = obj(delta, theta)
-        assert np.array_equal(got_delta, g_delta)
-        assert all(np.array_equal(a, b) for a, b in zip(got_tangent(u), tangent(u)))
+    for obj in (make_adv_objective(params, x, kind), make_adv_objective(params, x, kind, mlp_forward(params, x))):
+        for _ in range(3):
+            delta = rng.normal(size=x.shape) * 0.3
+            u = rng.normal(size=x.shape)
+            g_delta, tangent = reg_grad_delta_tangent(params, x, delta, kind)
+            got_delta, got_tangent = obj(delta)
+            assert np.array_equal(got_delta, g_delta)
+            assert all(np.array_equal(a, b) for a, b in zip(got_tangent(u), tangent(u)))
 
 
 def test_forward_oracle_refuses_large_instances():
@@ -322,10 +328,10 @@ def test_forward_oracle_refuses_large_instances():
     params = init_params([30, 40, 30], rng)
     x = rng.normal(size=(40, 30))
     cfg = AdvConfig(epsilon=1.0, eta=0.1, sigma=0.1, k_steps=1)
-    obj = make_adv_objective(params, x, KIND)
-    tape = unroll_forward(params, x, cfg, obj, rng=0)
+    tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, KIND), rng=0)
+    _, hess = attach_fd_second_order(adv_objectives(params, x, KIND), params.values)
     with pytest.raises(ContractViolation):
-        jacobian_forward_oracle(tape, params, x, cfg, attach_fd_second_order(obj)[1])
+        jacobian_forward_oracle(tape, params, x, cfg, hess)
 
 
 # ---------- tape check ----------
@@ -347,8 +353,9 @@ def test_tape_rejects_mismatched_inputs():
     other_cfg = AdvConfig(epsilon=1.0, eta=0.6, sigma=0.2, k_steps=1)
     with pytest.raises(ContractViolation):
         interaction_adjoint(tape, params, x, obj, other_cfg)
+    _, hess = attach_fd_second_order(adv_objectives(params, x, KIND), params.values)
     with pytest.raises(ContractViolation):
-        jacobian_forward_oracle(tape, other_params, x, cfg, attach_fd_second_order(obj)[1])
+        jacobian_forward_oracle(tape, other_params, x, cfg, hess)
 
 
 # ---------- full leader gradient ----------
