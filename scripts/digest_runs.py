@@ -12,7 +12,10 @@ OUTDIR with paths relative to it:
 - scripts/run_canonical.py: 200 epochs of all four methods on the canonical
   config, into canonical/<method>/;
 - salt train --config configs/sine_regression.json, into sine/;
-- salt gradcheck --instances 20 --seed 0.
+- salt gradcheck --instances 20 --seed 0;
+- salt sweep --config configs/canonical_salt.json --axis k_steps
+  --values 0,1,2,3 --seeds 0,1, into runs/canonical-salt/ (the config's
+  outdir): the sweep CSV and the eight runs' directories.
 Run it once per tree and diff the two listings to show byte identity.
 
 Usage:
@@ -36,6 +39,11 @@ PRODUCERS = (
         ["-m", "salt", "train", "--config", os.path.join(ROOT, "configs", "sine_regression.json"), "--outdir", "sine"],
     ),
     ("gradcheck.stdout", ["-m", "salt", "gradcheck", "--instances", "20", "--seed", "0"]),
+    (
+        "sweep.stdout",
+        ["-m", "salt", "sweep", "--config", os.path.join(ROOT, "configs", "canonical_salt.json")]
+        + ["--axis", "k_steps", "--values", "0,1,2,3", "--seeds", "0,1"],
+    ),
 )
 
 

@@ -5,8 +5,7 @@ benchmark, writing one paired CSV per axis and printing per-value means.
 Usage:
     python3 scripts/run_sweeps.py [--seeds N] [--outdir DIR] [--axis {k_steps,epsilon,both}]
 
-SALT_THREADS caps worker threads (default 1); rows come out in the same
-order either way.
+The runs of each sweep go one after another in row order.
 """
 from __future__ import annotations
 

@@ -23,3 +23,11 @@ def require_real(name: str, value) -> float:
     if not math.isfinite(value):
         raise ContractViolation(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def require_str(name: str, value, choices: tuple[str, ...] = ()) -> None:
+    """Raise unless value is a non-empty string, and one of choices if any are given."""
+    if not isinstance(value, str) or not value:
+        raise ContractViolation(f"{name} must be a non-empty string, got {value!r}")
+    if choices and value not in choices:
+        raise ContractViolation(f"{name} must be one of {list(choices)}, got {value!r}")

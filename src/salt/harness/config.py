@@ -9,9 +9,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
-from ..errors import ContractViolation, require_int, require_real
+from ..errors import ContractViolation, require_int, require_real, require_str
 from ..perturb import AdvConfig
 from ..regularizers import RegularizerKind
+from .datasets import check_split
 
 
 class Method(str, Enum):
@@ -34,12 +35,13 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("two_moons", "blobs", "sine", "csv"):
             raise ContractViolation(f"unknown dataset kind: {self.kind!r}")
-        if self.kind == "csv" and (not self.train_path or not self.test_path):
+        for name, path in (("train_path", self.train_path), ("test_path", self.test_path)):
+            if path is not None:
+                require_str(name, path)
+        if self.kind == "csv" and (self.train_path is None or self.test_path is None):
             raise ContractViolation("csv dataset needs train_path and test_path")
-        require_int("n_train", self.n_train, 1)
-        require_int("n_test", self.n_test, 1)
-        if require_real("noise_std", self.noise_std) < 0:
-            raise ContractViolation(f"noise_std must be non-negative, got {self.noise_std!r}")
+        require_str("target", self.target, ("auto", "classification", "regression"))
+        check_split(self.n_train, self.n_test, self.noise_std)
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,7 @@ class ExperimentConfig:
         require_int("seed", self.seed, 0)
         require_int("epochs", self.epochs, 1)
         require_int("batch_size", self.batch_size, 1)
+        require_str("outdir", self.outdir)
 
 
 def _take(section: str, raw: dict, cls: type) -> dict:

@@ -11,7 +11,16 @@ import math
 import numpy as np
 
 from ..diffmodel import Array, Batch
-from ..errors import ContractViolation
+from ..errors import ContractViolation, require_int, require_real
+
+
+def check_split(n_train: int, n_test: int, noise_std: float) -> None:
+    """Raise unless both split sizes are integers >= 1 and noise_std is a
+    finite, non-negative real; the config and every generator check here."""
+    require_int("n_train", n_train, 1)
+    require_int("n_test", n_test, 1)
+    if require_real("noise_std", noise_std) < 0:
+        raise ContractViolation(f"noise_std must be non-negative, got {noise_std!r}")
 
 
 def _moon_points(n: int, noise_std: float, rng: np.random.Generator) -> tuple[Array, Array]:
@@ -32,10 +41,7 @@ def _moon_points(n: int, noise_std: float, rng: np.random.Generator) -> tuple[Ar
 def gen_two_moons(n_train: int, n_test: int, noise_std: float, seed: int) -> tuple[Batch, Batch]:
     """Two interleaved arcs; balanced classes; noise_std = 0 puts points exactly
     on the arcs."""
-    if n_train < 1 or n_test < 1:
-        raise ContractViolation("need at least one point per split")
-    if noise_std < 0:
-        raise ContractViolation("noise_std must be non-negative")
+    check_split(n_train, n_test, noise_std)
     rng = np.random.default_rng(seed)
     xtr, ytr = _moon_points(n_train, noise_std, rng)
     xte, yte = _moon_points(n_test, noise_std, rng)
@@ -47,8 +53,7 @@ _BLOB_CENTERS = np.array([[0.0, 2.0], [2.0, -1.0], [-2.0, -1.0]])
 
 def gen_blobs(n_train: int, n_test: int, noise_std: float, seed: int) -> tuple[Batch, Batch]:
     """Three Gaussian blobs, balanced as evenly as n allows."""
-    if n_train < 1 or n_test < 1:
-        raise ContractViolation("need at least one point per split")
+    check_split(n_train, n_test, noise_std)
     rng = np.random.default_rng(seed)
 
     def split(n: int) -> Batch:
@@ -64,8 +69,7 @@ def gen_blobs(n_train: int, n_test: int, noise_std: float, seed: int) -> tuple[B
 
 def gen_sine_regression(n_train: int, n_test: int, noise_std: float, seed: int) -> tuple[Batch, Batch]:
     """y = sin(2 pi x) + noise on x in [-1, 1]."""
-    if n_train < 1 or n_test < 1:
-        raise ContractViolation("need at least one point per split")
+    check_split(n_train, n_test, noise_std)
     rng = np.random.default_rng(seed)
 
     def split(n: int) -> Batch:

@@ -1,15 +1,12 @@
 """Axis sweeps over the adversary config, one training run per (value, seed).
 
-Runs share the seed bank across axis values so columns are paired. The
-SALT_THREADS environment variable caps worker threads (default 1); each run
-is internally deterministic, and rows are emitted in submission order either
-way.
+Runs share the seed bank across axis values so columns are paired. The runs
+go one after another in row order: values outer, seeds inner.
 """
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from ..errors import ContractViolation
@@ -38,15 +35,6 @@ def _apply(template: ExperimentConfig, axis: str, value, seed: int) -> Experimen
     return replace(template, adv=adv, seed=seed, outdir=outdir)
 
 
-def sweep_threads() -> int:
-    raw = os.environ.get("SALT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ContractViolation(f"SALT_THREADS must be an integer, got {raw!r}") from None
-    return max(threads, 1)
-
-
 def sweep(
     template: ExperimentConfig,
     axis: str,
@@ -68,24 +56,19 @@ def sweep(
     # every config is built, and so checked, before the first run starts
     jobs = [(v, s, _apply(template, axis, v, s)) for v in values for s in seeds]
 
-    def run_one(job) -> dict:
-        value, seed, cfg = job
+    rows = []
+    for value, seed, cfg in jobs:
         final = run_experiment(cfg).final
-        return {
-            "axis_value": value.value if isinstance(value, NormKind) else value,
-            "seed": seed,
-            "final_train_loss": final["train_loss"],
-            "final_val_loss": final["val_loss"],
-            "final_val_acc": final["val_acc"],
-            "ece": final["ece"],
-        }
-
-    threads = sweep_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, jobs))
-    else:
-        rows = [run_one(j) for j in jobs]
+        rows.append(
+            {
+                "axis_value": value.value if isinstance(value, NormKind) else value,
+                "seed": seed,
+                "final_train_loss": final["train_loss"],
+                "final_val_loss": final["val_loss"],
+                "final_val_acc": final["val_acc"],
+                "ece": final["ece"],
+            }
+        )
 
     if out_path is None:
         out_path = os.path.join(template.outdir, "sweep.csv")
@@ -94,14 +77,5 @@ def sweep(
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_HEADER)
         for row in rows:
-            writer.writerow(
-                [
-                    row["axis_value"],
-                    row["seed"],
-                    format(row["final_train_loss"], ".17g"),
-                    format(row["final_val_loss"], ".17g"),
-                    format(row["final_val_acc"], ".17g"),
-                    format(row["ece"], ".17g"),
-                ]
-            )
+            writer.writerow([row["axis_value"], row["seed"], *(format(row[k], ".17g") for k in _SWEEP_HEADER[2:])])
     return rows

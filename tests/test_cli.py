@@ -70,6 +70,10 @@ def test_train_rejects_unknown_key(tmp_path):
 
 
 def test_train_rejects_bad_values(tmp_path):
+    for name in ("train.csv", "test.csv"):
+        (tmp_path / name).write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
+    csv_paths = {"kind": "csv", "train_path": str(tmp_path / "train.csv"), "test_path": str(tmp_path / "test.csv")}
+    bad_target = "bad dataset value: target must be one of ['auto', 'classification', 'regression'], got 'bogus'"
     for extra, named in (
         ({"adv": {"norm": "L3"}}, "L3"),
         ({"method": "SGDA"}, "SGDA"),
@@ -91,12 +95,22 @@ def test_train_rejects_bad_values(tmp_path):
         ({"adv": {"sigma": float("inf")}}, "bad adv value: sigma must be finite, got inf"),
         ({"adv": {"alpha": True}}, "bad adv value: alpha must be a real number, got True"),
         ({"dataset": {"kind": "two_moons", "noise_std": float("nan")}}, "bad dataset value: noise_std must be finite"),
+        # string fields, checked before any file is opened or written
+        ({"outdir": 5}, "bad config value: outdir must be a non-empty string, got 5"),
+        ({"dataset": {"train_path": ["a"]}}, "bad dataset value: train_path must be a non-empty string, got ['a']"),
+        (
+            {"dataset": {"kind": "csv", "train_path": 3, "test_path": 3}},
+            "bad dataset value: train_path must be a non-empty string, got 3",
+        ),
+        ({"dataset": {"kind": "two_moons", "target": "bogus"}}, bad_target),
+        ({"dataset": {**csv_paths, "target": "bogus"}}, bad_target),
     ):
-        proc = run_cli("train", "--config", str(tiny_config(tmp_path, **extra)))
+        proc = run_cli("train", "--config", str(tiny_config(tmp_path, **extra)), cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and named in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "run").exists()  # rejected before resolved_config.json is written
+        # rejected before resolved_config.json, or any run directory, is written
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "test.csv", "train.csv"]
 
 
 def test_train_rejects_malformed_json(tmp_path):

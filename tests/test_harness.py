@@ -64,6 +64,33 @@ def test_two_moons_seeded_and_noise_validated():
         gen_two_moons(10, 10, -0.1, 0)
 
 
+_BAD_SPLITS = (
+    ((0, 10, 0.1), "n_train must be >= 1, got 0"),
+    ((10, 0, 0.1), "n_test must be >= 1, got 0"),
+    ((10.5, 10, 0.1), "n_train must be an integer, got 10.5"),
+    ((True, 10, 0.1), "n_train must be an integer, got True"),
+    ((10, "5", 0.1), "n_test must be an integer, got '5'"),
+    ((10, 10, -0.1), "noise_std must be non-negative, got -0.1"),
+    ((10, 10, float("nan")), "noise_std must be finite, got nan"),
+    ((10, 10, float("inf")), "noise_std must be finite, got inf"),
+    ((10, 10, float("-inf")), "noise_std must be finite, got -inf"),
+    ((10, 10, True), "noise_std must be a real number, got True"),
+    ((10, 10, "0.1"), "noise_std must be a real number, got '0.1'"),
+)
+
+
+@pytest.mark.parametrize("kind, gen", [("two_moons", gen_two_moons), ("blobs", gen_blobs), ("sine", gen_sine_regression)])
+@pytest.mark.parametrize("split, message", _BAD_SPLITS)
+def test_generators_check_splits_as_the_config_does(kind, gen, split, message):
+    with pytest.raises(ContractViolation) as called:
+        gen(*split, seed=0)
+    assert str(called.value) == message
+    n_train, n_test, noise_std = split
+    with pytest.raises(ContractViolation) as configured:
+        config_from_dict({"dataset": {"kind": kind, "n_train": n_train, "n_test": n_test, "noise_std": noise_std}})
+    assert str(configured.value) == f"bad dataset value: {message}"
+
+
 def test_blobs_centers_and_counts():
     train, _ = gen_blobs(32, 3, noise_std=0.0, seed=1)
     counts = [(train.targets == c).sum() for c in range(3)]
@@ -261,6 +288,29 @@ def test_config_validates_values():
         ({"adv": {"eta": "0.1"}}, "bad adv value: eta must be a real number, got '0.1'"),
         ({"dataset": {"noise_std": float("nan")}}, "bad dataset value: noise_std must be finite, got nan"),
         ({"dataset": {"noise_std": False}}, "bad dataset value: noise_std must be a real number, got False"),
+        # string fields: outdir a non-empty string, the paths a string or null, target a known handling
+        ({"outdir": 5}, "bad config value: outdir must be a non-empty string, got 5"),
+        ({"outdir": ""}, "bad config value: outdir must be a non-empty string, got ''"),
+        ({"outdir": None}, "bad config value: outdir must be a non-empty string, got None"),
+        ({"dataset": {"train_path": ["a"]}}, "bad dataset value: train_path must be a non-empty string, got ['a']"),
+        (
+            {"dataset": {"kind": "csv", "train_path": 3, "test_path": 3}},
+            "bad dataset value: train_path must be a non-empty string, got 3",
+        ),
+        (
+            {"dataset": {"kind": "csv", "train_path": "a.csv", "test_path": {}}},
+            "bad dataset value: test_path must be a non-empty string, got {}",
+        ),
+        ({"dataset": {"kind": "csv", "train_path": "a.csv"}}, "bad dataset value: csv dataset needs train_path and test_path"),
+        (
+            {"dataset": {"target": "bogus"}},
+            "bad dataset value: target must be one of ['auto', 'classification', 'regression'], got 'bogus'",
+        ),
+        (
+            {"dataset": {"kind": "csv", "train_path": "a.csv", "test_path": "b.csv", "target": "bogus"}},
+            "bad dataset value: target must be one of ['auto', 'classification', 'regression'], got 'bogus'",
+        ),
+        ({"dataset": {"target": None}}, "bad dataset value: target must be a non-empty string, got None"),
     ):
         with pytest.raises(ContractViolation) as exc:
             config_from_dict(raw)
@@ -517,16 +567,33 @@ def test_sweep_norm_axis_uses_enum_values(tmp_path):
     assert [r["axis_value"] for r in rows] == ["L2", "LInf"]
 
 
-def test_sweep_threads_env(tmp_path, monkeypatch):
+def test_sweep_rows_are_independent_runs(tmp_path):
+    """Each row is the final of a lone run_experiment of its (value, seed), and
+    the sweep's run directory holds that run's bytes."""
     template = _sweep_template(tmp_path)
-    monkeypatch.setenv("SALT_THREADS", "2")
-    rows2 = sweep(template, "k_steps", [0, 1], seeds=[0], out_path=str(tmp_path / "t2.csv"))
-    monkeypatch.setenv("SALT_THREADS", "1")
-    rows1 = sweep(template, "k_steps", [0, 1], seeds=[0], out_path=str(tmp_path / "t1.csv"))
-    assert rows1 == rows2
-    monkeypatch.setenv("SALT_THREADS", "zap")
-    with pytest.raises(ContractViolation, match="SALT_THREADS"):
-        sweep(template, "k_steps", [0], seeds=[0], out_path=str(tmp_path / "bad.csv"))
+    rows = sweep(template, "k_steps", [0, 2], seeds=[0, 1], out_path=str(tmp_path / "sweep.csv"))
+    assert [(r["axis_value"], r["seed"]) for r in rows] == [(0, 0), (0, 1), (2, 0), (2, 1)]
+    for row in rows:
+        k, seed = row["axis_value"], row["seed"]
+        alone = override(
+            template,
+            adv=override(template.adv, k_steps=k),
+            seed=seed,
+            outdir=str(tmp_path / "alone" / f"{k}-{seed}"),
+        )
+        final = run_experiment(alone).final
+        assert row == {
+            "axis_value": k,
+            "seed": seed,
+            "final_train_loss": final["train_loss"],
+            "final_val_loss": final["val_loss"],
+            "final_val_acc": final["val_acc"],
+            "ece": final["ece"],
+        }
+        swept = os.path.join(template.outdir, f"k_steps={k}", f"seed={seed}")
+        for name in ("metrics.jsonl", "checkpoint.json"):
+            with open(os.path.join(swept, name), "rb") as a, open(os.path.join(alone.outdir, name), "rb") as b:
+                assert a.read() == b.read(), (k, seed, name)
 
 
 def test_sweep_rejects_bad_requests(tmp_path):
