@@ -15,7 +15,10 @@ OUTDIR with paths relative to it:
 - salt gradcheck --instances 20 --seed 0;
 - salt sweep --config configs/canonical_salt.json --axis k_steps
   --values 0,1,2,3 --seeds 0,1, into runs/canonical-salt/ (the config's
-  outdir): the sweep CSV and the eight runs' directories.
+  outdir): the sweep CSV and the eight runs' directories;
+- salt sweep --config configs/canonical_vat.json --axis epsilon
+  --values 0.5,1 --seeds 0,1,2, into runs/canonical-vat/: a flat method's
+  seeds trained as stacks of three.
 Run it once per tree and diff the two listings to show byte identity.
 
 Usage:
@@ -43,6 +46,11 @@ PRODUCERS = (
         "sweep.stdout",
         ["-m", "salt", "sweep", "--config", os.path.join(ROOT, "configs", "canonical_salt.json")]
         + ["--axis", "k_steps", "--values", "0,1,2,3", "--seeds", "0,1"],
+    ),
+    (
+        "sweep_vat.stdout",
+        ["-m", "salt", "sweep", "--config", os.path.join(ROOT, "configs", "canonical_vat.json")]
+        + ["--axis", "epsilon", "--values", "0.5,1", "--seeds", "0,1,2"],
     ),
 )
 

@@ -5,7 +5,7 @@ benchmark, writing one paired CSV per axis and printing per-value means.
 Usage:
     python3 scripts/run_sweeps.py [--seeds N] [--outdir DIR] [--axis {k_steps,epsilon,both}]
 
-The runs of each sweep go one after another in row order.
+Each axis value's seeds train as one stack, one value after another.
 """
 from __future__ import annotations
 

@@ -9,24 +9,39 @@ anything wider is a classification head returning logits.
 Parameters live in a single flat float64 vector plus shape metadata, which
 keeps optimizer state, finite differencing and checkpointing trivial.
 
-The forward pass, the input backward pass and the losses also take a stack
-of m parameter vectors (m, P), or inputs with a leading stack axis
-(m, n, d), and then return one result per member. Every member's result is
+Every pass, gradient and loss also takes a leading run axis: a stack of m
+parameter vectors (m, P), inputs (m, n, d) with targets (m, n), or both,
+and then returns one result per member. Every member's result is
 bit-identical to running that member alone: the stacked ops are the same
-IEEE ops, batched by np.matmul and by reductions over the last axis.
+IEEE ops, batched by np.matmul and by reductions over a member's own axes.
+A single problem's 2-D call runs the same code with no run axis.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
 
 Array = np.ndarray
+
+
+class _memo:
+    """functools.cached_property without its lock (on Python 3.11 its first
+    read takes an RLock): the first read stores the value in the instance
+    __dict__, where later reads find it before this non-data descriptor."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -72,7 +87,7 @@ class ModelParams:
     def replace_values(self, values: Array) -> "ModelParams":
         return ModelParams(values=values, shapes=self.shapes)
 
-    @cached_property
+    @_memo
     def layers(self) -> tuple[tuple[Array, Array], ...]:
         """(W, b) pairs in layer order: views into values, built on first use.
         A stack of m vectors gives (m, r, c) views."""
@@ -87,7 +102,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs (n, d) with integer labels or float targets (n,)."""
+    """Inputs (n, d) with integer labels or float targets (n,); or a stack of
+    m such batches, inputs (m, n, d) with targets (m, n)."""
 
     inputs: Array
     targets: Array
@@ -97,14 +113,14 @@ class Batch:
         targets = np.asarray(self.targets)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
-            raise ContractViolation("batch inputs must be a non-empty (n, d) matrix")
-        if targets.ndim != 1 or targets.shape[0] != inputs.shape[0]:
-            raise ContractViolation("targets must be a vector matching the batch size")
+        if inputs.ndim not in (2, 3) or inputs.shape[-2] < 1:
+            raise ContractViolation("batch inputs must be a non-empty (n, d) matrix, or a stack of them")
+        if targets.shape != inputs.shape[:-1]:
+            raise ContractViolation("targets must be a vector matching the batch size, one per member")
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.inputs.shape[-2]
 
 
 def init_params(sizes: Sequence[int], rng: np.random.Generator, scale: float = 1.0) -> ModelParams:
@@ -123,7 +139,9 @@ def init_params(sizes: Sequence[int], rng: np.random.Generator, scale: float = 1
 
 
 def _flatten_grads(grads: Sequence[Array]) -> Array:
-    return np.concatenate([g.ravel() for g in grads])
+    """Per-layer (..., r, c) gradients as one (..., P) vector per member."""
+    shape = grads[0].shape[:-2] + (-1,)
+    return np.concatenate([g.reshape(shape) for g in grads], -1)
 
 
 # ---------- forward / backward engine ----------
@@ -153,7 +171,7 @@ class ForwardPass:
     def scalars(self) -> Array:
         return self.out[..., 0]
 
-    @cached_property
+    @_memo
     def softmax_parts(self) -> tuple[Array, Array, Array]:
         """(s, e, S): shifted logits out - max, e = exp(s) and the row sums
         of e (keepdims). The top entry of each row of e is exp(0) = 1."""
@@ -161,12 +179,12 @@ class ForwardPass:
         e = np.exp(s)
         return s, e, e.sum(axis=-1, keepdims=True)
 
-    @cached_property
+    @_memo
     def log_probs(self) -> Array:
         s, _, total = self.softmax_parts
         return s - np.log(total)
 
-    @cached_property
+    @_memo
     def probs(self) -> Array:
         return np.exp(self.log_probs)
 
@@ -205,12 +223,11 @@ def _backward_input(params: ModelParams, acts: list[Array], dout: Array) -> tupl
 
 
 def _backward(params: ModelParams, acts: list[Array], dout: Array) -> tuple[Array, Array]:
-    """Backprop a seed on the raw output. Returns (grad wrt values, grad wrt inputs).
-    One problem at a time: the seed must be (n, C), not a stack."""
-    if dout.ndim != 2:
-        raise ContractViolation("parameter gradients are formed for one problem, not a stack")
+    """Backprop a seed on the raw output. Returns (grad wrt values, grad wrt
+    inputs); a stacked seed (m, n, C) gives (m, P) parameter gradients."""
     g, seeds = _backward_input(params, acts, dout)
-    return _flatten_grads([m for a, s in zip(acts, seeds) for m in (a.T @ s, s.sum(axis=0, keepdims=True))]), g
+    grads = [m for a, s in zip(acts, seeds) for m in (a.mT @ s, s.sum(axis=-2, keepdims=True))]
+    return _flatten_grads(grads), g
 
 
 def _forward_tangent(params: ModelParams, acts: list[Array], u: Array) -> tuple[Array, list[Array], list[Array]]:
@@ -243,17 +260,14 @@ def _backward_tangent(
     activations move by t_acts/t_outs (from _forward_tangent) and the output
     seed by t_dout. Returns the tangents of (grad wrt values, grad wrt inputs):
     with t_dout the seed's derivative along u, these are the second
-    derivatives of the backpropagated scalar along u. One problem at a time,
-    as in _backward."""
-    if t_dout.ndim != 2:
-        raise ContractViolation("parameter gradients are formed for one problem, not a stack")
+    derivatives of the backpropagated scalar along u. Stacks as _backward."""
     layers = params.layers
     grads: list[Array] = [t_dout] * (2 * len(layers))
     t = t_dout
     for i in range(len(layers) - 1, -1, -1):
-        grads[2 * i] = t_acts[i].T @ seeds[i] + acts[i].T @ t
-        grads[2 * i + 1] = t.sum(axis=0, keepdims=True)
-        t = t @ layers[i][0].T
+        grads[2 * i] = t_acts[i].mT @ seeds[i] + acts[i].mT @ t
+        grads[2 * i + 1] = t.sum(axis=-2, keepdims=True)
+        t = t @ layers[i][0].mT
         if i > 0:
             # seeds[i-1] = (seeds[i] @ W.T) * (1 - a^2) with a = tanh(z) and
             # d(1 - a^2) = -2 a (1 - a^2) dz
@@ -262,13 +276,14 @@ def _backward_tangent(
 
 
 def _check_inputs(params: ModelParams, inputs: Array) -> Array:
-    """inputs as a float (n, d) matrix whose width matches the first layer."""
+    """inputs as a float (n, d) matrix, or an (m, n, d) stack, whose width
+    matches the first layer."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ContractViolation("inputs must be an (n, d) matrix")
-    if inputs.shape[1] != params.input_dim:
+    if inputs.ndim not in (2, 3):
+        raise ContractViolation("inputs must be an (n, d) matrix or a stack of them")
+    if inputs.shape[-1] != params.input_dim:
         raise ContractViolation(
-            f"input width {inputs.shape[1]} does not match first layer width {params.input_dim}"
+            f"input width {inputs.shape[-1]} does not match first layer width {params.input_dim}"
         )
     return inputs
 
@@ -295,9 +310,19 @@ def _check_labels(targets: Array, n_classes: int) -> Array:
     return labels
 
 
-def _per_member(total: Array) -> float | Array:
-    """A reduction over the last axis: a float for one problem, an (m,) array for a stack."""
-    return float(total) if np.ndim(total) == 0 else total
+def _per_member(value: Array) -> float | bool | Array:
+    """A per-member numpy result: a Python scalar for one problem, an (m,)
+    array for a stack."""
+    return value.item() if value.ndim == 0 else value
+
+
+def _label_index(labels: Array) -> tuple:
+    """Index of each example's label entry in a (..., n, C) array: labels (n,)
+    pick from every member, a stack (m, n) from its own member."""
+    rows = np.arange(labels.shape[-1])
+    if labels.ndim == 1:
+        return (..., rows, labels)
+    return (np.arange(labels.shape[0])[:, None], rows, labels)
 
 
 def task_loss(fwd: ForwardPass, targets: Array) -> float | Array:
@@ -305,13 +330,13 @@ def task_loss(fwd: ForwardPass, targets: Array) -> float | Array:
     one per member for a stacked pass."""
     if fwd.is_classification:
         labels = _check_labels(targets, fwd.out.shape[-1])
-        if labels.shape[0] != fwd.out.shape[-2]:
+        if labels.shape[-1] != fwd.out.shape[-2]:
             raise ContractViolation("targets do not match batch size")
-        picked = fwd.log_probs[..., np.arange(labels.size), labels]
+        picked = fwd.log_probs[_label_index(labels)]
         # a stack's pick comes out column-major; the mean must run over contiguous rows
         return _per_member(-np.ascontiguousarray(picked).mean(axis=-1))
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != fwd.scalars.shape[-1:]:
+    if targets.shape[-1:] != fwd.scalars.shape[-1:]:
         raise ContractViolation("targets do not match batch size")
     return _per_member(((fwd.scalars - targets) ** 2).mean(axis=-1))
 
@@ -320,11 +345,11 @@ def _task_seed_sum(fwd: ForwardPass, targets: Array) -> Array:
     """d(sum of per-example task losses)/d(raw output). Divided by the batch
     size it seeds the batch-mean loss."""
     if not fwd.is_classification:
-        return (2.0 * (fwd.scalars - np.asarray(targets, dtype=np.float64)))[:, None]
-    labels = _check_labels(targets, fwd.out.shape[1])
+        return (2.0 * (fwd.scalars - np.asarray(targets, dtype=np.float64)))[..., None]
+    labels = _check_labels(targets, fwd.out.shape[-1])
     _, e, total = fwd.softmax_parts
     seed = e / total  # the softmax of fwd.out
-    seed[np.arange(fwd.out.shape[0]), labels] -= 1.0
+    seed[_label_index(labels)] -= 1.0
     return seed
 
 
@@ -332,7 +357,7 @@ def grad_params(params: ModelParams, batch: Batch, fwd: ForwardPass | None = Non
     """Gradient of the batch-mean task loss with respect to the flat
     parameters. fwd is the batch's forward pass, computed when not given."""
     fwd = _forward(params, batch.inputs) if fwd is None else fwd
-    seed = _task_seed_sum(fwd, batch.targets) / fwd.out.shape[0]
+    seed = _task_seed_sum(fwd, batch.targets) / fwd.out.shape[-2]
     gtheta, _ = _backward(params, fwd.acts, seed)
     return gtheta
 
@@ -344,7 +369,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     """JSON checkpoint: {"shapes": [[r, c], ...], "values": [...]} in flat order."""
     payload = {
         "shapes": [[r, c] for r, c in params.shapes],
-        "values": [float(v) for v in params.values],
+        "values": params.values.tolist(),  # Python floats, as float(v) would give
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(payload) + "\n")  # dumps runs the C encoder, dump the pure-Python one

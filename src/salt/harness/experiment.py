@@ -8,6 +8,10 @@ and the same perturbation draws, so method comparisons are paired.
 Per-epoch metrics go to metrics.jsonl, one JSON object per line, flushed as
 written. Wall-clock timings go to a separate timing.jsonl so rerunning a
 config reproduces metrics.jsonl byte for byte.
+
+Runs that differ only in seed train as one stack: every step and every
+evaluation runs once for the group on (R, ...) arrays, and each run's
+results are bit-identical to training it alone.
 """
 from __future__ import annotations
 
@@ -15,7 +19,9 @@ import json
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from ..diffmodel import (
     Batch,
     ModelParams,
     _forward,
+    _per_member,
     grad_params,
     init_params,
     mlp_forward,
@@ -55,13 +62,15 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
 
 
 def _evaluate(params: ModelParams, batch: Batch) -> dict:
-    """Loss and accuracy or RMSE, plus what the reliability report reads."""
+    """Loss and accuracy or RMSE, plus what the reliability report reads;
+    (R,) and (R, n) arrays for a stack."""
     fwd = mlp_forward(params, batch.inputs)
     loss = task_loss(fwd, batch.targets)
     if fwd.is_classification:
-        correct = fwd.logits.argmax(axis=1) == batch.targets
-        return {"loss": loss, "acc": float(correct.mean()), "confidence": confidence_of(fwd), "correct": correct}
-    return {"loss": loss, "rmse": float(np.sqrt(loss))}
+        correct = fwd.logits.argmax(axis=-1) == batch.targets
+        acc = _per_member(correct.mean(axis=-1))
+        return {"loss": loss, "acc": acc, "confidence": confidence_of(fwd), "correct": correct}
+    return {"loss": loss, "rmse": _per_member(np.sqrt(loss))}
 
 
 def _check_class_labels(cfg: ExperimentConfig, train: Batch, test: Batch) -> None:
@@ -109,6 +118,11 @@ class RunRecord:
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Train per the config and write metrics, timing, checkpoint and
     (for classification) a reliability diagram into cfg.outdir."""
+    return run_experiments([cfg])[0]
+
+
+def _checked_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
+    """The config's (train, test), checked against its model."""
     train, test = load_dataset(cfg)
     is_class = cfg.model.is_classification
     if train.inputs.shape[1] != cfg.model.layers[0]:
@@ -119,76 +133,123 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         raise ContractViolation("model head does not match the dataset target type")
     if is_class:
         _check_class_labels(cfg, train, test)
+    return train, test
 
+
+def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[RunRecord]:
+    """run_experiment for every config, records in input order. Configs equal
+    except for seed and outdir train together as one stack, each run with its
+    own data, init, batch order and perturbation draws; each run's directory
+    holds the bytes a lone run writes, except timing.jsonl, which records
+    the group's epoch times. Every config's dataset is loaded and checked,
+    and the outdirs are checked distinct, before anything is written."""
+    outdirs = [os.path.abspath(cfg.outdir) for cfg in cfgs]
+    if len(set(outdirs)) != len(outdirs):
+        raise ContractViolation("two runs share an outdir and would overwrite each other")
+    data = [_checked_dataset(cfg) for cfg in cfgs]
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        key = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("seed", "outdir"))
+        groups.setdefault(key, []).append(i)
+    records: dict[int, RunRecord] = {}
+    for members in groups.values():
+        records.update(zip(members, _train_group([cfgs[i] for i in members], [data[i] for i in members])))
+    return [records[i] for i in range(len(cfgs))]
+
+
+def _split(value, runs: int) -> list:
+    """A step's or an evaluation's result as one value per run: a lone run's
+    own value, a stack's rows ((R,) rows as Python scalars), or a scalar the
+    group shares, repeated."""
+    if runs == 1 or np.ndim(value) == 0:
+        return [value] * runs
+    return value.tolist() if np.ndim(value) == 1 else list(value)
+
+
+def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) -> list[RunRecord]:
+    """Train runs that differ only in seed and outdir as one (R, ...) stack.
+    A lone run keeps 2-D arrays: a stack of one pays for its extra axis in
+    every numpy call, a few percent of each step."""
+    cfg, runs, solo = cfgs[0], len(cfgs), len(cfgs) == 1
+    join = (lambda parts: parts[0]) if solo else np.stack
+    is_class = cfg.model.is_classification
     kind = cfg.model.regularizer_kind
-    model_rng = substream(cfg.seed, "model-init")
-    order_rng = substream(cfg.seed, "data-order")
-    perturb_rng = substream(cfg.seed, "perturb-init")
+    model_rngs = [substream(c.seed, "model-init") for c in cfgs]
+    order_rngs = [substream(c.seed, "data-order") for c in cfgs]
+    perturb_rngs = [substream(c.seed, "perturb-init") for c in cfgs]
+    rngs = perturb_rngs[0] if solo else perturb_rngs
+    lead = () if solo else (np.arange(runs)[:, None],)  # picks each run's rows from its own member
 
-    params = init_params(cfg.model.layers, model_rng)
+    inits = [init_params(cfg.model.layers, rng) for rng in model_rngs]
+    params = ModelParams(join([p.values for p in inits]), inits[0].shapes)
     opt_state = OptimizerState(
         kind=cfg.optimizer.kind,
         lr=cfg.optimizer.lr,
         betas=cfg.optimizer.betas,
         eps=cfg.optimizer.eps,
     )
+    train = Batch(join([tr.inputs for tr, _ in data]), join([tr.targets for tr, _ in data]))
+    test = Batch(join([te.inputs for _, te in data]), join([te.targets for _, te in data]))
 
-    os.makedirs(cfg.outdir, exist_ok=True)
-    metrics_path = os.path.join(cfg.outdir, "metrics.jsonl")
-    timing_path = os.path.join(cfg.outdir, "timing.jsonl")
-    record = RunRecord(config=cfg, metrics_path=metrics_path)
-    with open(os.path.join(cfg.outdir, "resolved_config.json"), "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    records = []
+    for c in cfgs:
+        os.makedirs(c.outdir, exist_ok=True)
+        records.append(RunRecord(config=c, metrics_path=os.path.join(c.outdir, "metrics.jsonl")))
+        with open(os.path.join(c.outdir, "resolved_config.json"), "w") as fh:
+            json.dump(config_to_dict(c), fh, indent=2)
+            fh.write("\n")
 
     n = train.n
-    with open(metrics_path, "w") as metrics_fh, open(timing_path, "w") as timing_fh:
+    with ExitStack() as files:
+        metrics_fhs = [files.enter_context(open(r.metrics_path, "w")) for r in records]
+        timing_fhs = [files.enter_context(open(os.path.join(c.outdir, "timing.jsonl"), "w")) for c in cfgs]
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
-            order = order_rng.permutation(n)
-            reg_values = []
+            orders = join([rng.permutation(n) for rng in order_rngs])
+            reg_values: list[list[float]] = [[] for _ in cfgs]
             for lo in range(0, n, cfg.batch_size):
-                sel = order[lo : lo + cfg.batch_size]
+                sel = (*lead, orders[..., lo : lo + cfg.batch_size])
                 batch = Batch(train.inputs[sel], train.targets[sel])
                 if cfg.method == Method.ERM:
                     params, opt_state, stats = erm_training_step(params, batch, opt_state)
                 elif cfg.method == Method.ADV:
-                    params, opt_state, stats = adv_training_step(
-                        params, batch, cfg.adv, opt_state, perturb_rng
-                    )
+                    params, opt_state, stats = adv_training_step(params, batch, cfg.adv, opt_state, rngs)
                 elif cfg.method == Method.VAT:
-                    params, opt_state, stats = vat_training_step(
-                        params, batch, cfg.adv, kind, opt_state, perturb_rng
-                    )
+                    params, opt_state, stats = vat_training_step(params, batch, cfg.adv, kind, opt_state, rngs)
                 else:
-                    params, opt_state, stats = salt_training_step(
-                        params, batch, cfg.adv, kind, opt_state, perturb_rng
-                    )
-                reg_values.append(stats["reg_value"])
-                record.step_stats.append(stats)
-            tr = _evaluate(params, train)
-            te = _evaluate(params, test)
-            row: dict = {"epoch": epoch, "train_loss": tr["loss"], "val_loss": te["loss"]}
-            if is_class:
-                row["train_acc"] = tr["acc"]
-                row["val_acc"] = te["acc"]
-                report = bin_predictions(te["confidence"], te["correct"])
-                row["ece"] = report.ece
-            else:
-                row["train_rmse"] = tr["rmse"]
-                row["val_rmse"] = te["rmse"]
-                row["ece"] = None
-            row["reg_value"] = float(np.mean(reg_values))
-            record.rows.append(row)
-            metrics_fh.write(json.dumps(row) + "\n")
-            metrics_fh.flush()
-            timing_fh.write(json.dumps({"epoch": epoch, "seconds": time.perf_counter() - t0}) + "\n")
-            timing_fh.flush()
+                    params, opt_state, stats = salt_training_step(params, batch, cfg.adv, kind, opt_state, rngs)
+                columns = {key: _split(value, runs) for key, value in stats.items()}
+                for i, record in enumerate(records):
+                    record.step_stats.append({key: column[i] for key, column in columns.items()})
+                    reg_values[i].append(columns["reg_value"][i])
+            tr = {key: _split(value, runs) for key, value in _evaluate(params, train).items()}
+            te = {key: _split(value, runs) for key, value in _evaluate(params, test).items()}
+            reports = []
+            for i, (record, fh) in enumerate(zip(records, metrics_fhs)):
+                row: dict = {"epoch": epoch, "train_loss": tr["loss"][i], "val_loss": te["loss"][i]}
+                if is_class:
+                    row["train_acc"] = tr["acc"][i]
+                    row["val_acc"] = te["acc"][i]
+                    reports.append(bin_predictions(te["confidence"][i], te["correct"][i]))
+                    row["ece"] = reports[-1].ece
+                else:
+                    row["train_rmse"] = tr["rmse"][i]
+                    row["val_rmse"] = te["rmse"][i]
+                    row["ece"] = None
+                row["reg_value"] = float(np.mean(reg_values[i]))
+                record.rows.append(row)
+                fh.write(json.dumps(row) + "\n")
+                fh.flush()
+            seconds = time.perf_counter() - t0
+            for fh in timing_fhs:
+                fh.write(json.dumps({"epoch": epoch, "seconds": seconds}) + "\n")
+                fh.flush()
 
-    record.params = params
-    record.checkpoint_path = os.path.join(cfg.outdir, "checkpoint.json")
-    save_checkpoint(params, record.checkpoint_path)
-    if is_class:
-        record.reliability_path = os.path.join(cfg.outdir, "reliability.csv")
-        write_reliability_csv(report, record.reliability_path)
-    return record
+    for i, (c, record, values) in enumerate(zip(cfgs, records, _split(params.values, runs))):
+        record.params = params.replace_values(values)
+        record.checkpoint_path = os.path.join(c.outdir, "checkpoint.json")
+        save_checkpoint(record.params, record.checkpoint_path)
+        if is_class:
+            record.reliability_path = os.path.join(c.outdir, "reliability.csv")
+            write_reliability_csv(reports[i], record.reliability_path)
+    return records

@@ -1,7 +1,8 @@
 """Axis sweeps over the adversary config, one training run per (value, seed).
 
-Runs share the seed bank across axis values so columns are paired. The runs
-go one after another in row order: values outer, seeds inner.
+Runs share the seed bank across axis values so columns are paired. Rows go
+in order, values outer and seeds inner; each value's seeds train as one
+stack (run_experiments), one value after another.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import replace
 from ..errors import ContractViolation
 from ..perturb import NormKind
 from .config import ExperimentConfig
-from .experiment import run_experiment
+from .experiment import run_experiments
 
 _AXIS_TYPES = {"k_steps": int, "epsilon": float, "norm": NormKind}
 _AXES = tuple(_AXIS_TYPES)
@@ -56,9 +57,10 @@ def sweep(
     # every config is built, and so checked, before the first run starts
     jobs = [(v, s, _apply(template, axis, v, s)) for v in values for s in seeds]
 
+    records = run_experiments([cfg for _, _, cfg in jobs])
     rows = []
-    for value, seed, cfg in jobs:
-        final = run_experiment(cfg).final
+    for (value, seed, _), record in zip(jobs, records):
+        final = record.final
         rows.append(
             {
                 "axis_value": value.value if isinstance(value, NormKind) else value,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,25 +64,35 @@ class AdvConfig:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Perturbation rows (n, d)."""
+    """Perturbation rows (n, d), or a stack of them (m, n, d)."""
 
     values: Array
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ContractViolation("perturbation values must be an (n, d) matrix")
+        if values.ndim not in (2, 3):
+            raise ContractViolation("perturbation values must be an (n, d) matrix or a stack of them")
 
 
-def sample_init(sigma: float, shape: tuple[int, int], rng: np.random.Generator | int) -> Perturbation:
+Rng = np.random.Generator | int
+
+
+def _generator(rng: Rng) -> np.random.Generator:
+    return np.random.default_rng(int(rng)) if isinstance(rng, (int, np.integer)) else rng
+
+
+def sample_init(sigma: float, shape: tuple[int, ...], rng: Rng | Sequence[Rng]) -> Perturbation:
     """i.i.d. N(0, sigma^2) entries, not yet projected. An int rng seeds a
-    fresh generator."""
+    fresh generator. A stack shape (m, n, d) takes a sequence of m rngs and
+    draws member i's (n, d) from the i-th, as a lone draw from it would."""
     if sigma < 0:
         raise ContractViolation("sigma must be non-negative")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    return Perturbation(values=rng.standard_normal(shape) * sigma)
+    if len(shape) == 3:
+        if isinstance(rng, (int, np.integer, np.random.Generator)) or len(rng) != shape[0]:
+            raise ContractViolation("a stacked draw takes one rng per member")
+        return Perturbation(values=np.stack([_generator(g).standard_normal(shape[1:]) for g in rng]) * sigma)
+    return Perturbation(values=_generator(rng).standard_normal(shape) * sigma)
 
 
 # ---------- projection ----------

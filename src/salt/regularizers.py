@@ -4,10 +4,9 @@ KL form for classification heads, squared-difference form for regression
 heads. Parameter gradients flow through both the clean and the perturbed
 branch.
 
-The value and the delta gradient also take stacked parameters (m, P) or a
-stacked delta (m, n, d), and then return one result per member, bit-identical
-to evaluating each member alone. Parameter gradients and tangent maps are for
-one problem at a time.
+Every primitive also takes a leading run axis: stacked parameters (m, P),
+inputs (m, n, d) or a delta (m, n, d), and then returns one result per
+member, bit-identical to evaluating each member alone.
 """
 from __future__ import annotations
 
@@ -34,7 +33,8 @@ from .errors import ContractViolation
 _PROB_FLOOR = 1e-300
 
 # u (n, d) -> (mixed (P,), curv (n, d)): the derivatives along the delta
-# direction u of d obj/d theta and d obj/d delta at one point.
+# direction u of d obj/d theta and d obj/d delta at one point; on a stack,
+# u (m, n, d) -> ((m, P), (m, n, d)).
 TangentMap = Callable[[Array], tuple[Array, Array]]
 
 
@@ -72,10 +72,10 @@ def _evaluate(
 ) -> tuple[ForwardPass, ForwardPass, float | Array, Array, Array, Callable[[Array], tuple[Array, Array]]]:
     """Both passes, the summed regularizer, its seeds on the perturbed and the
     clean output, and the map from a tangent of the perturbed output to the
-    tangents of those two seeds. delta may carry a leading stack axis."""
+    tangents of those two seeds. x and delta may carry a leading stack axis."""
     x = _check_inputs(params, x, kind)
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim > 3 or delta.shape[-2:] != x.shape:
+    if delta.ndim > 3 or delta.shape[-2:] != x.shape[-2:]:
         raise ContractViolation("delta must match the (n, d) shape of the inputs, with an optional stack axis")
     clean = _forward(params, x) if clean is None else clean
     pert = _forward(params, x + delta)
@@ -84,7 +84,7 @@ def _evaluate(
 
         def seed_tangents(t: Array) -> tuple[Array, Array]:
             # softmax Jacobians: d(q - p) = q (t - <q, t>), d(p (diff - kl)) = -p (t - <p, t>)
-            return q * (t - (q * t).sum(axis=1, keepdims=True)), p * ((p * t).sum(axis=1, keepdims=True) - t)
+            return q * (t - (q * t).sum(axis=-1, keepdims=True)), p * ((p * t).sum(axis=-1, keepdims=True) - t)
 
         return clean, pert, _per_member(kl.sum(axis=-1)), q - p, p * (diff - kl[..., None]), seed_tangents
     resid = clean.out[..., 0] - pert.out[..., 0]
@@ -128,7 +128,7 @@ def reg_grad_delta_sum(
 
 def reg_grad_params_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
-) -> tuple[Array, Array, float]:
+) -> tuple[Array, Array, float | Array]:
     """What one perturbed pass at delta yields to the leader: d(sum of
     per-example regularizers)/d(theta) with delta held fixed, d(same)/d(delta),
     and the sum."""

@@ -16,19 +16,24 @@ records, with each ascent step's gradient, the tangent map of that step's
 pass, which gives both contractions exactly: a tangent forward and a tangent
 backward over the recorded perturbed pass (forward-over-reverse, Pearlmutter
 1994), with no probe radius and no further forward pass.
+
+Everything here also runs a stack of m problems at once: parameters (m, P)
+and a batch (m, n, d), with one rng per member. Each member's results are
+bit-identical to its lone call; the degenerate-endpoint branch becomes a
+per-member mask.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ForwardPass, ModelParams, grad_params, mlp_forward, task_loss
+from .diffmodel import Array, Batch, ForwardPass, ModelParams, _per_member, grad_params, mlp_forward, task_loss
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
-from .perturb import AdvConfig, ascend, project_jvp_rows, sample_init
+from .perturb import AdvConfig, Rng, ascend, project_jvp_rows, sample_init
 from .regularizers import RegularizerKind, TangentMap, reg_grad_delta_tangent, reg_grad_params_sum
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
@@ -38,7 +43,7 @@ _DEGENERATE_NORM = 1e-14
 
 # The follower's objective at the leader's current theta, summed over
 # examples: obj(delta (n, d)) returns d obj/d delta (n, d) and the TangentMap
-# at that point.
+# at that point; on a stack, each member's.
 Linearize = Callable[[Array], tuple[Array, TangentMap]]
 
 
@@ -87,10 +92,11 @@ def unroll_forward(
     x: Array,
     cfg: AdvConfig,
     obj: Linearize,
-    rng: np.random.Generator | int,
+    rng: Rng | Sequence[Rng],
 ) -> UnrollTape:
     """Run k_steps of projected ascent on obj, recording the trajectory and
-    the tangent map of each step's gradient evaluation."""
+    the tangent map of each step's gradient evaluation. A stacked x (m, n, d)
+    takes m rngs, one per member's init."""
     x = np.asarray(x, dtype=np.float64)
     tangents: list[TangentMap] = []
 
@@ -140,10 +146,10 @@ def interaction_adjoint(
     computed from obj when not given.
     """
     _check_tape(tape, params, x, cfg)
-    g = np.zeros(params.n_params)
+    g = np.zeros(params.values.shape)
     if tape.k_steps == 0:
         return cfg.alpha * g
-    n = tape.deltas[0].shape[0]
+    n = tape.deltas[0].shape[-2]
     u = obj(tape.deltas[-1])[0] / n if cotangent is None else cotangent
     for k in range(tape.k_steps, 0, -1):
         u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
@@ -170,20 +176,27 @@ def vat_gradient(
     return task + cfg.alpha * (reg / batch.n), reg_delta, reg_sum
 
 
-def step_stats(batch: Batch, clean: ForwardPass, reg_value: float, delta0: Array, delta_k: Array) -> dict:
+def step_stats(batch: Batch, clean: ForwardPass, reg_value: float | Array, delta0: Array, delta_k: Array) -> dict:
     """The stats every adversarial step reports, from its clean pass and its
-    follower's init and endpoint."""
+    follower's init and endpoint: floats, or (m,) arrays for a stack."""
     return {
         "clean_loss": task_loss(clean, batch.targets),
         "reg_value": reg_value,
-        "delta_norm": float(np.sqrt((delta_k**2).sum(axis=1)).mean()),
-        "delta0_sum": float(delta0.sum()),
+        "delta_norm": _per_member(np.sqrt((delta_k**2).sum(axis=-1)).mean(axis=-1)),
+        "delta0_sum": _per_member(delta0.sum(axis=(-2, -1))),
     }
+
+
+def _member_norms(a: Array, member_ndim: int) -> Array:
+    """np.linalg.norm of a lone array, or of each member of a stack whose
+    members have member_ndim axes. Each norm is a BLAS dot over that member
+    alone, whose bits a norm over the whole stack need not reproduce."""
+    return np.linalg.norm(a) if a.ndim == member_ndim else np.array([np.linalg.norm(m) for m in a])
 
 
 @dataclass(frozen=True)
 class StackelbergGrad:
-    """total = leader_part + interaction_part, all (P,); the tape of the
+    """total = leader_part + interaction_part, all (P,) or (m, P); the tape of the
     follower's ascent the interaction was taken through; and the step's stats
     (losses, perturbation size, interaction/leader ratio, phase timings)."""
 
@@ -199,10 +212,11 @@ def stackelberg_gradient(
     batch: Batch,
     cfg: AdvConfig,
     kind: RegularizerKind,
-    rng: np.random.Generator | int,
+    rng: Rng | Sequence[Rng],
 ) -> StackelbergGrad:
     """The leader's full gradient at batch: unroll the follower, take the flat
-    gradient at its endpoint, and add the interaction term."""
+    gradient at its endpoint, and add the interaction term. A member whose
+    endpoint gradient is degenerate gets an interaction of exactly 0.0."""
     x = batch.inputs
     t0 = time.perf_counter()
     clean = mlp_forward(params, x)
@@ -212,16 +226,20 @@ def stackelberg_gradient(
     delta_k = tape.deltas[-1]
     leader, reg_delta, reg_sum = vat_gradient(params, batch, delta_k, cfg, kind, clean)
     v = reg_delta / batch.n
-    degenerate = float(np.linalg.norm(v)) < _DEGENERATE_NORM
-    if cfg.alpha == 0.0 or tape.k_steps == 0 or degenerate:
-        interaction = np.zeros(params.n_params)
+    degenerate = _member_norms(v, 2) < _DEGENERATE_NORM
+    # Python's all and any over the members, not numpy reductions
+    if cfg.alpha == 0.0 or tape.k_steps == 0 or all(degenerate.flat):
+        interaction = np.zeros(leader.shape)
     else:
         interaction = interaction_adjoint(tape, params, x, obj, cfg, cotangent=v)
+        if any(degenerate.flat):  # some members of a stack
+            interaction = np.where(degenerate[:, None], 0.0, interaction)
     t2 = time.perf_counter()
+    ratio = _member_norms(interaction, 1) / np.maximum(_member_norms(leader, 1), 1e-300)
     stats = {
         **step_stats(batch, clean, reg_sum / batch.n, tape.deltas[0], delta_k),
-        "interaction_ratio": float(np.linalg.norm(interaction)) / max(float(np.linalg.norm(leader)), 1e-300),
-        "degenerate_interaction": degenerate,
+        "interaction_ratio": _per_member(ratio),
+        "degenerate_interaction": _per_member(degenerate),
         "t_unroll": t1 - t0,
         "t_gradient": t2 - t1,
     }
@@ -234,9 +252,10 @@ def salt_training_step(
     cfg: AdvConfig,
     kind: RegularizerKind,
     opt_state: OptimizerState,
-    rng: np.random.Generator | int,
+    rng: Rng | Sequence[Rng],
 ) -> tuple[ModelParams, OptimizerState, dict]:
-    """One leader update using the full Stackelberg gradient."""
+    """One leader update using the full Stackelberg gradient; on a stack, one
+    update per member."""
     grad = stackelberg_gradient(params, batch, cfg, kind, rng)
     t2 = time.perf_counter()
     new_params, new_state = optimizer_step(params, opt_state, grad.total)

@@ -5,13 +5,13 @@ The regularizer baseline runs the anticipating variant's follower
 (`stackelberg.unroll_forward`) and its leader part (`vat_gradient`), and skips
 only the interaction term: the endpoint is treated as a constant when updating
 the model. Adversarial training climbs the task loss instead, with the same
-ascent, and also holds its endpoint constant.
+ascent, and also holds its endpoint constant. Both steps run a stack of
+problems as the anticipating step does: parameters (m, P), a batch
+(m, n, d) and one rng per member.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .diffmodel import (
     Array,
@@ -25,7 +25,7 @@ from .diffmodel import (
     task_loss,
 )
 from .optim import OptimizerState, optimizer_step
-from .perturb import AdvConfig, ascend, sample_init
+from .perturb import AdvConfig, Rng, ascend, sample_init
 from .regularizers import RegularizerKind
 from .stackelberg import make_adv_objective, step_stats, unroll_forward, vat_gradient
 
@@ -46,7 +46,7 @@ def vat_training_step(
     cfg: AdvConfig,
     kind: RegularizerKind,
     opt_state: OptimizerState,
-    rng: np.random.Generator | int,
+    rng: Rng | Sequence[Rng],
 ) -> tuple[ModelParams, OptimizerState, dict]:
     """One flat-gradient update: the follower's unroll, then a leader step
     that treats its endpoint as data."""
@@ -64,7 +64,7 @@ def adv_training_step(
     batch: Batch,
     cfg: AdvConfig,
     opt_state: OptimizerState,
-    rng: np.random.Generator | int,
+    rng: Rng | Sequence[Rng],
 ) -> tuple[ModelParams, OptimizerState, dict]:
     """Adversarial-training update: clean task gradient plus alpha times the
     task gradient at the attacked inputs, delta held constant."""

@@ -21,16 +21,15 @@ def shipped_config(name: str) -> ExperimentConfig:
     return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
 
 
-def count_reductions(fn) -> int:
-    """Number of numpy reductions fn() makes: calls of a ufunc's reduce
-    method, which ndarray.sum, max, mean, all and the np.* reductions all
-    reach, counted from sys.setprofile's c_call events. A count, not a
-    timing, so it repeats exactly."""
+def count_c_calls(fn, match: Callable[[object], bool]) -> int:
+    """Number of calls of C functions or methods that match(callable) accepts
+    while fn() runs, counted from sys.setprofile's c_call events. A count,
+    not a timing, so it repeats exactly."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "c_call" and arg.__name__ == "reduce" and isinstance(getattr(arg, "__self__", None), np.ufunc):
+        if event == "c_call" and match(arg):
             count += 1
 
     sys.setprofile(profile)
@@ -39,6 +38,15 @@ def count_reductions(fn) -> int:
     finally:
         sys.setprofile(None)
     return count
+
+
+def count_reductions(fn) -> int:
+    """Number of numpy reductions fn() makes: calls of a ufunc's reduce
+    method, which ndarray.sum, max, mean, all and the np.* reductions all
+    reach."""
+    return count_c_calls(
+        fn, lambda c: c.__name__ == "reduce" and isinstance(getattr(c, "__self__", None), np.ufunc)
+    )
 
 
 def save_csv(batch: Batch, path: str) -> None:

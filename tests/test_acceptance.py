@@ -25,7 +25,7 @@ from salt.calibration import bin_predictions
 from salt.diffmodel import Batch, init_params, mlp_forward
 from salt.gradcheck import run_gradcheck, sample_instance
 from salt.harness.config import Method, config_to_dict, override
-from salt.harness.experiment import run_experiment
+from salt.harness.experiment import run_experiments
 from salt.perturb import (
     AdvConfig,
     NormKind,
@@ -341,15 +341,12 @@ def test_criterion_07_calibration_error(capfd):
     )
 
 
-def _final_losses(method: Method, seed: int, k_steps: int, tmp_path) -> dict:
-    cfg = override(
-        shipped_config("canonical_salt"),
-        method=method,
-        seed=seed,
-        outdir=str(tmp_path / f"{method.value}-{seed}-{k_steps}"),
-    )
-    cfg = override(cfg, adv=replace(cfg.adv, k_steps=k_steps))
-    return run_experiment(cfg).final
+def _finals(method: Method, seeds: list[int], k_steps: int, tmp_path) -> list[dict]:
+    """Final metrics of one canonical run per seed, trained as one stack."""
+    base = override(shipped_config("canonical_salt"), method=method)
+    base = override(base, adv=replace(base.adv, k_steps=k_steps))
+    cfgs = [override(base, seed=s, outdir=str(tmp_path / f"{method.value}-{s}-{k_steps}")) for s in seeds]
+    return [record.final for record in run_experiments(cfgs)]
 
 
 @pytest.mark.slow
@@ -357,9 +354,7 @@ def test_criterion_08_outperforms_flat_baseline_on_fit(capfd, tmp_path):
     t0 = time.time()
     seeds = list(range(12))
     dtrain, dval = [], []
-    for s in seeds:
-        salt = _final_losses(Method.SALT, s, 2, tmp_path)
-        vat = _final_losses(Method.VAT, s, 2, tmp_path)
+    for salt, vat in zip(_finals(Method.SALT, seeds, 2, tmp_path), _finals(Method.VAT, seeds, 2, tmp_path)):
         dtrain.append(salt["train_loss"] - vat["train_loss"])
         dval.append(salt["val_loss"] - vat["val_loss"])
     elapsed = time.time() - t0
@@ -386,7 +381,7 @@ def test_criterion_09_insensitive_to_ascent_depth(capfd, tmp_path):
     seeds = list(range(15))
     means = {}
     for k in (1, 2, 3):
-        accs = [_final_losses(Method.SALT, s, k, tmp_path)["val_acc"] for s in seeds]
+        accs = [final["val_acc"] for final in _finals(Method.SALT, seeds, k, tmp_path)]
         means[k] = float(np.mean(accs))
     elapsed = time.time() - t0
     spread_pp = (max(means.values()) - min(means.values())) * 100.0

@@ -249,22 +249,52 @@ def test_stacked_params_validate_every_member():
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_stacked_forward_and_loss_are_each_members(width):
-    """Stacked parameters give, member by member, the bits of the unstacked
-    forward pass and task loss; parameter gradients refuse a stack."""
-    from salt.diffmodel import _backward, _forward
+    """Stacked parameters, alone or with stacked inputs and targets, give
+    member by member the bits of the unstacked forward pass, task loss,
+    backward pass, parameter gradient and tangent backward pass."""
+    from salt.diffmodel import _backward, _backward_input, _backward_tangent, _forward, _forward_tangent
 
     rng = np.random.default_rng(9)
     p = init_params([2, 5, 4, width], rng, scale=1.5)
     stack = p.values + 0.3 * rng.normal(size=(6, p.n_params))
     sp = ModelParams(stack, p.shapes)
-    x = rng.normal(size=(7, 2))
-    y = rng.normal(size=7) if width == 1 else rng.integers(0, width, size=7)
-    fwd = _forward(sp, x)
-    losses = task_loss(mlp_forward(sp, x), y)
-    assert losses.shape == (6,)
-    for i in range(6):
-        one = _forward(ModelParams(stack[i], p.shapes), x)
-        assert all(np.array_equal(a[i], b) for a, b in zip(fwd.acts[1:] + [fwd.out], one.acts[1:] + [one.out]))
-        assert losses[i] == task_loss(mlp_forward(ModelParams(stack[i], p.shapes), x), y)
+    xs = rng.normal(size=(6, 7, 2))
+    ys = rng.normal(size=(6, 7)) if width == 1 else rng.integers(0, width, size=(6, 7))
+    seed_out, u = rng.normal(size=(6, 7, width)), rng.normal(size=(6, 7, 2))
+    t_seed = rng.normal(size=(6, 7, width))
+
+    def results(params, x, y, i):
+        fwd = _forward(params, x)
+        dout, t_dout = seed_out[i], t_seed[i]
+        _, seeds = _backward_input(params, fwd.acts, dout)
+        t_out, t_acts, t_outs = _forward_tangent(params, fwd.acts, u[i])
+        return [
+            *fwd.acts[1:],
+            fwd.out,
+            np.asarray(task_loss(fwd, y)),
+            *_backward(params, fwd.acts, dout),
+            grad_params(params, Batch(x, y), fwd),
+            t_out,
+            *_backward_tangent(params, fwd.acts, seeds, t_acts, t_outs, t_dout),
+        ]
+
+    for x, y in ((xs[0], ys[0]), (xs, ys)):
+        fwd = _forward(sp, x)
+        _, seeds = _backward_input(sp, fwd.acts, seed_out)
+        t_out, t_acts, t_outs = _forward_tangent(sp, fwd.acts, u)
+        stacked = [
+            *fwd.acts[1:],
+            fwd.out,
+            task_loss(fwd, y),
+            *_backward(sp, fwd.acts, seed_out),
+            grad_params(sp, Batch(x, y), fwd),
+            t_out,
+            *_backward_tangent(sp, fwd.acts, seeds, t_acts, t_outs, t_seed),
+        ]
+        assert task_loss(fwd, y).shape == (6,)
+        for i in range(6):
+            one = results(ModelParams(stack[i], p.shapes), x if x.ndim == 2 else x[i], y if y.ndim == 1 else y[i], i)
+            for got, want in zip(stacked, one):
+                assert got[i].tobytes() == want.tobytes()
     with pytest.raises(ContractViolation):
-        _backward(sp, fwd.acts, np.ones_like(fwd.out))
+        Batch(xs, ys[:, :-1])  # one target short in every member

@@ -30,7 +30,7 @@ from salt.harness.datasets import (
     gen_two_moons,
     load_csv,
 )
-from salt.harness.experiment import run_experiment, substream
+from salt.harness.experiment import run_experiment, run_experiments, substream
 from salt.harness.sweep import parse_axis_value, sweep
 from salt.perturb import NormKind
 
@@ -491,6 +491,68 @@ def test_artifacts_match_pinned_hashes(name, method, tmp_path):
     )
 
 
+_RUN_FILES = ("resolved_config.json", "metrics.jsonl", "checkpoint.json", "reliability.csv")
+
+
+def _run_files(outdir) -> dict:
+    """The bytes of every artifact a run leaves, except the wall-clock timings."""
+    return {f: (outdir / f).read_bytes() for f in _RUN_FILES if (outdir / f).exists()}
+
+
+def _untimed(step_stats: list[dict]) -> list[dict]:
+    return [{k: v for k, v in stats.items() if not k.startswith("t_")} for stats in step_stats]
+
+
+@pytest.mark.parametrize("name", ["canonical_salt", "sine_regression"])
+@pytest.mark.parametrize("method", list(Method))
+def test_grouped_runs_equal_lone_runs(name, method, tmp_path):
+    """Seeds 0, 1 and 2 trained as one stack leave, run by run, the bytes,
+    rows and step stats (timers aside) of each seed trained alone into the
+    same directory; each run's timing.jsonl holds the group's epoch times."""
+    base = override(shipped_config(name), method=method, epochs=3)
+    cfgs = [override(base, seed=s, outdir=str(tmp_path / f"seed={s}")) for s in (0, 1, 2)]
+    lone = []
+    for cfg in cfgs:
+        record = run_experiment(cfg)
+        lone.append((_run_files(tmp_path / f"seed={cfg.seed}"), record))
+    grouped = run_experiments(cfgs)
+    assert [r.config for r in grouped] == cfgs
+    for (files, alone), record in zip(lone, grouped):
+        outdir = tmp_path / f"seed={record.config.seed}"
+        assert _run_files(outdir) == files
+        assert len(files) == (4 if base.model.is_classification else 3)
+        assert record.rows == alone.rows
+        assert repr(_untimed(record.step_stats)) == repr(_untimed(alone.step_stats))
+        assert record.params.values.tobytes() == alone.params.values.tobytes()
+    timings = {(tmp_path / f"seed={s}" / "timing.jsonl").read_text() for s in (0, 1, 2)}
+    assert len(timings) == 1
+    assert [json.loads(line)["epoch"] for line in timings.pop().splitlines()] == [1, 2, 3]
+
+
+def test_run_experiments_groups_by_everything_but_seed_and_outdir(tmp_path):
+    """Records come back in input order whatever the grouping, and a config
+    that differs in anything but seed and outdir trains in its own group."""
+    cfgs = [
+        override(_tiny(Method.SALT, seed=s), outdir=str(tmp_path / f"{m.value}-{s}"), method=m)
+        for s, m in ((0, Method.SALT), (1, Method.VAT), (1, Method.SALT), (0, Method.VAT))
+    ]
+    records = run_experiments(cfgs)
+    assert [r.config for r in records] == cfgs
+    for cfg, record in zip(cfgs, records):
+        assert record.rows == run_experiment(override(cfg, outdir=str(tmp_path / "alone"))).rows
+
+
+def test_run_experiments_rejects_a_shared_outdir(tmp_path):
+    outdir = tmp_path / "run"
+    cfgs = [override(_tiny(Method.ERM, seed=s), outdir=str(outdir)) for s in (0, 1)]
+    with pytest.raises(ContractViolation, match="outdir"):
+        run_experiments(cfgs)
+    relative = [override(cfgs[0], outdir=str(tmp_path / "a" / ".." / "run")), cfgs[1]]
+    with pytest.raises(ContractViolation, match="outdir"):
+        run_experiments(relative)
+    assert not outdir.exists()
+
+
 def test_run_rejects_mismatched_model(tmp_path):
     cfg = override(_tiny(Method.ERM), model=ModelSpec(layers=(3, 4, 2)), outdir=str(tmp_path / "x"))
     with pytest.raises(ContractViolation, match="width"):
@@ -501,22 +563,25 @@ def test_run_rejects_mismatched_model(tmp_path):
 
 
 def test_run_rejects_labels_outside_the_head(tmp_path):
-    """Labels are checked against the head width before anything is written;
-    for a CSV the error names the file and the line."""
+    """Labels are checked against the head width before anything is written,
+    for every config of a batch of runs; for a CSV the error names the file
+    and the line."""
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     train.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
     test.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,2\n")
     csv_data = DatasetSpec(kind="csv", train_path=str(train), test_path=str(test))
     blobs = DatasetSpec(kind="blobs", n_train=30, n_test=30)
+    good = override(_tiny(Method.ERM), outdir=str(tmp_path / "good"))
     for dataset, named in (
         (csv_data, rf"{test}:4: label 2 is out of range for 2 classes"),
         (blobs, "train split: label 2 is out of range for 2 classes"),
     ):
         cfg = override(_tiny(Method.ERM), dataset=dataset, outdir=str(tmp_path / "run"))
-        with pytest.raises(ContractViolation) as exc:
-            run_experiment(cfg)
-        assert str(exc.value) == named
-        assert not (tmp_path / "run").exists()
+        for call in (lambda: run_experiment(cfg), lambda: run_experiments([good, cfg])):
+            with pytest.raises(ContractViolation) as exc:
+                call()
+            assert str(exc.value) == named
+            assert not (tmp_path / "run").exists() and not (tmp_path / "good").exists()
 
 
 # ---------- sweeps ----------

@@ -108,6 +108,22 @@ def test_sample_init_int_seed_is_a_fresh_generator():
         assert np.array_equal(got, sample_init(0.3, (4, 3), np.random.default_rng(seed)).values)
 
 
+def test_stacked_sample_init_draws_each_member_from_its_own_rng():
+    """A stack shape draws member i from the i-th rng, in the order and with
+    the bits of a lone draw from it, and advances each rng as that draw does."""
+    gens = [np.random.default_rng(s) for s in (3, 4)]
+    got = sample_init(0.3, (3, 4, 2), [gens[0], 5, gens[1]]).values
+    fresh = [np.random.default_rng(s) for s in (3, 4)]
+    want = [sample_init(0.3, (4, 2), g).values for g in (fresh[0], 5, fresh[1])]
+    assert got.shape == (3, 4, 2)
+    for member, lone in zip(got, want):
+        assert member.tobytes() == lone.tobytes()
+    assert [g.random() for g in gens] == [g.random() for g in fresh]
+    for rng in (np.random.default_rng(0), 0, [0, 1]):
+        with pytest.raises(ContractViolation, match="one rng per member"):
+            sample_init(0.3, (3, 4, 2), rng)
+
+
 def test_ascend_closed_form_linear_regression():
     # f(x) = w^T x: one step moves delta by 2 eta (w^T delta) w, then projects
     w = np.array([2.0, -1.0])

@@ -209,6 +209,30 @@ def test_stacked_value_and_delta_gradient_are_each_members(kind):
         reg_value_sum(p, x, deltas[None], kind)
 
 
+@pytest.mark.parametrize("kind", list(RegularizerKind))
+def test_stacked_inputs_give_each_members_gradients_and_tangents(kind):
+    """Stacked parameters with stacked inputs and deltas, one problem per
+    member, give each member's value, delta and parameter gradients and
+    tangent map bit for bit."""
+    rng = np.random.default_rng(22)
+    p = init_params([2, 16, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=1.5)
+    stack = ModelParams(p.values + 0.2 * rng.normal(size=(4, p.n_params)), p.shapes)
+    x, delta, u = (rng.normal(size=(4, 5, 2)) for _ in range(3))
+
+    def results(params, x, delta, u):
+        g_delta, tangent = reg_grad_delta_tangent(params, x, delta, kind)
+        return [np.asarray(reg_value_sum(params, x, delta, kind)), g_delta, *tangent(u)] + [
+            np.asarray(r) for r in reg_grad_params_sum(params, x, delta, kind)
+        ]
+
+    stacked = results(stack, x, delta, u)
+    assert stacked[0].shape == (4,) and stacked[2].shape == (4, p.n_params)
+    for i in range(4):
+        lone = results(ModelParams(stack.values[i], p.shapes), x[i], delta[i], u[i])
+        for got, want in zip(stacked, lone):
+            assert got[i].tobytes() == want.tobytes()
+
+
 def _kl_rows_from_logits(clean, pert):
     """The KL rows as formed from the perturbed pass's raw output: its
     log-softmax, and that one's exp as q."""

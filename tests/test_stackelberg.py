@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import count_reductions, quadratic_objective, random_quadratic, shipped_config
+from helpers import count_c_calls, count_reductions, quadratic_objective, random_quadratic, shipped_config
 from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.diffmodel import Batch, grad_params, init_params, mlp_forward
 from salt.errors import ContractViolation
@@ -450,20 +450,37 @@ def test_training_step_deterministic_and_guarded():
 # ---------- passes per step ----------
 
 
+def _canonical_step_inputs(members: int | None):
+    """The canonical config, its seed-0 parameters and first batch of 25, lone
+    or as a stack of that many copies, and the step's rng: one int seed per
+    member."""
+    from salt.harness.datasets import gen_two_moons
+
+    cfg = shipped_config("canonical_salt")
+    train, _ = gen_two_moons(cfg.dataset.n_train, cfg.dataset.n_test, cfg.dataset.noise_std, 0)
+    batch = Batch(train.inputs[: cfg.batch_size], train.targets[: cfg.batch_size])
+    params = init_params(cfg.model.layers, np.random.default_rng(0))
+    if members is None:
+        return cfg, params, batch, 0
+    params = params.replace_values(np.stack([params.values] * members))
+    batch = Batch(np.stack([batch.inputs] * members), np.stack([batch.targets] * members))
+    return cfg, params, batch, list(range(members))
+
+
 def test_step_forward_and_backward_counts(monkeypatch):
     """Passes per leader update at the canonical shape (2-32-32-2, batch 25,
-    K = 2). Every backward pass runs _backward_input; _backward also forms
-    the parameter gradient. SALT: 1 clean + K unroll + 1 endpoint forwards;
-    K unroll backwards to the inputs, 1 task + 2 endpoint parameter-gradient
-    backwards, and per reverse step one tangent forward, one tangent backward
-    and one parameter-gradient backward of the clean branch. The flat steps
-    share their clean pass the same way. The last figure is the numpy
-    reductions per step: a clean pass's one softmax feeds its loss, its seed
-    and the regularizer."""
+    K = 2), for one problem and for a stack of three, which makes the same
+    passes and the same numpy reductions on (3, ...) arrays. Every backward
+    pass runs _backward_input; _backward also forms the parameter gradient.
+    SALT: 1 clean + K unroll + 1 endpoint forwards; K unroll backwards to the
+    inputs, 1 task + 2 endpoint parameter-gradient backwards, and per reverse
+    step one tangent forward, one tangent backward and one parameter-gradient
+    backward of the clean branch. The flat steps share their clean pass the
+    same way. The last figure is the numpy reductions per step: a clean
+    pass's one softmax feeds its loss, its seed and the regularizer."""
     import sys
 
     from salt import diffmodel
-    from salt.harness.datasets import gen_two_moons
     from salt.harness.experiment import erm_training_step
     from salt.vat import adv_training_step, vat_training_step
 
@@ -481,25 +498,60 @@ def test_step_forward_and_backward_counts(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
 
-    cfg = shipped_config("canonical_salt")
-    k = cfg.adv.k_steps
-    assert k == 2
-    train, _ = gen_two_moons(cfg.dataset.n_train, cfg.dataset.n_test, cfg.dataset.noise_std, 0)
-    batch = Batch(train.inputs[: cfg.batch_size], train.targets[: cfg.batch_size])
-    params = init_params(cfg.model.layers, np.random.default_rng(0))
+    for members in (None, 3):
+        cfg, params, batch, rng = _canonical_step_inputs(members)
+        k = cfg.adv.k_steps
+        assert k == 2
+        state = OptimizerState(kind="Adam", lr=1e-3)
+        kind = cfg.model.regularizer_kind
+        assert (1 + k + 1, k + 3 + k, 3 + k) == (4, 7, 5)
+        steps = {
+            "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, rng), (4, 7, 5, k, k), 56),
+            "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, rng), (k + 2, k + 3, 3, 0, 0), 34),
+            "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, rng), (k + 2, k + 2, 2, 0, 0), 34),
+            "ERM": (lambda: erm_training_step(params, batch, state), (1, 1, 1, 0, 0), 11),
+        }
+        for name, (step, want, reductions) in steps.items():
+            counts.update(dict.fromkeys(names, 0))
+            assert count_reductions(step) == reductions, (members, name)
+            assert counts == dict(zip(names, want)), (members, name)
+
+
+def test_canonical_salt_step_takes_no_lock():
+    """The pass and parameter caches fill without a lock: a canonical SALT
+    step makes no RLock call (functools.cached_property takes one per first
+    read on Python 3.11)."""
+    cfg, params, batch, rng = _canonical_step_inputs(None)
     state = OptimizerState(kind="Adam", lr=1e-3)
-    kind = cfg.model.regularizer_kind
-    assert (1 + k + 1, k + 3 + k, 3 + k) == (4, 7, 5)
-    steps = {
-        "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, 0), (4, 7, 5, k, k), 56),
-        "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, 0), (k + 2, k + 3, 3, 0, 0), 34),
-        "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, 0), (k + 2, k + 2, 2, 0, 0), 34),
-        "ERM": (lambda: erm_training_step(params, batch, state), (1, 1, 1, 0, 0), 11),
-    }
-    for name, (step, want, reductions) in steps.items():
-        counts.update(dict.fromkeys(names, 0))
-        assert count_reductions(step) == reductions, name
-        assert counts == dict(zip(names, want)), name
+
+    def step():
+        salt_training_step(params, batch, cfg.adv, cfg.model.regularizer_kind, state, rng)
+
+    assert count_c_calls(step, lambda c: "RLock" in getattr(c, "__qualname__", "")) == 0
+
+
+def test_stacked_gradient_masks_a_degenerate_member():
+    """A stack whose middle member has an all-zero output layer, so its
+    endpoint gradient is exactly zero: that member's interaction is 0.0 and
+    every member's total, leader and interaction parts have the bits of its
+    lone call."""
+    params, batch = _mlp_batch(18, sizes=(2, 5, 3), n=4)
+    cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
+    values = np.stack([params.values, params.values.copy(), 0.5 * params.values])
+    values[1, -(5 * 3 + 3) :] = 0.0
+    stack = params.replace_values(values)
+    stacked_batch = Batch(np.stack([batch.inputs] * 3), np.stack([batch.targets] * 3))
+    got = stackelberg_gradient(stack, stacked_batch, cfg, KIND, rng=[7, 8, 9])
+    assert got.stats["degenerate_interaction"].tolist() == [False, True, False]
+    assert not np.any(got.interaction_part[1])
+    for i, seed in enumerate([7, 8, 9]):
+        lone = stackelberg_gradient(params.replace_values(values[i]), batch, cfg, KIND, rng=seed)
+        assert lone.stats["degenerate_interaction"] == (i == 1)
+        for part in ("total", "leader_part", "interaction_part"):
+            assert getattr(got, part)[i].tobytes() == getattr(lone, part).tobytes(), (i, part)
+        for key, value in lone.stats.items():
+            if not key.startswith("t_"):
+                assert got.stats[key][i] == value, (i, key)
 
 
 def test_epoch_evaluation_reduction_count():
