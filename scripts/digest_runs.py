@@ -18,7 +18,12 @@ OUTDIR with paths relative to it:
   outdir): the sweep CSV and the eight runs' directories;
 - salt sweep --config configs/canonical_vat.json --axis epsilon
   --values 0.5,1 --seeds 0,1,2, into runs/canonical-vat/: a flat method's
-  seeds trained as stacks of three.
+  seeds trained as stacks of three;
+- salt train on CSV data, into csv/: the seed-0 two_moons (100/500) and sine
+  (100/200) splits written to CSV at 17 significant digits, and two configs
+  with canonical SALT settings and 20 epochs that read them, one with a
+  classification head (csv/moons.json) and one with a regression head
+  (csv/sine.json); neither sets how the target column is read.
 Run it once per tree and diff the two listings to show byte identity.
 
 Usage:
@@ -28,7 +33,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -52,7 +59,11 @@ PRODUCERS = (
         ["-m", "salt", "sweep", "--config", os.path.join(ROOT, "configs", "canonical_vat.json")]
         + ["--axis", "epsilon", "--values", "0.5,1", "--seeds", "0,1,2"],
     ),
+    ("csv_moons.stdout", ["-m", "salt", "train", "--config", os.path.join("csv", "moons.json")]),
+    ("csv_sine.stdout", ["-m", "salt", "train", "--config", os.path.join("csv", "sine.json")]),
 )
+# name -> (generator, n_test, model layers) of the CSV producers' data
+CSV_DATA = {"moons": ("gen_two_moons", 500, [2, 32, 32, 2]), "sine": ("gen_sine_regression", 200, [1, 32, 32, 1])}
 
 
 def artifact_paths(roots: list[str]) -> list[str]:
@@ -76,12 +87,50 @@ def sha256_of(path: str) -> str:
     return h.hexdigest()
 
 
+def write_csv(batch, path: str) -> None:
+    """Feature columns then a target column: floats at 17 significant digits,
+    class labels as integers."""
+    is_class = batch.targets.dtype.kind in "iu"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(batch.inputs.shape[1])] + ["target"])
+        for x, y in zip(batch.inputs, batch.targets):
+            writer.writerow([format(v, ".17g") for v in x] + [str(int(y)) if is_class else format(y, ".17g")])
+
+
+def write_csv_inputs(outdir: str, src: str) -> None:
+    """The CSV producers' data and configs, under outdir/csv, from src's
+    generators and configs/canonical_salt.json."""
+    sys.path.insert(0, src)
+    from salt.harness import datasets
+
+    with open(os.path.join(ROOT, "configs", "canonical_salt.json")) as fh:
+        canonical = json.load(fh)
+    os.makedirs(os.path.join(outdir, "csv"))
+    for name, (gen, n_test, layers) in CSV_DATA.items():
+        train, test = getattr(datasets, gen)(100, n_test, 0.1, 0)
+        paths = {split: os.path.join("csv", f"{name}_{split}.csv") for split in ("train", "test")}
+        write_csv(train, os.path.join(outdir, paths["train"]))
+        write_csv(test, os.path.join(outdir, paths["test"]))
+        cfg = dict(
+            canonical,
+            epochs=20,
+            outdir=os.path.join("csv", name),
+            dataset={"kind": "csv", "train_path": paths["train"], "test_path": paths["test"]},
+            model={"layers": layers},
+        )
+        with open(os.path.join(outdir, "csv", f"{name}.json"), "w") as fh:
+            json.dump(cfg, fh, indent=2)
+            fh.write("\n")
+
+
 def produce(outdir: str) -> None:
     """Run PRODUCERS inside outdir, which must be new or empty."""
     os.makedirs(outdir, exist_ok=True)
     if os.listdir(outdir):
         raise SystemExit(f"digest_runs: {outdir} is not empty")
     src = os.path.join(ROOT, "src")
+    write_csv_inputs(outdir, src)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, args in PRODUCERS:
         with open(os.path.join(outdir, name), "w") as fh:

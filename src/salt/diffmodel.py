@@ -299,10 +299,7 @@ def mlp_forward(params: ModelParams, inputs: Array) -> ForwardPass:
 def _check_labels(targets: Array, n_classes: int) -> Array:
     labels = np.asarray(targets)
     if not np.issubdtype(labels.dtype, np.integer):
-        as_int = labels.astype(np.int64)
-        if not np.array_equal(as_int, labels):
-            raise ContractViolation("classification targets must be integer labels")
-        labels = as_int
+        raise ContractViolation("classification targets must be integer labels")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ContractViolation(
             f"label out of range for {n_classes} classes: [{labels.min()}, {labels.max()}]"

@@ -30,7 +30,6 @@ class DatasetSpec:
     noise_std: float = 0.1
     train_path: str | None = None
     test_path: str | None = None
-    target: str = "auto"  # csv target handling: auto | classification | regression
 
     def __post_init__(self) -> None:
         if self.kind not in ("two_moons", "blobs", "sine", "csv"):
@@ -40,7 +39,6 @@ class DatasetSpec:
                 require_str(name, path)
         if self.kind == "csv" and (self.train_path is None or self.test_path is None):
             raise ContractViolation("csv dataset needs train_path and test_path")
-        require_str("target", self.target, ("auto", "classification", "regression"))
         check_split(self.n_train, self.n_test, self.noise_std)
 
 

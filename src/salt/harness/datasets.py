@@ -80,11 +80,12 @@ def gen_sine_regression(n_train: int, n_test: int, noise_std: float, seed: int) 
     return split(n_train), split(n_test)
 
 
-def load_csv(path: str, kind: str = "auto") -> Batch:
-    """Last column is the target. kind: auto | classification | regression;
-    auto treats an integer-valued target column as class labels."""
-    if kind not in ("auto", "classification", "regression"):
-        raise ContractViolation(f"unknown dataset kind: {kind!r}")
+def load_csv(path: str, kind: str) -> Batch:
+    """Last column is the target: integer class labels for kind
+    "classification", real targets for kind "regression"."""
+    if kind not in ("classification", "regression"):
+        raise ContractViolation(f"unknown target kind: {kind!r}")
+    classify = kind == "classification"
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -104,17 +105,14 @@ def load_csv(path: str, kind: str = "auto") -> Batch:
                 raise ContractViolation(f"{path}:{lineno}: non-numeric value ({exc})") from None
             if not all(map(math.isfinite, values)):
                 raise ContractViolation(f"{path}:{lineno}: non-finite value")
+            label = values[-1]
+            if classify and not label.is_integer():
+                raise ContractViolation(f"{path}:{lineno}: label {row[-1]} is not an integer")
+            if classify and not -(2.0**63) <= label < 2.0**63:
+                raise ContractViolation(f"{path}:{lineno}: label {label:g} is beyond the int64 range")
             rows.append(values)
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
     x, target = data[:, :-1], data[:, -1]
-    integral = np.all(np.floor(target) == target)
-    if kind == "classification" and not integral:
-        raise ContractViolation(f"{path}: classification requires integer-valued targets")
-    if kind == "regression" or (kind == "auto" and not integral):
-        return Batch(x, target)
-    beyond = np.flatnonzero((target < -(2.0**63)) | (target >= 2.0**63))
-    if beyond.size:
-        raise ContractViolation(f"{path}:{beyond[0] + 2}: label {target[beyond[0]]:g} is beyond the int64 range")
-    return Batch(x, target.astype(np.int64))
+    return Batch(x, target.astype(np.int64) if classify else target)

@@ -58,7 +58,8 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
         return gen_blobs(ds.n_train, ds.n_test, ds.noise_std, cfg.seed)
     if ds.kind == "sine":
         return gen_sine_regression(ds.n_train, ds.n_test, ds.noise_std, cfg.seed)
-    return load_csv(ds.train_path, ds.target), load_csv(ds.test_path, ds.target)
+    kind = "classification" if cfg.model.is_classification else "regression"
+    return load_csv(ds.train_path, kind), load_csv(ds.test_path, kind)
 
 
 def _evaluate(params: ModelParams, batch: Batch) -> dict:

@@ -86,8 +86,8 @@ def sample_init(sigma: float, shape: tuple[int, ...], rng: Rng | Sequence[Rng]) 
     """i.i.d. N(0, sigma^2) entries, not yet projected. An int rng seeds a
     fresh generator. A stack shape (m, n, d) takes a sequence of m rngs and
     draws member i's (n, d) from the i-th, as a lone draw from it would."""
-    if sigma < 0:
-        raise ContractViolation("sigma must be non-negative")
+    if require_real("sigma", sigma) < 0:
+        raise ContractViolation(f"sigma must be non-negative, got {sigma!r}")
     if len(shape) == 3:
         if isinstance(rng, (int, np.integer, np.random.Generator)) or len(rng) != shape[0]:
             raise ContractViolation("a stacked draw takes one rng per member")
@@ -101,8 +101,8 @@ def sample_init(sigma: float, shape: tuple[int, ...], rng: Rng | Sequence[Rng]) 
 def project_rows(values: Array, epsilon: float, norm: NormKind) -> Array:
     """Project each row (last axis) onto the epsilon ball; values may be (n, d)
     or an (m, n, d) stack. Idempotent bit-exactly."""
-    if epsilon <= 0:
-        raise ContractViolation("epsilon must be positive")
+    if require_real("epsilon", epsilon) <= 0:
+        raise ContractViolation(f"epsilon must be positive, got {epsilon!r}")
     if norm == NormKind.L2:
         norms = np.sqrt((values**2).sum(axis=-1))
         scale = np.where(norms > epsilon * (1.0 + _PROJ_SLACK), epsilon / np.maximum(norms, 1e-300), 1.0)
@@ -123,6 +123,8 @@ def project_jvp_rows(
     """
     if tangent.shape != values.shape:
         raise ContractViolation("tangent must match the perturbation shape")
+    if require_real("epsilon", epsilon) <= 0:
+        raise ContractViolation(f"epsilon must be positive, got {epsilon!r}")
     if mode == ProjMode.STRAIGHT_THROUGH:
         return tangent.copy()
     if mode != ProjMode.EXACT_JACOBIAN:

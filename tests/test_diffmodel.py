@@ -212,11 +212,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(q.values, p.values)
 
 
-def test_contract_violations():
+def test_contract_violations(tmp_path):
     rng = np.random.default_rng(4)
     p = init_params([2, 4, 3], rng)
     with pytest.raises(ContractViolation):
         mlp_forward(p, np.zeros((2, 5)))
+    with pytest.raises(ContractViolation, match="inputs must be an"):
+        mlp_forward(p, np.zeros(2))  # a vector, not a matrix of rows
+    with pytest.raises(ContractViolation, match="batch inputs must be"):
+        Batch(np.zeros(3), np.zeros(3))
+    with pytest.raises(ContractViolation, match="at least an input and an output"):
+        init_params([2], rng)
     with pytest.raises(ContractViolation):
         ModelParams(values=np.zeros(5), shapes=((2, 2), (1, 2)))
     with pytest.raises(ContractViolation):
@@ -225,6 +231,17 @@ def test_contract_violations():
         task_loss(mlp_forward(p, np.zeros((2, 2))), np.array([0, 3]))  # label out of range
     with pytest.raises(ContractViolation):
         task_loss(mlp_forward(p, np.zeros((2, 2))), np.array([0.5, 0.1]))  # non-integer labels
+    with pytest.raises(ContractViolation, match="must be integer labels"):
+        task_loss(mlp_forward(p, np.zeros((2, 2))), np.array([0.0, 1.0]))  # whole numbers, but floats
+    with pytest.raises(ContractViolation, match="do not match batch size"):
+        task_loss(mlp_forward(p, np.zeros((2, 2))), np.array([0, 1, 1]))
+    head1 = init_params([2, 4, 1], rng)
+    with pytest.raises(ContractViolation, match="do not match batch size"):
+        task_loss(mlp_forward(head1, np.zeros((2, 2))), np.zeros(3))
+    path = tmp_path / "ckpt.json"
+    path.write_text('{"shapes": [[2, 4]]}')
+    with pytest.raises(ContractViolation, match="must contain 'shapes' and 'values'"):
+        load_checkpoint(str(path))
 
 
 def test_stacked_params_validate_every_member():

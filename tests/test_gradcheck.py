@@ -32,6 +32,18 @@ def test_records_are_accurate_and_typed():
         assert r.k_steps in (1, 2, 3)
 
 
+def test_each_draw_is_unrolled_once(monkeypatch):
+    """Sampling screens the tape of the analytic gradient it keeps, so a run
+    makes one unroll per draw: one per instance plus one per rejected draw."""
+    import salt.stackelberg as stackelberg
+
+    calls = []
+    real = stackelberg.unroll_forward
+    monkeypatch.setattr(stackelberg, "unroll_forward", lambda *a: calls.append(1) or real(*a))
+    records = run_gradcheck(20, None, 0)
+    assert len(calls) == len(records) + sum(r.resamples for r in records) == 23
+
+
 def test_fixed_k_is_respected():
     for r in run_gradcheck(instances=3, k_steps=2, master_seed=1):
         assert r.k_steps == 2

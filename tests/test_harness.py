@@ -112,7 +112,7 @@ def test_csv_roundtrip_classification(tmp_path):
     train, _ = gen_two_moons(25, 5, 0.15, seed=4)
     path = str(tmp_path / "train.csv")
     save_csv(train, path)
-    back = load_csv(path)
+    back = load_csv(path, "classification")
     assert np.array_equal(back.inputs, train.inputs)  # .17g is lossless for doubles
     assert np.array_equal(back.targets, train.targets)
     assert np.issubdtype(back.targets.dtype, np.integer)
@@ -122,25 +122,29 @@ def test_csv_roundtrip_regression(tmp_path):
     train, _ = gen_sine_regression(25, 5, 0.1, seed=5)
     path = str(tmp_path / "train.csv")
     save_csv(train, path)
-    back = load_csv(path)
+    back = load_csv(path, "regression")
     assert np.array_equal(back.inputs, train.inputs)
     assert np.array_equal(back.targets, train.targets)
     assert back.targets.dtype == np.float64
 
 
 def test_csv_target_kinds(tmp_path):
+    """The caller's kind, not the column's values, decides how the target
+    column is read; a classification file names its first non-integer label."""
     path = str(tmp_path / "d.csv")
     with open(path, "w") as fh:
         fh.write("x0,target\n0.5,1\n0.25,0\n")
-    assert np.issubdtype(load_csv(path).targets.dtype, np.integer)  # auto: integral
-    assert load_csv(path, "regression").targets.dtype == np.float64
+    assert load_csv(path, "classification").targets.tolist() == [1, 0]
+    assert np.issubdtype(load_csv(path, "classification").targets.dtype, np.integer)
+    assert load_csv(path, "regression").targets.dtype == np.float64  # integer-valued, read as reals
     with open(path, "w") as fh:
-        fh.write("x0,target\n0.5,0.25\n")
-    assert load_csv(path).targets.dtype == np.float64  # auto: fractional
-    with pytest.raises(ContractViolation):
+        fh.write("x0,target\n0.5,1\n0.5,0.25\n0.5,1.5\n")
+    assert load_csv(path, "regression").targets.tolist() == [1.0, 0.25, 1.5]
+    with pytest.raises(ContractViolation, match=r"d\.csv:3: label 0\.25 is not an integer"):
         load_csv(path, "classification")
-    with pytest.raises(ContractViolation):
-        load_csv(path, "boolean")
+    for kind in ("auto", "boolean"):
+        with pytest.raises(ContractViolation, match="unknown target kind"):
+            load_csv(path, kind)
 
 
 def test_csv_errors_name_the_line(tmp_path):
@@ -148,23 +152,23 @@ def test_csv_errors_name_the_line(tmp_path):
     with open(path, "w") as fh:
         fh.write("x0,x1,target\n1.0,2.0,0\n1.0,0\n")
     with pytest.raises(ContractViolation, match=r"bad\.csv:3"):
-        load_csv(path)
+        load_csv(path, "classification")
     with open(path, "w") as fh:
         fh.write("x0,x1,target\n1.0,two,0\n")
     with pytest.raises(ContractViolation, match=r"bad\.csv:2"):
-        load_csv(path)
+        load_csv(path, "classification")
     with open(path, "w") as fh:
         fh.write("x0,x1,target\n")
     with pytest.raises(ContractViolation, match="no data rows"):
-        load_csv(path)
+        load_csv(path, "classification")
     with open(path, "w") as fh:
         fh.write("")
     with pytest.raises(ContractViolation, match="empty"):
-        load_csv(path)
+        load_csv(path, "classification")
     with open(path, "w") as fh:
         fh.write("target\n1\n")
     with pytest.raises(ContractViolation, match="at least one feature"):
-        load_csv(path)
+        load_csv(path, "classification")
 
 
 @pytest.mark.parametrize("row", ["nan,2.0,0", "1.0,inf,0", "1.0,2.0,-inf", "1.0,2.0,NaN"])
@@ -172,17 +176,17 @@ def test_csv_rejects_non_finite_values(tmp_path, row):
     path = str(tmp_path / "bad.csv")
     with open(path, "w") as fh:
         fh.write(f"x0,x1,target\n1.0,2.0,0\n{row}\n")
-    with pytest.raises(ContractViolation, match=r"bad\.csv:3: non-finite value"):
-        load_csv(path)
+    for kind in ("classification", "regression"):
+        with pytest.raises(ContractViolation, match=r"bad\.csv:3: non-finite value"):
+            load_csv(path, kind)
 
 
-@pytest.mark.parametrize("kind", ["auto", "classification"])
-def test_csv_rejects_labels_beyond_int64(tmp_path, kind):
+def test_csv_rejects_labels_beyond_int64(tmp_path):
     path = str(tmp_path / "big.csv")
     with open(path, "w") as fh:
         fh.write("x0,x1,target\n1.0,2.0,0\n1.0,2.0,1\n3.0,4.0,1e20\n")
     with pytest.raises(ContractViolation, match=r"big\.csv:4: label 1e\+20 is beyond the int64 range"):
-        load_csv(path, kind)
+        load_csv(path, "classification")
     assert load_csv(path, "regression").targets[2] == 1e20
 
 
@@ -230,6 +234,9 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"optimizer": {"momentum": 0.9}})
     with pytest.raises(ContractViolation, match="unknown model keys"):
         config_from_dict({"model": {"depth": 3}})
+    # the model head decides how a dataset's targets are read; no second setting
+    with pytest.raises(ContractViolation, match=r"unknown dataset keys: \['target'\]"):
+        config_from_dict({"dataset": {"kind": "csv", "train_path": "a.csv", "test_path": "b.csv", "target": "auto"}})
 
 
 def test_config_validates_values():
@@ -288,7 +295,7 @@ def test_config_validates_values():
         ({"adv": {"eta": "0.1"}}, "bad adv value: eta must be a real number, got '0.1'"),
         ({"dataset": {"noise_std": float("nan")}}, "bad dataset value: noise_std must be finite, got nan"),
         ({"dataset": {"noise_std": False}}, "bad dataset value: noise_std must be a real number, got False"),
-        # string fields: outdir a non-empty string, the paths a string or null, target a known handling
+        # string fields: outdir a non-empty string, the paths a string or null
         ({"outdir": 5}, "bad config value: outdir must be a non-empty string, got 5"),
         ({"outdir": ""}, "bad config value: outdir must be a non-empty string, got ''"),
         ({"outdir": None}, "bad config value: outdir must be a non-empty string, got None"),
@@ -302,15 +309,9 @@ def test_config_validates_values():
             "bad dataset value: test_path must be a non-empty string, got {}",
         ),
         ({"dataset": {"kind": "csv", "train_path": "a.csv"}}, "bad dataset value: csv dataset needs train_path and test_path"),
-        (
-            {"dataset": {"target": "bogus"}},
-            "bad dataset value: target must be one of ['auto', 'classification', 'regression'], got 'bogus'",
-        ),
-        (
-            {"dataset": {"kind": "csv", "train_path": "a.csv", "test_path": "b.csv", "target": "bogus"}},
-            "bad dataset value: target must be one of ['auto', 'classification', 'regression'], got 'bogus'",
-        ),
-        ({"dataset": {"target": None}}, "bad dataset value: target must be a non-empty string, got None"),
+        # sections: a JSON object each; a model has at least an input and an output width
+        ({"dataset": "two_moons"}, "dataset must be a JSON object"),
+        ({"model": {"layers": [2]}}, "bad model value: model layers must be at least [d_in, d_out]"),
     ):
         with pytest.raises(ContractViolation) as exc:
             config_from_dict(raw)
@@ -562,6 +563,22 @@ def test_run_rejects_mismatched_model(tmp_path):
         run_experiment(cfg)
 
 
+def test_regression_head_trains_on_integer_valued_csv_targets(tmp_path):
+    """A width-1 head reads a CSV's last column as real targets, whether or
+    not they happen to be whole numbers."""
+    records = []
+    for written in (int, float):  # targets "2" or "2.0"
+        path = tmp_path / f"{written.__name__}.csv"
+        path.write_text("x0,x1,target\n" + "".join(f"{0.1 * i},{0.2 - 0.05 * i},{written(i % 3)}\n" for i in range(8)))
+        dataset = DatasetSpec(kind="csv", train_path=str(path), test_path=str(path))
+        cfg = override(
+            _tiny(Method.SALT), dataset=dataset, model=ModelSpec(layers=(2, 4, 1)), outdir=str(tmp_path / path.stem)
+        )
+        records.append(run_experiment(cfg))
+    assert "val_rmse" in records[0].final and records[0].final["ece"] is None
+    assert records[0].rows == records[1].rows
+
+
 def test_run_rejects_labels_outside_the_head(tmp_path):
     """Labels are checked against the head width before anything is written,
     for every config of a batch of runs; for a CSV the error names the file
@@ -570,10 +587,15 @@ def test_run_rejects_labels_outside_the_head(tmp_path):
     train.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
     test.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,2\n")
     csv_data = DatasetSpec(kind="csv", train_path=str(train), test_path=str(test))
+    (tmp_path / "frac").mkdir()
+    frac_test = tmp_path / "frac" / "test.csv"
+    frac_test.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,0.5\n0.5,0.6,1\n")
+    frac_data = DatasetSpec(kind="csv", train_path=str(train), test_path=str(frac_test))
     blobs = DatasetSpec(kind="blobs", n_train=30, n_test=30)
     good = override(_tiny(Method.ERM), outdir=str(tmp_path / "good"))
     for dataset, named in (
         (csv_data, rf"{test}:4: label 2 is out of range for 2 classes"),
+        (frac_data, rf"{frac_test}:3: label 0.5 is not an integer"),
         (blobs, "train split: label 2 is out of range for 2 classes"),
     ):
         cfg = override(_tiny(Method.ERM), dataset=dataset, outdir=str(tmp_path / "run"))

@@ -11,6 +11,7 @@ from salt.errors import ContractViolation
 from salt.perturb import (
     AdvConfig,
     NormKind,
+    Perturbation,
     ProjMode,
     ascend,
     project_jvp_rows,
@@ -178,6 +179,27 @@ def test_adv_config_validation():
         AdvConfig(eta=-0.5)
     with pytest.raises(ContractViolation, match="epsilon must be finite"):
         AdvConfig(epsilon=float("nan"))
+    # the primitives check their own radius, scale, norm, mode and shapes
+    v = np.ones((2, 3))
+    with pytest.raises(ContractViolation, match="an \\(n, d\\) matrix or a stack"):
+        Perturbation(np.ones(3))
+    for bad in (float("nan"), float("inf"), float("-inf"), -0.5):
+        with pytest.raises(ContractViolation, match="sigma must be"):
+            sample_init(bad, (2, 3), 0)
+    for bad in (float("nan"), float("inf"), float("-inf"), 0.0):
+        with pytest.raises(ContractViolation, match="epsilon must be"):
+            project_rows(v, bad, NormKind.L2)
+        for mode in ProjMode:
+            with pytest.raises(ContractViolation, match="epsilon must be"):
+                project_jvp_rows(v, v, bad, NormKind.L2, mode)
+    with pytest.raises(ContractViolation, match="unknown norm"):
+        project_rows(v, 1.0, "L3")
+    with pytest.raises(ContractViolation, match="unknown norm"):
+        project_jvp_rows(v, v, 1.0, "L3", ProjMode.EXACT_JACOBIAN)
+    with pytest.raises(ContractViolation, match="tangent must match"):
+        project_jvp_rows(v, np.ones((2, 2)), 1.0, NormKind.L2, ProjMode.EXACT_JACOBIAN)
+    with pytest.raises(ContractViolation, match="unknown projection mode"):
+        project_jvp_rows(v, v, 1.0, NormKind.L2, "Bogus")
     cfg = AdvConfig(norm="LInf", proj_mode="StraightThrough")
     assert cfg.norm is NormKind.LINF and cfg.proj_mode is ProjMode.STRAIGHT_THROUGH
 
