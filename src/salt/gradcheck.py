@@ -33,8 +33,9 @@ _FD_STEP = 1e-5
 
 # Parameters per stacked objective evaluation in hypergradient_fd (2x that
 # many members). At the canonical 25 x 32 hidden layers each activation array
-# is then 0.2 MB, and a call's peak memory ~2 MB; 32 ran no faster and took
-# twice the memory.
+# is then 0.2 MB, and a call's peak memory ~2 MB. In 6 alternating rounds of
+# the gradcheck benchmark on a 2-core box, 32 and 64 cut its wall_s by 6.9%
+# and 14.0% but raised its peak_rss_mb by 7.5% and 19.3%.
 _FD_CHUNK = 16
 
 

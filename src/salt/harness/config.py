@@ -121,7 +121,7 @@ def _take(section: str, raw: dict, cls: type) -> dict:
 def _build(section: str, cls: type, kwargs: dict):
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:  # a failed check, or an unknown enum value such as "norm": "L3"
+    except (TypeError, ValueError) as exc:  # a failed check, or an unknown enum value such as "method": "SGDA"
         raise ContractViolation(f"bad {section} value: {exc}") from None
 
 

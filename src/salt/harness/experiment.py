@@ -27,7 +27,9 @@ import numpy as np
 
 from ..calibration import bin_predictions, confidence_of, write_reliability_csv
 from ..diffmodel import (
+    Array,
     Batch,
+    ForwardPass,
     ModelParams,
     _forward,
     _per_member,
@@ -62,16 +64,16 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
     return load_csv(ds.train_path, kind), load_csv(ds.test_path, kind)
 
 
-def _evaluate(params: ModelParams, batch: Batch) -> dict:
-    """Loss and accuracy or RMSE, plus what the reliability report reads;
-    (R,) and (R, n) arrays for a stack."""
+def _evaluate(params: ModelParams, batch: Batch) -> tuple[dict, ForwardPass, Array | None]:
+    """Loss and accuracy or RMSE ((R,) arrays for a stack), the pass they
+    were read from, and a classification head's correct flags ((R, n) for
+    a stack)."""
     fwd = mlp_forward(params, batch.inputs)
     loss = task_loss(fwd, batch.targets)
     if fwd.is_classification:
         correct = fwd.logits.argmax(axis=-1) == batch.targets
-        acc = _per_member(correct.mean(axis=-1))
-        return {"loss": loss, "acc": acc, "confidence": confidence_of(fwd), "correct": correct}
-    return {"loss": loss, "rmse": _per_member(np.sqrt(loss))}
+        return {"loss": loss, "acc": _per_member(correct.mean(axis=-1))}, fwd, correct
+    return {"loss": loss, "rmse": _per_member(np.sqrt(loss))}, fwd, None
 
 
 def _check_class_labels(cfg: ExperimentConfig, train: Batch, test: Batch) -> None:
@@ -223,16 +225,18 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
                 for i, record in enumerate(records):
                     record.step_stats.append({key: column[i] for key, column in columns.items()})
                     reg_values[i].append(columns["reg_value"][i])
-            tr = {key: _split(value, runs) for key, value in _evaluate(params, train).items()}
-            te = {key: _split(value, runs) for key, value in _evaluate(params, test).items()}
-            reports = []
+            tr = {key: _split(value, runs) for key, value in _evaluate(params, train)[0].items()}
+            metrics, fwd, correct = _evaluate(params, test)
+            te = {key: _split(value, runs) for key, value in metrics.items()}
+            if is_class:  # only the test split's reliability is reported
+                reports = list(map(bin_predictions, _split(confidence_of(fwd), runs), _split(correct, runs)))
+            del fwd  # the test split's activations, freed before the next epoch trains
             for i, (record, fh) in enumerate(zip(records, metrics_fhs)):
                 row: dict = {"epoch": epoch, "train_loss": tr["loss"][i], "val_loss": te["loss"][i]}
                 if is_class:
                     row["train_acc"] = tr["acc"][i]
                     row["val_acc"] = te["acc"][i]
-                    reports.append(bin_predictions(te["confidence"][i], te["correct"][i]))
-                    row["ece"] = reports[-1].ece
+                    row["ece"] = reports[i].ece
                 else:
                     row["train_rmse"] = tr["rmse"][i]
                     row["val_rmse"] = te["rmse"][i]

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffmodel import Array
-from .errors import ContractViolation, require_int, require_real
+from .errors import ContractViolation, require_int, require_real, require_str
 
 # Norms within this relative slack of epsilon count as already projected, so
 # re-projecting a projected vector is a bit-exact no-op.
@@ -58,8 +58,10 @@ class AdvConfig:
         if require_real("epsilon", self.epsilon) <= 0:
             raise ContractViolation(f"epsilon must be positive, got {self.epsilon!r}")
         require_int("k_steps", self.k_steps, 0)
-        object.__setattr__(self, "norm", NormKind(self.norm))
-        object.__setattr__(self, "proj_mode", ProjMode(self.proj_mode))
+        for name, kind in (("norm", NormKind), ("proj_mode", ProjMode)):
+            value = getattr(self, name)
+            require_str(name, value, tuple(member.value for member in kind))
+            object.__setattr__(self, name, kind(value))
 
 
 @dataclass(frozen=True)

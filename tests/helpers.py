@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import os
+import subprocess
 import sys
+import textwrap
 from typing import Callable
 
 import numpy as np
@@ -13,7 +15,8 @@ from salt.diffmodel import Batch
 from salt.harness.config import ExperimentConfig, load_config
 from salt.stackelberg import Linearize
 
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 
 def shipped_config(name: str) -> ExperimentConfig:
@@ -47,6 +50,32 @@ def count_reductions(fn) -> int:
     return count_c_calls(
         fn, lambda c: c.__name__ == "reduce" and isinstance(getattr(c, "__self__", None), np.ufunc)
     )
+
+
+def count_minor_faults(code: str, setup: str = "") -> int:
+    """Minor page faults (getrusage's ru_minflt) taken by one run of code
+    after setup and one warm-up run, in a fresh interpreter started from the
+    repository root with PYTHONPATH=src. A fresh process, because glibc's
+    dynamic mmap threshold moves with the allocation history of the process
+    that runs the code."""
+    script = "\n".join(
+        (
+            "import resource",
+            textwrap.dedent(setup),
+            "def run():",
+            textwrap.indent(textwrap.dedent(code), "    "),
+            "run()",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "run()",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        )
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT, env=env, check=True
+    )
+    return int(proc.stdout)
 
 
 def save_csv(batch: Batch, path: str) -> None:

@@ -179,6 +179,10 @@ def test_adv_config_validation():
         AdvConfig(eta=-0.5)
     with pytest.raises(ContractViolation, match="epsilon must be finite"):
         AdvConfig(epsilon=float("nan"))
+    with pytest.raises(ContractViolation, match=r"norm must be one of \['L2', 'LInf'\], got 'L3'"):
+        AdvConfig(norm="L3")
+    with pytest.raises(ContractViolation, match=r"proj_mode must be one of .*, got 'X'"):
+        AdvConfig(proj_mode="X")
     # the primitives check their own radius, scale, norm, mode and shapes
     v = np.ones((2, 3))
     with pytest.raises(ContractViolation, match="an \\(n, d\\) matrix or a stack"):

@@ -6,10 +6,12 @@ against hand math or an independently computed oracle.
 """
 from __future__ import annotations
 
+import platform
+
 import numpy as np
 import pytest
 
-from helpers import count_c_calls, count_reductions, quadratic_objective, random_quadratic, shipped_config
+from helpers import count_c_calls, count_minor_faults, count_reductions, quadratic_objective, random_quadratic, shipped_config
 from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.diffmodel import Batch, grad_params, init_params, mlp_forward
 from salt.errors import ContractViolation
@@ -558,7 +560,7 @@ def test_epoch_evaluation_reduction_count():
     """numpy reductions in one epoch's evaluation at the canonical point: one
     forward per split, whose one softmax gives the loss and the confidences,
     then the test split's reliability report, grouped in one pass."""
-    from salt.calibration import bin_predictions
+    from salt.calibration import bin_predictions, confidence_of
     from salt.harness.datasets import gen_two_moons
     from salt.harness.experiment import _evaluate
 
@@ -568,8 +570,46 @@ def test_epoch_evaluation_reduction_count():
 
     def evaluate_epoch():
         _evaluate(params, train)
-        te = _evaluate(params, test)
-        bin_predictions(te["confidence"], te["correct"])
+        _, fwd, correct = _evaluate(params, test)
+        bin_predictions(confidence_of(fwd), correct)
 
     assert count_reductions(lambda: _evaluate(params, test)) == 6
     assert count_reductions(evaluate_epoch) == 16
+
+
+_CANONICAL_STACKS = """
+import numpy as np
+from salt.diffmodel import Batch, ModelParams, init_params
+from salt.gradcheck import total_objective
+from salt.harness.config import load_config, override
+from salt.harness.experiment import _evaluate, load_dataset, substream
+from salt.perturb import sample_init
+
+cfg = load_config("configs/canonical_salt.json")
+kind = cfg.model.regularizer_kind
+train, _ = load_dataset(cfg)
+params = init_params(cfg.model.layers, substream(0, "model-init"))
+sel = substream(0, "data-order").permutation(train.n)[: cfg.batch_size]
+batch = Batch(train.inputs[sel], train.targets[sel])
+delta0 = sample_init(cfg.adv.sigma, batch.inputs.shape, substream(0, "perturb-init")).values
+fd_stack = params.replace_values(np.repeat(params.values[None], 32, axis=0))
+inits = [init_params(cfg.model.layers, substream(seed, "model-init")) for seed in range(8)]
+runs = ModelParams(np.stack([p.values for p in inits]), inits[0].shapes)
+tests = [load_dataset(override(cfg, seed=seed))[1] for seed in range(8)]
+test = Batch(np.stack([t.inputs for t in tests]), np.stack([t.targets for t in tests]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="salt sets heap thresholds only under glibc")
+@pytest.mark.parametrize(
+    "call",
+    [
+        "total_objective(fd_stack, batch, cfg.adv, kind, delta0)",  # one finite-difference chunk
+        "_evaluate(runs, test)",  # a stack of 8 runs on the 500-point test split
+    ],
+)
+def test_stacked_calls_reuse_freed_heap(call):
+    """Importing salt keeps freed heap in the process, so a warmed-up stacked
+    call takes its arrays from it and faults no page in. With glibc's default
+    thresholds these calls took ~790 and ~550 minor faults each."""
+    assert count_minor_faults(f"for _ in range(10):\n    {call}", _CANONICAL_STACKS) <= 20
