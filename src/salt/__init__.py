@@ -51,16 +51,16 @@ from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, sample_init
 from .regularizers import RegularizerKind
 from .stackelberg import (
+    Method,
     StackelbergGrad,
     UnrollTape,
     interaction_adjoint,
     make_adv_objective,
-    salt_training_step,
     stackelberg_gradient,
+    training_step,
     unroll_forward,
     vat_gradient,
 )
-from .vat import vat_training_step
 from .calibration import CalibrationReport, bin_predictions, confidence_of
 
 __version__ = "0.1.0"
@@ -71,6 +71,7 @@ __all__ = [
     "CalibrationReport",
     "ContractViolation",
     "ForwardPass",
+    "Method",
     "ModelParams",
     "NormKind",
     "Perturbation",
@@ -87,12 +88,11 @@ __all__ = [
     "load_checkpoint",
     "make_adv_objective",
     "mlp_forward",
-    "salt_training_step",
     "sample_init",
     "save_checkpoint",
     "stackelberg_gradient",
     "task_loss",
+    "training_step",
     "unroll_forward",
     "vat_gradient",
-    "vat_training_step",
 ]

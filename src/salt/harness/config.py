@@ -7,19 +7,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from enum import Enum
 
 from ..errors import ContractViolation, require_int, require_real, require_str
 from ..perturb import AdvConfig
 from ..regularizers import RegularizerKind
+from ..stackelberg import Method
 from .datasets import check_split
-
-
-class Method(str, Enum):
-    ERM = "ERM"
-    ADV = "Adv"
-    VAT = "VAT"
-    SALT = "SALT"
 
 
 @dataclass(frozen=True)
@@ -102,6 +95,7 @@ class ExperimentConfig:
     adv: AdvConfig = field(default_factory=AdvConfig)
 
     def __post_init__(self) -> None:
+        require_str("method", self.method, tuple(m.value for m in Method))
         object.__setattr__(self, "method", Method(self.method))
         require_int("seed", self.seed, 0)
         require_int("epochs", self.epochs, 1)
@@ -121,7 +115,7 @@ def _take(section: str, raw: dict, cls: type) -> dict:
 def _build(section: str, cls: type, kwargs: dict):
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:  # a failed check, or an unknown enum value such as "method": "SGDA"
+    except (TypeError, ValueError) as exc:  # a failed check, or a value of the wrong type such as "layers": 5
         raise ContractViolation(f"bad {section} value: {exc}") from None
 
 

@@ -9,6 +9,9 @@ Per-epoch metrics go to metrics.jsonl, one JSON object per line, flushed as
 written. Wall-clock timings go to a separate timing.jsonl so rerunning a
 config reproduces metrics.jsonl byte for byte.
 
+Every method trains through the one `stackelberg.training_step`, with the
+config's method as its first argument; the loop has no per-method branch.
+
 Runs that differ only in seed train as one stack: every step and every
 evaluation runs once for the group on (R, ...) arrays, and each run's
 results are bit-identical to training it alone.
@@ -31,19 +34,16 @@ from ..diffmodel import (
     Batch,
     ForwardPass,
     ModelParams,
-    _forward,
     _per_member,
-    grad_params,
     init_params,
     mlp_forward,
     save_checkpoint,
     task_loss,
 )
 from ..errors import ContractViolation
-from ..optim import OptimizerState, optimizer_step
-from ..stackelberg import salt_training_step
-from ..vat import adv_training_step, vat_training_step
-from .config import ExperimentConfig, Method, config_to_dict
+from ..optim import OptimizerState
+from ..stackelberg import training_step
+from .config import ExperimentConfig, config_to_dict
 from .datasets import gen_blobs, gen_sine_regression, gen_two_moons, load_csv
 
 
@@ -85,20 +85,6 @@ def _check_class_labels(cfg: ExperimentConfig, train: Batch, test: Batch) -> Non
         if bad.size:
             where = f"{path}:{bad[0] + 2}" if cfg.dataset.kind == "csv" else f"{split} split"
             raise ContractViolation(f"{where}: label {data.targets[bad[0]]} is out of range for {n_classes} classes")
-
-
-def erm_training_step(
-    params: ModelParams, batch: Batch, opt_state: OptimizerState
-) -> tuple[ModelParams, OptimizerState, dict]:
-    clean = _forward(params, batch.inputs)
-    grad = grad_params(params, batch, clean)
-    new_params, new_state = optimizer_step(params, opt_state, grad)
-    stats = {
-        "clean_loss": task_loss(clean, batch.targets),
-        "reg_value": 0.0,
-        "delta_norm": 0.0,
-    }
-    return new_params, new_state, stats
 
 
 @dataclass
@@ -213,14 +199,7 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
             for lo in range(0, n, cfg.batch_size):
                 sel = (*lead, orders[..., lo : lo + cfg.batch_size])
                 batch = Batch(train.inputs[sel], train.targets[sel])
-                if cfg.method == Method.ERM:
-                    params, opt_state, stats = erm_training_step(params, batch, opt_state)
-                elif cfg.method == Method.ADV:
-                    params, opt_state, stats = adv_training_step(params, batch, cfg.adv, opt_state, rngs)
-                elif cfg.method == Method.VAT:
-                    params, opt_state, stats = vat_training_step(params, batch, cfg.adv, kind, opt_state, rngs)
-                else:
-                    params, opt_state, stats = salt_training_step(params, batch, cfg.adv, kind, opt_state, rngs)
+                params, opt_state, stats = training_step(cfg.method, params, batch, cfg.adv, kind, opt_state, rngs)
                 columns = {key: _split(value, runs) for key, value in stats.items()}
                 for i, record in enumerate(records):
                     record.step_stats.append({key: column[i] for key, column in columns.items()})

@@ -1,4 +1,5 @@
-"""Differentiation through the unrolled inner ascent.
+"""Differentiation through the unrolled inner ascent, and the one training
+step of every method.
 
 The outer objective is
 
@@ -17,6 +18,11 @@ pass, which gives both contractions exactly: a tangent forward and a tangent
 backward over the recorded perturbed pass (forward-over-reverse, Pearlmutter
 1994), with no probe radius and no further forward pass.
 
+`training_step` runs one leader update of any method. The methods differ in
+what the follower climbs (nothing for ERM, the task loss for Adv, the
+regularizer for VAT and SALT) and in whether the leader differentiates
+through the follower (SALT alone); the others hold its endpoint constant.
+
 Everything here also runs a stack of m problems at once: parameters (m, P)
 and a batch (m, n, d), with one rng per member. Each member's results are
 bit-identical to its lone call; the degenerate-endpoint branch becomes a
@@ -26,11 +32,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ForwardPass, ModelParams, _per_member, grad_params, mlp_forward, task_loss
+from .diffmodel import (
+    Array,
+    Batch,
+    ForwardPass,
+    ModelParams,
+    _backward_input,
+    _forward,
+    _per_member,
+    _task_seed_sum,
+    grad_params,
+    mlp_forward,
+    task_loss,
+)
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, Rng, ascend, project_jvp_rows, sample_init
@@ -246,7 +265,25 @@ def stackelberg_gradient(
     return StackelbergGrad(leader + interaction, leader, interaction, tape, stats)
 
 
-def salt_training_step(
+class Method(str, Enum):
+    ERM = "ERM"
+    ADV = "Adv"
+    VAT = "VAT"
+    SALT = "SALT"
+
+
+def task_ascent(params: ModelParams, batch: Batch) -> Callable[[Array], Array]:
+    """The Adv follower's ascent direction: d(summed task loss at x + delta)/d(delta)."""
+
+    def grad_delta(delta: Array) -> Array:
+        fwd = _forward(params, batch.inputs + delta)
+        return _backward_input(params, fwd.acts, _task_seed_sum(fwd, batch.targets))[0]
+
+    return grad_delta
+
+
+def training_step(
+    method: Method,
     params: ModelParams,
     batch: Batch,
     cfg: AdvConfig,
@@ -254,9 +291,35 @@ def salt_training_step(
     opt_state: OptimizerState,
     rng: Rng | Sequence[Rng],
 ) -> tuple[ModelParams, OptimizerState, dict]:
-    """One leader update using the full Stackelberg gradient; on a stack, one
-    update per member."""
-    grad = stackelberg_gradient(params, batch, cfg, kind, rng)
-    t2 = time.perf_counter()
-    new_params, new_state = optimizer_step(params, opt_state, grad.total)
-    return new_params, new_state, {**grad.stats, "t_update": time.perf_counter() - t2}
+    """One leader update of method; on a stack, one update per member.
+
+    SALT takes the full Stackelberg gradient. VAT runs the same follower and
+    takes only the leader part, its endpoint held constant. Adv climbs the
+    task loss from the same draw and adds alpha times the task gradient at
+    its endpoint. ERM takes the clean task gradient. kind and rng go unused
+    where the method has no regularizer or no follower."""
+    if method == Method.SALT:
+        grad = stackelberg_gradient(params, batch, cfg, kind, rng)
+        t2 = time.perf_counter()
+        new_params, new_state = optimizer_step(params, opt_state, grad.total)
+        return new_params, new_state, {**grad.stats, "t_update": time.perf_counter() - t2}
+    x = batch.inputs
+    clean = mlp_forward(params, x)
+    if method == Method.ERM:
+        grad = grad_params(params, batch, clean)
+        stats = {"clean_loss": task_loss(clean, batch.targets), "reg_value": 0.0, "delta_norm": 0.0}
+    elif method == Method.VAT:
+        tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
+        grad, _, reg_sum = vat_gradient(params, batch, tape.deltas[-1], cfg, kind, clean)
+        stats = step_stats(batch, clean, reg_sum / batch.n, tape.deltas[0], tape.deltas[-1])
+    elif method == Method.ADV:
+        delta0 = sample_init(cfg.sigma, x.shape, rng).values
+        delta_k = ascend(task_ascent(params, batch), delta0, cfg)[0][-1]
+        attacked = Batch(inputs=x + delta_k, targets=batch.targets)
+        hit = _forward(params, attacked.inputs)
+        grad = grad_params(params, batch, clean) + cfg.alpha * grad_params(params, attacked, hit)
+        stats = step_stats(batch, clean, task_loss(hit, batch.targets), delta0, delta_k)
+    else:
+        raise ContractViolation(f"method must be one of {[m.value for m in Method]}, got {method!r}")
+    new_params, new_state = optimizer_step(params, opt_state, grad)
+    return new_params, new_state, stats

@@ -42,8 +42,8 @@ from salt.regularizers import (
 from salt.stackelberg import (
     interaction_adjoint,
     make_adv_objective,
-    salt_training_step,
     stackelberg_gradient,
+    training_step,
     unroll_forward,
     vat_gradient,
 )
@@ -171,13 +171,13 @@ def test_criterion_04_hvp_probe_fidelity_and_linear_cost(capfd):
     gc.disable()
     try:
         for cfg in cfgs:
-            salt_training_step(params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, 999)
+            training_step(Method.SALT, params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, 999)
         # every repetition times each k in turn, so a change of host speed
         # part-way through hits all depths alike instead of bending the line
         for rep in range(13):
             for i, cfg in enumerate(cfgs):
                 t0 = time.perf_counter()
-                salt_training_step(params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, rep)
+                training_step(Method.SALT, params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, rep)
                 # min over repeats: the best case is the scheduler-noise-free cost
                 best[i] = min(best[i], time.perf_counter() - t0)
     finally:

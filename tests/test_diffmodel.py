@@ -162,8 +162,7 @@ def test_grad_input_matches_fd(objective):
     """The input gradient each flat follower climbs: Adv's summed task loss,
     VAT's summed regularizer."""
     from salt.regularizers import RegularizerKind, reg_value_sum
-    from salt.stackelberg import make_adv_objective
-    from salt.vat import task_ascent
+    from salt.stackelberg import make_adv_objective, task_ascent
 
     rng = np.random.default_rng(7)
     sizes = [3, 6, 1] if objective == "squared_difference" else [3, 6, 3]

@@ -312,10 +312,15 @@ def test_config_validates_values():
         # sections: a JSON object each; a model has at least an input and an output width
         ({"dataset": "two_moons"}, "dataset must be a JSON object"),
         ({"model": {"layers": [2]}}, "bad model value: model layers must be at least [d_in, d_out]"),
+        # the method: one of the four, named as in a config file
+        ({"method": "SGDA"}, "bad config value: method must be one of ['ERM', 'Adv', 'VAT', 'SALT'], got 'SGDA'"),
     ):
         with pytest.raises(ContractViolation) as exc:
             config_from_dict(raw)
         assert str(exc.value).startswith(named), raw
+    # built directly, not only through config_from_dict
+    with pytest.raises(ContractViolation, match=r"method must be one of \['ERM', 'Adv', 'VAT', 'SALT'\], got 'SGDA'"):
+        ExperimentConfig(method="SGDA")
     # checked, not converted: an integer stays an integer in the resolved config
     cfg = config_from_dict({"adv": {"alpha": 1, "epsilon": 2}, "dataset": {"noise_std": 0}})
     assert [type(v) for v in (cfg.adv.alpha, cfg.adv.epsilon, cfg.dataset.noise_std)] == [int, int, int]

@@ -1,4 +1,6 @@
-"""Unrolled inner ascent, curvature (tangent maps and probes), and the leader's full gradient.
+"""Unrolled inner ascent, curvature (tangent maps and probes), the leader's
+full gradient, and the training step of every method, the flat baselines
+(VAT and Adv) included.
 
 Quadratic inner objectives (tests/helpers.py) have closed-form trajectories
 and exact second derivatives, so every differentiation path here is checked
@@ -6,6 +8,7 @@ against hand math or an independently computed oracle.
 """
 from __future__ import annotations
 
+import functools
 import platform
 
 import numpy as np
@@ -13,16 +16,18 @@ import pytest
 
 from helpers import count_c_calls, count_minor_faults, count_reductions, quadratic_objective, random_quadratic, shipped_config
 from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
-from salt.diffmodel import Batch, grad_params, init_params, mlp_forward
+from salt.diffmodel import Batch, grad_params, init_params, mlp_forward, task_loss
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
-from salt.perturb import AdvConfig, NormKind, ProjMode
-from salt.regularizers import RegularizerKind, reg_grad_delta_tangent, reg_grad_params_sum
+from salt.perturb import AdvConfig, NormKind, ProjMode, ascend, sample_init
+from salt.regularizers import RegularizerKind, reg_grad_delta_tangent, reg_grad_params_sum, reg_value_sum
 from salt.stackelberg import (
+    Method,
     interaction_adjoint,
     make_adv_objective,
-    salt_training_step,
     stackelberg_gradient,
+    task_ascent,
+    training_step,
     unroll_forward,
     vat_gradient,
 )
@@ -435,8 +440,8 @@ def test_training_step_deterministic_and_guarded():
     params, batch = _mlp_batch(17)
     cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
     state = OptimizerState(kind="Adam", lr=1e-3)
-    p1, _, s1 = salt_training_step(params, batch, cfg, KIND, state, 9)
-    p2, _, s2 = salt_training_step(params, batch, cfg, KIND, state, 9)
+    p1, _, s1 = training_step(Method.SALT, params, batch, cfg, KIND, state, 9)
+    p2, _, s2 = training_step(Method.SALT, params, batch, cfg, KIND, state, 9)
     assert np.array_equal(p1.values, p2.values)
     assert s1["interaction_ratio"] == s2["interaction_ratio"]
     assert not s1["degenerate_interaction"]
@@ -444,9 +449,169 @@ def test_training_step_deterministic_and_guarded():
     # sigma = 0 pins the start at the divergence's stationary point: the whole
     # trajectory stays at zero and the interaction is declared degenerate
     flat_cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.0, k_steps=2)
-    _, _, s3 = salt_training_step(params, batch, flat_cfg, KIND, state, 9)
+    _, _, s3 = training_step(Method.SALT, params, batch, flat_cfg, KIND, state, 9)
     assert s3["degenerate_interaction"]
     assert s3["interaction_ratio"] == 0.0
+
+    # a method outside the four is refused, not run as another method
+    with pytest.raises(ContractViolation, match=r"method must be one of \['ERM', 'Adv', 'VAT', 'SALT'\], got 'SGDA'"):
+        training_step("SGDA", params, batch, cfg, KIND, state, 9)
+
+
+@pytest.mark.parametrize("members", [None, 3])
+def test_step_stat_keys_per_method(members):
+    """Each method reports its own stat keys, lone and on a stack: the flat
+    steps report no interaction stats and no phase timers."""
+    cfg, params, batch, rng = _canonical_step_inputs(members)
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    erm = {"clean_loss", "reg_value", "delta_norm"}
+    flat = erm | {"delta0_sum"}
+    salt = flat | {"interaction_ratio", "degenerate_interaction", "t_unroll", "t_gradient", "t_update"}
+    for method, want in ((Method.ERM, erm), (Method.ADV, flat), (Method.VAT, flat), (Method.SALT, salt)):
+        stats = training_step(method, params, batch, cfg.adv, cfg.model.regularizer_kind, state, rng)[2]
+        assert set(stats) == want, (members, method)
+
+
+# ---------- flat baselines: VAT and Adv ----------
+
+
+def _flat_setup(seed=0, sizes=(2, 8, 3), n=5):
+    rng = np.random.default_rng(seed)
+    p = init_params(list(sizes), rng)
+    x = rng.normal(size=(n, sizes[0]))
+    if sizes[-1] > 1:
+        y = rng.integers(0, sizes[-1], n)
+    else:
+        y = rng.normal(size=n)
+    return p, Batch(inputs=x, targets=y)
+
+
+def _vat_endpoint(p, x, cfg, seed, clean=None):
+    """The follower's endpoint, as the VAT step computes it."""
+    return unroll_forward(p, x, cfg, make_adv_objective(p, x, KIND, clean), seed).deltas[-1]
+
+
+def test_k0_returns_projected_init_unchanged_by_model():
+    p, batch = _flat_setup()
+    cfg = AdvConfig(epsilon=0.5, eta=0.7, sigma=0.1, k_steps=0)
+    d = _vat_endpoint(p, batch.inputs, cfg, 42)
+    ref = np.random.default_rng(42).standard_normal(batch.inputs.shape) * cfg.sigma
+    assert np.array_equal(d, ref)  # K=0: the raw draw, no ascent, no projection
+
+
+def test_follower_matches_unroll_trajectory():
+    """VAT and SALT pair by construction: for the same config and seed both
+    steps run the same follower, so their perturbation stats agree bit for bit."""
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    for sizes, kind in (((2, 8, 3), KIND), ((2, 8, 1), RegularizerKind.SQUARED_DIFFERENCE)):
+        p, batch = _flat_setup(seed=3, sizes=sizes)
+        for norm in ("L2", "LInf"):
+            for k in (0, 1, 4):
+                cfg = AdvConfig(epsilon=0.3, eta=0.8, sigma=0.2, k_steps=k, norm=norm)
+                _, _, vat_stats = training_step(Method.VAT, p, batch, cfg, kind, state, 7)
+                _, _, salt_stats = training_step(Method.SALT, p, batch, cfg, kind, state, 7)
+                for key in ("clean_loss", "delta0_sum", "delta_norm", "reg_value"):
+                    assert vat_stats[key] == salt_stats[key]
+
+
+def test_vat_gradient_matches_sum_of_parts():
+    p, batch = _flat_setup(seed=5)
+    cfg = AdvConfig(alpha=0.7, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
+    x = batch.inputs
+    clean = mlp_forward(p, x)
+    d = _vat_endpoint(p, x, cfg, 11, clean)
+    g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
+    want = grad_params(p, batch) + cfg.alpha * (reg_grad_params_sum(p, x, d, KIND)[0] / batch.n)
+    assert np.array_equal(g, want)
+
+
+def test_vat_gradient_alpha_zero_is_clean_gradient():
+    p, batch = _flat_setup(seed=6)
+    cfg = AdvConfig(alpha=0.0, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
+    d = np.full_like(batch.inputs, 100.0)
+    clean = mlp_forward(p, batch.inputs)
+    assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND, clean)[0], grad_params(p, batch))
+
+
+def test_vat_gradient_matches_fd_with_frozen_delta():
+    p, batch = _flat_setup(seed=8, sizes=(2, 5, 2), n=3)
+    cfg = AdvConfig(alpha=1.3, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
+    x = batch.inputs
+    clean = mlp_forward(p, x)
+    d = _vat_endpoint(p, x, cfg, 2, clean)
+
+    def total(theta):
+        q = p.replace_values(theta)
+        return task_loss(mlp_forward(q, x), batch.targets) + cfg.alpha * (reg_value_sum(q, x, d, KIND) / batch.n)
+
+    g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
+    h = 1e-6
+    fd = np.zeros_like(g)
+    for i in range(g.size):
+        e = np.zeros_like(p.values)
+        e[i] = h
+        fd[i] = (total(p.values + e) - total(p.values - e)) / (2 * h)
+    assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_ascent_increases_regularizer():
+    # over random draws, K steps of ascent should rarely lose to the raw init
+    wins = 0
+    trials = 60
+    for seed in range(trials):
+        rng = np.random.default_rng(seed)
+        p = init_params([2, 6, 3], rng, scale=2.0)
+        x = rng.normal(size=(4, 2))
+        cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
+        d0 = np.random.default_rng(seed + 1000).standard_normal(x.shape) * cfg.sigma
+        dk = _vat_endpoint(p, x, cfg, seed + 1000)
+        if reg_value_sum(p, x, dk, KIND) >= reg_value_sum(p, x, d0, KIND):
+            wins += 1
+    assert wins >= 0.95 * trials
+
+
+def test_task_ascent_increases_task_loss():
+    wins = 0
+    trials = 40
+    for seed in range(trials):
+        rng = np.random.default_rng(seed)
+        p = init_params([2, 6, 2], rng, scale=2.0)
+        x = rng.normal(size=(4, 2))
+        y = rng.integers(0, 2, 4)
+        batch = Batch(inputs=x, targets=y)
+        cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
+        d0 = np.random.default_rng(seed + 500).standard_normal(x.shape) * cfg.sigma
+        dk = ascend(task_ascent(p, batch), sample_init(cfg.sigma, x.shape, seed + 500).values, cfg)[0][-1]
+        before = task_loss(mlp_forward(p, x + d0), y)
+        after = task_loss(mlp_forward(p, x + dk), y)
+        if after >= before:
+            wins += 1
+    assert wins >= 0.95 * trials
+
+
+def test_training_step_statistics_and_determinism():
+    p, batch = _flat_setup(seed=9)
+    cfg = AdvConfig(alpha=1.0, epsilon=0.5, eta=0.7, sigma=0.1, k_steps=2)
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    p1, s1, st1 = training_step(Method.VAT, p, batch, cfg, KIND, state, 77)
+    p2, s2, st2 = training_step(Method.VAT, p, batch, cfg, KIND, state, 77)
+    assert np.array_equal(p1.values, p2.values)
+    assert st1 == st2
+    assert st1["clean_loss"] == pytest.approx(task_loss(mlp_forward(p, batch.inputs), batch.targets))
+    assert st1["delta_norm"] > 0
+    # delta0_sum records the raw draw, before any ascent
+    raw = np.random.default_rng(77).standard_normal(batch.inputs.shape) * cfg.sigma
+    assert st1["delta0_sum"] == pytest.approx(raw.sum(), abs=1e-15)
+
+
+def test_adv_training_step_runs_and_reports_attacked_loss():
+    p, batch = _flat_setup(seed=10, sizes=(2, 6, 2))
+    cfg = AdvConfig(alpha=1.0, epsilon=0.5, eta=0.7, sigma=0.1, k_steps=2)
+    state = OptimizerState(kind="SGD", lr=0.1)
+    p1, _, stats = training_step(Method.ADV, p, batch, cfg, KIND, state, 5)
+    assert not np.array_equal(p1.values, p.values)
+    assert stats["reg_value"] >= 0.0
+    assert stats["delta_norm"] > 0.0
 
 
 # ---------- passes per step ----------
@@ -483,8 +648,6 @@ def test_step_forward_and_backward_counts(monkeypatch):
     import sys
 
     from salt import diffmodel
-    from salt.harness.experiment import erm_training_step
-    from salt.vat import adv_training_step, vat_training_step
 
     names = ("_forward", "_backward_input", "_backward", "_forward_tangent", "_backward_tangent")
     counts = dict.fromkeys(names, 0)
@@ -508,15 +671,16 @@ def test_step_forward_and_backward_counts(monkeypatch):
         kind = cfg.model.regularizer_kind
         assert (1 + k + 1, k + 3 + k, 3 + k) == (4, 7, 5)
         steps = {
-            "SALT": (lambda: salt_training_step(params, batch, cfg.adv, kind, state, rng), (4, 7, 5, k, k), 56),
-            "VAT": (lambda: vat_training_step(params, batch, cfg.adv, kind, state, rng), (k + 2, k + 3, 3, 0, 0), 34),
-            "Adv": (lambda: adv_training_step(params, batch, cfg.adv, state, rng), (k + 2, k + 2, 2, 0, 0), 34),
-            "ERM": (lambda: erm_training_step(params, batch, state), (1, 1, 1, 0, 0), 11),
+            Method.SALT: ((4, 7, 5, k, k), 56),
+            Method.VAT: ((k + 2, k + 3, 3, 0, 0), 34),
+            Method.ADV: ((k + 2, k + 2, 2, 0, 0), 34),
+            Method.ERM: ((1, 1, 1, 0, 0), 11),
         }
-        for name, (step, want, reductions) in steps.items():
+        for method, (want, reductions) in steps.items():
             counts.update(dict.fromkeys(names, 0))
-            assert count_reductions(step) == reductions, (members, name)
-            assert counts == dict(zip(names, want)), (members, name)
+            step = functools.partial(training_step, method, params, batch, cfg.adv, kind, state, rng)
+            assert count_reductions(step) == reductions, (members, method)
+            assert counts == dict(zip(names, want)), (members, method)
 
 
 def test_canonical_salt_step_takes_no_lock():
@@ -527,7 +691,7 @@ def test_canonical_salt_step_takes_no_lock():
     state = OptimizerState(kind="Adam", lr=1e-3)
 
     def step():
-        salt_training_step(params, batch, cfg.adv, cfg.model.regularizer_kind, state, rng)
+        training_step(Method.SALT, params, batch, cfg.adv, cfg.model.regularizer_kind, state, rng)
 
     assert count_c_calls(step, lambda c: "RLock" in getattr(c, "__qualname__", "")) == 0
 
