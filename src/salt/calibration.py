@@ -52,10 +52,12 @@ def _validate(confidences: Array, correct: Array) -> tuple[Array, Array]:
         raise ContractViolation("confidences must be a non-empty vector")
     if correct.shape != confidences.shape:
         raise ContractViolation("correct flags must match the confidences")
-    if not np.all((confidences >= 0.0) & (confidences <= 1.0)):
-        raise ContractViolation("confidences must lie in [0, 1]")
     flags = correct.astype(np.float64)
-    if not np.all((flags == 0.0) | (flags == 1.0)):
+    in_range = (confidences >= 0.0) & (confidences <= 1.0)
+    # one scan over both checks; which one failed is sorted out only on failure
+    if not np.all(in_range & ((flags == 0.0) | (flags == 1.0))):
+        if not np.all(in_range):
+            raise ContractViolation("confidences must lie in [0, 1]")
         raise ContractViolation("correct flags must be 0/1")
     return confidences, flags
 

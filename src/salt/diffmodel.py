@@ -14,7 +14,12 @@ parameter vectors (m, P), inputs (m, n, d) with targets (m, n), or both,
 and then returns one result per member. Every member's result is
 bit-identical to running that member alone: the stacked ops are the same
 IEEE ops, batched by np.matmul and by reductions over a member's own axes.
-A single problem's 2-D call runs the same code with no run axis.
+A single problem's 2-D call runs the same code with no run axis, and a
+stack of seeds (k, ..., C) on one pass backpropagates in one call.
+
+The backward and tangent passes read tanh' (1 - a^2) from the ForwardPass,
+which computes it on first use: a pass that is only evaluated never pays
+for it, one that is backpropagated and differentiated computes it once.
 """
 from __future__ import annotations
 
@@ -154,7 +159,8 @@ class ForwardPass:
     A width-1 output holds a regression head's scalars, a wider one logits.
     The softmax parts of the output, its log-softmax and that one's exp are
     computed on first use and kept, so the task loss, its gradient seed, the
-    regularizers and the confidences of one pass share one softmax."""
+    regularizers and the confidences of one pass share one softmax. tanh'
+    of the hidden layers is kept the same way for the backward passes."""
 
     out: Array
     acts: list[Array]
@@ -178,6 +184,11 @@ class ForwardPass:
         s = self.out - self.out.max(axis=-1, keepdims=True)
         e = np.exp(s)
         return s, e, e.sum(axis=-1, keepdims=True)
+
+    @_memo
+    def tanh_grads(self) -> list[Array]:
+        """tanh' at each hidden layer's output: entry l is 1 - acts[l + 1]^2."""
+        return [1.0 - a**2 for a in self.acts[1:]]
 
     @_memo
     def log_probs(self) -> Array:
@@ -207,34 +218,39 @@ def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
     return ForwardPass(a, acts)
 
 
-def _backward_input(params: ModelParams, acts: list[Array], dout: Array) -> tuple[Array, list[Array]]:
-    """Backprop a seed on the raw output to the inputs. Returns (grad wrt
-    inputs, seeds), where seeds[l] is the gradient wrt layer l's output
-    before its activation. Stacked seeds or parameters give stacked results."""
+def _backward_input(
+    params: ModelParams, fwd: ForwardPass, dout: Array, to_inputs: bool = True
+) -> tuple[Array | None, list[Array]]:
+    """Backprop a seed on the raw output of fwd to the inputs. Returns (grad
+    wrt inputs, seeds), where seeds[l] is the gradient wrt layer l's output
+    before its activation. With to_inputs False the pass stops at seeds[0]
+    and the input gradient is None. Stacked seeds or parameters give stacked
+    results."""
     layers = params.layers
     seeds: list[Array] = [dout] * len(layers)
     g = dout
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(len(layers) - 1, 0, -1):
         seeds[i] = g
-        g = g @ layers[i][0].mT
-        if i > 0:
-            g = g * (1.0 - acts[i] ** 2)  # tanh'
-    return g, seeds
+        g = (g @ layers[i][0].mT) * fwd.tanh_grads[i - 1]
+    seeds[0] = g
+    return (g @ layers[0][0].mT if to_inputs else None), seeds
 
 
-def _backward(params: ModelParams, acts: list[Array], dout: Array) -> tuple[Array, Array]:
-    """Backprop a seed on the raw output. Returns (grad wrt values, grad wrt
-    inputs); a stacked seed (m, n, C) gives (m, P) parameter gradients."""
-    g, seeds = _backward_input(params, acts, dout)
-    grads = [m for a, s in zip(acts, seeds) for m in (a.mT @ s, s.sum(axis=-2, keepdims=True))]
+def _backward(
+    params: ModelParams, fwd: ForwardPass, dout: Array, to_inputs: bool = True
+) -> tuple[Array, Array | None]:
+    """Backprop a seed on the raw output of fwd. Returns (grad wrt values,
+    grad wrt inputs, None with to_inputs False); a stacked seed (..., n, C)
+    gives (..., P) parameter gradients."""
+    g, seeds = _backward_input(params, fwd, dout, to_inputs)
+    grads = [m for a, s in zip(fwd.acts, seeds) for m in (a.mT @ s, s.sum(axis=-2, keepdims=True))]
     return _flatten_grads(grads), g
 
 
-def _forward_tangent(params: ModelParams, acts: list[Array], u: Array) -> tuple[Array, list[Array], list[Array]]:
-    """Tangent of the forward pass with activations acts along the input
-    direction u (weights fixed). Returns (tangent of the raw output, tangents
-    of each layer's input, tangents of each layer's output before its
-    activation)."""
+def _forward_tangent(params: ModelParams, fwd: ForwardPass, u: Array) -> tuple[Array, list[Array], list[Array]]:
+    """Tangent of the forward pass fwd along the input direction u (weights
+    fixed). Returns (tangent of the raw output, tangents of each layer's
+    input, tangents of each layer's output before its activation)."""
     layers = params.layers
     t_acts = [u]
     t_outs: list[Array] = []
@@ -243,36 +259,38 @@ def _forward_tangent(params: ModelParams, acts: list[Array], u: Array) -> tuple[
         t = t @ w
         t_outs.append(t)
         if i < len(layers) - 1:
-            t = t * (1.0 - acts[i + 1] ** 2)
+            t = t * fwd.tanh_grads[i]
             t_acts.append(t)
     return t, t_acts, t_outs
 
 
 def _backward_tangent(
     params: ModelParams,
-    acts: list[Array],
+    fwd: ForwardPass,
     seeds: list[Array],
     t_acts: list[Array],
     t_outs: list[Array],
     t_dout: Array,
-) -> tuple[Array, Array]:
-    """Tangent of a backward pass (_backward_input's seeds over acts) when the
+    to_inputs: bool = True,
+) -> tuple[Array, Array | None]:
+    """Tangent of a backward pass (_backward_input's seeds over fwd) when the
     activations move by t_acts/t_outs (from _forward_tangent) and the output
     seed by t_dout. Returns the tangents of (grad wrt values, grad wrt inputs):
     with t_dout the seed's derivative along u, these are the second
-    derivatives of the backpropagated scalar along u. Stacks as _backward."""
-    layers = params.layers
+    derivatives of the backpropagated scalar along u. With to_inputs False
+    the input part is None and its last matmul is skipped. Stacks as
+    _backward."""
+    layers, acts = params.layers, fwd.acts
     grads: list[Array] = [t_dout] * (2 * len(layers))
     t = t_dout
     for i in range(len(layers) - 1, -1, -1):
         grads[2 * i] = t_acts[i].mT @ seeds[i] + acts[i].mT @ t
         grads[2 * i + 1] = t.sum(axis=-2, keepdims=True)
-        t = t @ layers[i][0].mT
         if i > 0:
             # seeds[i-1] = (seeds[i] @ W.T) * (1 - a^2) with a = tanh(z) and
             # d(1 - a^2) = -2 a (1 - a^2) dz
-            t = t * (1.0 - acts[i] ** 2) - 2.0 * seeds[i - 1] * acts[i] * t_outs[i - 1]
-    return _flatten_grads(grads), t
+            t = (t @ layers[i][0].mT) * fwd.tanh_grads[i - 1] - 2.0 * seeds[i - 1] * acts[i] * t_outs[i - 1]
+    return _flatten_grads(grads), (t @ layers[0][0].mT if to_inputs else None)
 
 
 def _check_inputs(params: ModelParams, inputs: Array) -> Array:
@@ -322,41 +340,55 @@ def _label_index(labels: Array) -> tuple:
     return (np.arange(labels.shape[0])[:, None], rows, labels)
 
 
-def task_loss(fwd: ForwardPass, targets: Array) -> float | Array:
-    """Batch-mean cross entropy (classification) or squared error (regression);
-    one per member for a stacked pass."""
+def _check_targets(fwd: ForwardPass, targets: Array) -> Array:
+    """targets as fwd's head reads them, one per example: integer labels in
+    range for a classification head, floats for a regression head. A step
+    checks its batch's targets once and hands them to _task_loss,
+    _task_seed_sum and _task_grad, which do not check again."""
     if fwd.is_classification:
-        labels = _check_labels(targets, fwd.out.shape[-1])
-        if labels.shape[-1] != fwd.out.shape[-2]:
-            raise ContractViolation("targets do not match batch size")
-        picked = fwd.log_probs[_label_index(labels)]
+        targets = _check_labels(targets, fwd.out.shape[-1])
+    else:
+        targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape[-1:] != fwd.out.shape[-2:-1]:
+        raise ContractViolation("targets do not match batch size")
+    return targets
+
+
+def _task_loss(fwd: ForwardPass, targets: Array) -> float | Array:
+    if fwd.is_classification:
+        picked = fwd.log_probs[_label_index(targets)]
         # a stack's pick comes out column-major; the mean must run over contiguous rows
         return _per_member(-np.ascontiguousarray(picked).mean(axis=-1))
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape[-1:] != fwd.scalars.shape[-1:]:
-        raise ContractViolation("targets do not match batch size")
     return _per_member(((fwd.scalars - targets) ** 2).mean(axis=-1))
 
 
+def task_loss(fwd: ForwardPass, targets: Array) -> float | Array:
+    """Batch-mean cross entropy (classification) or squared error (regression);
+    one per member for a stacked pass."""
+    return _task_loss(fwd, _check_targets(fwd, targets))
+
+
 def _task_seed_sum(fwd: ForwardPass, targets: Array) -> Array:
-    """d(sum of per-example task losses)/d(raw output). Divided by the batch
-    size it seeds the batch-mean loss."""
+    """d(sum of per-example task losses)/d(raw output), for checked targets.
+    Divided by the batch size it seeds the batch-mean loss."""
     if not fwd.is_classification:
-        return (2.0 * (fwd.scalars - np.asarray(targets, dtype=np.float64)))[..., None]
-    labels = _check_labels(targets, fwd.out.shape[-1])
+        return (2.0 * (fwd.scalars - targets))[..., None]
     _, e, total = fwd.softmax_parts
     seed = e / total  # the softmax of fwd.out
-    seed[_label_index(labels)] -= 1.0
+    seed[_label_index(targets)] -= 1.0
     return seed
+
+
+def _task_grad(params: ModelParams, fwd: ForwardPass, targets: Array) -> Array:
+    seed = _task_seed_sum(fwd, targets) / fwd.out.shape[-2]
+    return _backward(params, fwd, seed, to_inputs=False)[0]
 
 
 def grad_params(params: ModelParams, batch: Batch, fwd: ForwardPass | None = None) -> Array:
     """Gradient of the batch-mean task loss with respect to the flat
     parameters. fwd is the batch's forward pass, computed when not given."""
     fwd = _forward(params, batch.inputs) if fwd is None else fwd
-    seed = _task_seed_sum(fwd, batch.targets) / fwd.out.shape[-2]
-    gtheta, _ = _backward(params, fwd.acts, seed)
-    return gtheta
+    return _task_grad(params, fwd, _check_targets(fwd, batch.targets))
 
 
 # ---------- checkpoints ----------

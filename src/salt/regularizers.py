@@ -7,6 +7,12 @@ branch.
 Every primitive also takes a leading run axis: stacked parameters (m, P),
 inputs (m, n, d) or a delta (m, n, d), and then returns one result per
 member, bit-identical to evaluating each member alone.
+
+The follower's evaluations (`reg_grad_delta_tangent`) leave the clean branch
+as a seed on the clean pass's output: their tangent maps return it instead
+of backpropagating it, so the leader can backpropagate every seed on its
+clean pass in one stacked call. They also skip the value and the clean seed
+of the regularizer itself, which only the leader reads.
 """
 from __future__ import annotations
 
@@ -32,10 +38,14 @@ from .errors import ContractViolation
 # Probabilities at or below this are treated as an exact zero in p*log(p/q).
 _PROB_FLOOR = 1e-300
 
-# u (n, d) -> (mixed (P,), curv (n, d)): the derivatives along the delta
-# direction u of d obj/d theta and d obj/d delta at one point; on a stack,
-# u (m, n, d) -> ((m, P), (m, n, d)).
-TangentMap = Callable[[Array], tuple[Array, Array]]
+# (u (n, d), curv=True) -> (mixed (P,), curv (n, d), seed (n, C)): the
+# derivatives along the delta direction u of d obj/d theta and d obj/d delta
+# at one point. mixed leaves out the clean branch: seed, a seed on the output
+# of the clean pass at theta, completes it once backpropagated through that
+# pass (an objective without a clean branch returns 0.0). With curv=False the
+# delta part is skipped and returned as None. On a stack, u (m, n, d) ->
+# ((m, P), (m, n, d), (m, n, C)).
+TangentMap = Callable[..., tuple[Array, Array | None, Array | float]]
 
 
 class RegularizerKind(str, Enum):
@@ -67,35 +77,49 @@ def _kl_rows(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Array, Array
 # step, so a step computes mlp_forward once and hands it to every evaluation.
 
 
-def _evaluate(
+def _passes(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
-) -> tuple[ForwardPass, ForwardPass, float | Array, Array, Array, Callable[[Array], tuple[Array, Array]]]:
-    """Both passes, the summed regularizer, its seeds on the perturbed and the
-    clean output, and the map from a tangent of the perturbed output to the
-    tangents of those two seeds. x and delta may carry a leading stack axis."""
+) -> tuple[ForwardPass, ForwardPass]:
+    """The clean and the perturbed pass; x and delta may carry a leading stack axis."""
     x = _check_inputs(params, x, kind)
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim > 3 or delta.shape[-2:] != x.shape[-2:]:
         raise ContractViolation("delta must match the (n, d) shape of the inputs, with an optional stack axis")
     clean = _forward(params, x) if clean is None else clean
-    pert = _forward(params, x + delta)
+    return clean, _forward(params, x + delta)
+
+
+def _value_seeds(clean: ForwardPass, pert: ForwardPass, kind: RegularizerKind) -> tuple[float | Array, Array, Array]:
+    """The summed regularizer and its seeds on the perturbed and the clean output."""
     if kind == RegularizerKind.KL_DIVERGENCE:
         kl, p, q, diff = _kl_rows(clean, pert)
+        return _per_member(kl.sum(axis=-1)), q - p, p * (diff - kl[..., None])
+    resid = clean.out[..., 0] - pert.out[..., 0]
+    return _per_member((resid**2).sum(axis=-1)), (-2.0 * resid)[..., None], (2.0 * resid)[..., None]
+
+
+def _seed_tangents(
+    clean: ForwardPass, pert: ForwardPass, kind: RegularizerKind
+) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
+    """The seed on the perturbed output, as _value_seeds gives it, and the map
+    from a tangent of the perturbed output to the tangents of the seeds on the
+    perturbed and the clean output."""
+    if kind == RegularizerKind.KL_DIVERGENCE:
+        p, q = clean.probs, pert.probs
 
         def seed_tangents(t: Array) -> tuple[Array, Array]:
             # softmax Jacobians: d(q - p) = q (t - <q, t>), d(p (diff - kl)) = -p (t - <p, t>)
             return q * (t - (q * t).sum(axis=-1, keepdims=True)), p * ((p * t).sum(axis=-1, keepdims=True) - t)
 
-        return clean, pert, _per_member(kl.sum(axis=-1)), q - p, p * (diff - kl[..., None]), seed_tangents
+        return q - p, seed_tangents
     resid = clean.out[..., 0] - pert.out[..., 0]
-    seeds = (-2.0 * resid)[..., None], (2.0 * resid)[..., None]
-    return clean, pert, _per_member((resid**2).sum(axis=-1)), *seeds, lambda t: (2.0 * t, -2.0 * t)
+    return (-2.0 * resid)[..., None], lambda t: (2.0 * t, -2.0 * t)
 
 
 def reg_value_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> float | Array:
-    return _evaluate(params, x, delta, kind, clean)[2]
+    return _value_seeds(*_passes(params, x, delta, kind, clean), kind)[0]
 
 
 def reg_grad_delta_tangent(
@@ -103,18 +127,20 @@ def reg_grad_delta_tangent(
 ) -> tuple[Array, TangentMap]:
     """What one perturbed pass at delta yields to the follower: d(sum of
     per-example regularizers)/d(delta), and the exact tangent map of that
-    pass. The map takes a direction u (n, d) and returns the derivatives
-    along u of d(same)/d(theta), through both branches, and of d(same)/d(delta):
-    the mixed and the delta-delta Hessian-vector products, by one tangent
-    forward and one tangent backward over the recorded pass."""
-    clean, pert, _, seed, _, seed_tangents = _evaluate(params, x, delta, kind, clean)
-    gdelta, seeds = _backward_input(params, pert.acts, seed)
+    pass (see TangentMap). The map takes a direction u (n, d) and returns the
+    derivatives along u of d(same)/d(theta), with the clean branch left as its
+    seed, and of d(same)/d(delta): the mixed and the delta-delta
+    Hessian-vector products, by one tangent forward and one tangent backward
+    over the recorded pass."""
+    clean, pert = _passes(params, x, delta, kind, clean)
+    seed, seed_tangents = _seed_tangents(clean, pert, kind)
+    gdelta, seeds = _backward_input(params, pert, seed)
 
-    def tangent(u: Array) -> tuple[Array, Array]:
-        t_out, t_acts, t_outs = _forward_tangent(params, pert.acts, u)
+    def tangent(u: Array, curv: bool = True) -> tuple[Array, Array | None, Array]:
+        t_out, t_acts, t_outs = _forward_tangent(params, pert, u)
         t_pert, t_clean = seed_tangents(t_out)
-        d_theta, d_delta = _backward_tangent(params, pert.acts, seeds, t_acts, t_outs, t_pert)
-        return d_theta + _backward(params, clean.acts, t_clean)[0], d_delta
+        d_theta, d_delta = _backward_tangent(params, pert, seeds, t_acts, t_outs, t_pert, curv)
+        return d_theta, d_delta, t_clean
 
     return gdelta, tangent
 
@@ -126,12 +152,23 @@ def reg_grad_delta_sum(
     return reg_grad_delta_tangent(params, x, delta, kind, clean)[0]
 
 
+def _reg_grad_params_parts(
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
+) -> tuple[ForwardPass, Array, Array, float | Array, Array]:
+    """reg_grad_params_sum with the clean branch left as its seed: (the clean
+    pass, the perturbed branch's theta gradient, the delta gradient, the sum,
+    the seed on the clean output)."""
+    clean, pert = _passes(params, x, delta, kind, clean)
+    value, seed_pert, seed_clean = _value_seeds(clean, pert, kind)
+    gtheta, gdelta = _backward(params, pert, seed_pert)
+    return clean, gtheta, gdelta, value, seed_clean
+
+
 def reg_grad_params_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> tuple[Array, Array, float | Array]:
     """What one perturbed pass at delta yields to the leader: d(sum of
     per-example regularizers)/d(theta) with delta held fixed, d(same)/d(delta),
     and the sum."""
-    clean, pert, value, seed_pert, seed_clean, _ = _evaluate(params, x, delta, kind, clean)
-    gtheta, gdelta = _backward(params, pert.acts, seed_pert)
-    return gtheta + _backward(params, clean.acts, seed_clean)[0], gdelta, value
+    clean, gtheta, gdelta, value, seed_clean = _reg_grad_params_parts(params, x, delta, kind, clean)
+    return gtheta + _backward(params, clean, seed_clean, to_inputs=False)[0], gdelta, value

@@ -16,7 +16,13 @@ objective at the iterate it came from, in theta and in delta. The follower
 records, with each ascent step's gradient, the tangent map of that step's
 pass, which gives both contractions exactly: a tangent forward and a tangent
 backward over the recorded perturbed pass (forward-over-reverse, Pearlmutter
-1994), with no probe radius and no further forward pass.
+1994), with no probe radius and no further forward pass. The last reverse
+step skips the delta contraction, which nothing reads.
+
+Every seed on the clean pass (the task seed, the regularizer's clean seed
+and each reverse step's clean-output seed, which the tangent maps return
+unpropagated) goes through one stacked backprop. Each row has the bits of
+its seed's lone backprop and is added where that backprop was.
 
 `training_step` runs one leader update of any method. The methods differ in
 what the follower climbs (nothing for ERM, the task loss for Adv, the
@@ -42,18 +48,20 @@ from .diffmodel import (
     Batch,
     ForwardPass,
     ModelParams,
+    _backward,
     _backward_input,
+    _check_targets,
     _forward,
     _per_member,
+    _task_grad,
+    _task_loss,
     _task_seed_sum,
-    grad_params,
     mlp_forward,
-    task_loss,
 )
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, Rng, ascend, project_jvp_rows, sample_init
-from .regularizers import RegularizerKind, TangentMap, reg_grad_delta_tangent, reg_grad_params_sum
+from .regularizers import RegularizerKind, TangentMap, _reg_grad_params_parts, reg_grad_delta_tangent
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
 # point and the interaction part is zeroed instead of amplifying noise.
@@ -148,6 +156,44 @@ def _check_tape(tape: UnrollTape, params: ModelParams, x: Array, cfg: AdvConfig)
 # ---------- interaction term, reverse sweep ----------
 
 
+def _clean_backprop(params: ModelParams, clean: ForwardPass, seeds: Sequence[Array | float]) -> Array:
+    """Every seed on the clean pass's output backpropagated to the parameters
+    in one call: row i of the (len(seeds), ..., P) result has the bits of
+    seed i's lone backprop."""
+    stack = np.empty((len(seeds), *clean.out.shape))
+    for i, seed in enumerate(seeds):
+        stack[i] = seed
+    return _backward(params, clean, stack, to_inputs=False)[0]
+
+
+def _reverse_sweep(tape: UnrollTape, cfg: AdvConfig, u: Array) -> tuple[list[Array], list[Array | float]]:
+    """Push the endpoint cotangent u back through the tape: at each step, last
+    first, through the projection Jacobian at the recorded pre-projection
+    point, then through the ascent update's curvature, which the tangent map
+    recorded at that step's starting iterate gives. Returns each step's mixed
+    contraction without its clean branch, and that branch's clean-output
+    seed."""
+    mixed: list[Array] = []
+    seeds: list[Array | float] = []
+    for k in range(tape.k_steps, 0, -1):
+        u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
+        d_theta, curv, seed = tape.tangents[k - 1](u, curv=k > 1)
+        mixed.append(d_theta)
+        seeds.append(seed)
+        if k > 1:
+            u = u + cfg.eta * curv
+    return mixed, seeds
+
+
+def _interaction(mixed: list[Array], clean_parts: Array, cfg: AdvConfig, shape: tuple[int, ...]) -> Array:
+    """alpha * eta * the sum of each step's mixed contraction, its clean part
+    added back, accumulated in reverse-sweep order."""
+    g = np.zeros(shape)
+    for d_theta, clean_part in zip(mixed, clean_parts):
+        g = g + cfg.eta * (d_theta + clean_part)
+    return cfg.alpha * g
+
+
 def interaction_adjoint(
     tape: UnrollTape,
     params: ModelParams,
@@ -158,27 +204,42 @@ def interaction_adjoint(
 ) -> Array:
     """alpha * (d reg_mean / d delta_K) @ (d delta_K / d theta), accumulated in reverse.
 
-    Walks the tape backwards, pushing the endpoint cotangent through the
-    projection Jacobian at each recorded pre-projection point, then through
-    the ascent update's curvature, which the tangent map recorded at that
-    step's starting iterate gives. cotangent is d reg_mean / d delta_K,
-    computed from obj when not given.
+    Walks the tape backwards (see _reverse_sweep), then backpropagates the
+    steps' clean-output seeds through the clean pass at (params, x) in one
+    call. cotangent is d reg_mean / d delta_K, computed from obj when not
+    given.
     """
     _check_tape(tape, params, x, cfg)
-    g = np.zeros(params.values.shape)
     if tape.k_steps == 0:
-        return cfg.alpha * g
+        return cfg.alpha * np.zeros(params.values.shape)
     n = tape.deltas[0].shape[-2]
     u = obj(tape.deltas[-1])[0] / n if cotangent is None else cotangent
-    for k in range(tape.k_steps, 0, -1):
-        u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
-        mixed, curv = tape.tangents[k - 1](u)
-        g = g + cfg.eta * mixed
-        u = u + cfg.eta * curv
-    return cfg.alpha * g
+    mixed, seeds = _reverse_sweep(tape, cfg, u)
+    clean_parts = _clean_backprop(params, mlp_forward(params, x), seeds)
+    return _interaction(mixed, clean_parts, cfg, params.values.shape)
 
 
 # ---------- the leader part and the full outer gradient ----------
+
+
+def _leader_part(
+    params: ModelParams,
+    clean: ForwardPass,
+    targets: Array,
+    cfg: AdvConfig,
+    reg_theta: Array,
+    reg_seed: Array,
+    more_seeds: Sequence[Array | float] = (),
+) -> tuple[Array, Array]:
+    """The leader part from the regularizer's perturbed-branch theta gradient
+    and clean seed at the endpoint: the task seed, reg_seed and more_seeds go
+    through clean in one backprop. Returns the leader part and more_seeds'
+    backprops."""
+    n = clean.out.shape[-2]
+    parts = _clean_backprop(params, clean, [_task_seed_sum(clean, targets) / n, reg_seed, *more_seeds])
+    if cfg.alpha == 0.0:
+        return parts[0], parts[2:]
+    return parts[0] + cfg.alpha * ((reg_theta + parts[1]) / n), parts[2:]
 
 
 def vat_gradient(
@@ -188,18 +249,22 @@ def vat_gradient(
     parameter gradient, with delta held constant; also the summed
     regularizer's delta gradient and value at delta, from the same perturbed
     pass. clean is the pass at batch.inputs."""
-    task = grad_params(params, batch, clean)
-    reg, reg_delta, reg_sum = reg_grad_params_sum(params, batch.inputs, delta, kind, clean)
-    if cfg.alpha == 0.0:
-        return task, reg_delta, reg_sum
-    return task + cfg.alpha * (reg / batch.n), reg_delta, reg_sum
+    return _vat_gradient(params, _check_targets(clean, batch.targets), batch.inputs, delta, cfg, kind, clean)
 
 
-def step_stats(batch: Batch, clean: ForwardPass, reg_value: float | Array, delta0: Array, delta_k: Array) -> dict:
-    """The stats every adversarial step reports, from its clean pass and its
-    follower's init and endpoint: floats, or (m,) arrays for a stack."""
+def _vat_gradient(
+    params: ModelParams, targets: Array, x: Array, delta: Array, cfg: AdvConfig, kind: RegularizerKind, clean: ForwardPass
+) -> tuple[Array, Array, float]:
+    _, reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta, kind, clean)
+    return _leader_part(params, clean, targets, cfg, reg_theta, reg_seed)[0], reg_delta, reg_sum
+
+
+def step_stats(targets: Array, clean: ForwardPass, reg_value: float | Array, delta0: Array, delta_k: Array) -> dict:
+    """The stats every adversarial step reports, from its checked targets, its
+    clean pass and its follower's init and endpoint: floats, or (m,) arrays
+    for a stack."""
     return {
-        "clean_loss": task_loss(clean, batch.targets),
+        "clean_loss": _task_loss(clean, targets),
         "reg_value": reg_value,
         "delta_norm": _per_member(np.sqrt((delta_k**2).sum(axis=-1)).mean(axis=-1)),
         "delta0_sum": _per_member(delta0.sum(axis=(-2, -1))),
@@ -234,29 +299,33 @@ def stackelberg_gradient(
     rng: Rng | Sequence[Rng],
 ) -> StackelbergGrad:
     """The leader's full gradient at batch: unroll the follower, take the flat
-    gradient at its endpoint, and add the interaction term. A member whose
-    endpoint gradient is degenerate gets an interaction of exactly 0.0."""
+    gradient at its endpoint, and add the interaction term, with every seed on
+    the clean pass in one backprop. A member whose endpoint gradient is
+    degenerate gets an interaction of exactly 0.0."""
     x = batch.inputs
     t0 = time.perf_counter()
     clean = mlp_forward(params, x)
-    obj = make_adv_objective(params, x, kind, clean)
-    tape = unroll_forward(params, x, cfg, obj, rng)
+    targets = _check_targets(clean, batch.targets)
+    tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
     t1 = time.perf_counter()
     delta_k = tape.deltas[-1]
-    leader, reg_delta, reg_sum = vat_gradient(params, batch, delta_k, cfg, kind, clean)
+    _, reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean)
     v = reg_delta / batch.n
     degenerate = _member_norms(v, 2) < _DEGENERATE_NORM
     # Python's all and any over the members, not numpy reductions
-    if cfg.alpha == 0.0 or tape.k_steps == 0 or all(degenerate.flat):
-        interaction = np.zeros(leader.shape)
-    else:
-        interaction = interaction_adjoint(tape, params, x, obj, cfg, cotangent=v)
+    sweep = not (cfg.alpha == 0.0 or tape.k_steps == 0 or all(degenerate.flat))
+    mixed, seeds = _reverse_sweep(tape, cfg, v) if sweep else ([], [])
+    leader, clean_parts = _leader_part(params, clean, targets, cfg, reg_theta, reg_seed, seeds)
+    if sweep:
+        interaction = _interaction(mixed, clean_parts, cfg, leader.shape)
         if any(degenerate.flat):  # some members of a stack
             interaction = np.where(degenerate[:, None], 0.0, interaction)
+    else:
+        interaction = np.zeros(leader.shape)
     t2 = time.perf_counter()
     ratio = _member_norms(interaction, 1) / np.maximum(_member_norms(leader, 1), 1e-300)
     stats = {
-        **step_stats(batch, clean, reg_sum / batch.n, tape.deltas[0], delta_k),
+        **step_stats(targets, clean, reg_sum / batch.n, tape.deltas[0], delta_k),
         "interaction_ratio": _per_member(ratio),
         "degenerate_interaction": _per_member(degenerate),
         "t_unroll": t1 - t0,
@@ -272,12 +341,13 @@ class Method(str, Enum):
     SALT = "SALT"
 
 
-def task_ascent(params: ModelParams, batch: Batch) -> Callable[[Array], Array]:
-    """The Adv follower's ascent direction: d(summed task loss at x + delta)/d(delta)."""
+def task_ascent(params: ModelParams, x: Array, targets: Array) -> Callable[[Array], Array]:
+    """The Adv follower's ascent direction: d(summed task loss at x + delta)/d(delta),
+    for targets checked as diffmodel._check_targets gives them."""
 
     def grad_delta(delta: Array) -> Array:
-        fwd = _forward(params, batch.inputs + delta)
-        return _backward_input(params, fwd.acts, _task_seed_sum(fwd, batch.targets))[0]
+        fwd = _forward(params, x + delta)
+        return _backward_input(params, fwd, _task_seed_sum(fwd, targets))[0]
 
     return grad_delta
 
@@ -297,7 +367,8 @@ def training_step(
     takes only the leader part, its endpoint held constant. Adv climbs the
     task loss from the same draw and adds alpha times the task gradient at
     its endpoint. ERM takes the clean task gradient. kind and rng go unused
-    where the method has no regularizer or no follower."""
+    where the method has no regularizer or no follower. Each step checks its
+    batch's targets once."""
     if method == Method.SALT:
         grad = stackelberg_gradient(params, batch, cfg, kind, rng)
         t2 = time.perf_counter()
@@ -305,20 +376,20 @@ def training_step(
         return new_params, new_state, {**grad.stats, "t_update": time.perf_counter() - t2}
     x = batch.inputs
     clean = mlp_forward(params, x)
+    targets = _check_targets(clean, batch.targets)
     if method == Method.ERM:
-        grad = grad_params(params, batch, clean)
-        stats = {"clean_loss": task_loss(clean, batch.targets), "reg_value": 0.0, "delta_norm": 0.0}
+        grad = _task_grad(params, clean, targets)
+        stats = {"clean_loss": _task_loss(clean, targets), "reg_value": 0.0, "delta_norm": 0.0}
     elif method == Method.VAT:
         tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
-        grad, _, reg_sum = vat_gradient(params, batch, tape.deltas[-1], cfg, kind, clean)
-        stats = step_stats(batch, clean, reg_sum / batch.n, tape.deltas[0], tape.deltas[-1])
+        grad, _, reg_sum = _vat_gradient(params, targets, x, tape.deltas[-1], cfg, kind, clean)
+        stats = step_stats(targets, clean, reg_sum / batch.n, tape.deltas[0], tape.deltas[-1])
     elif method == Method.ADV:
         delta0 = sample_init(cfg.sigma, x.shape, rng).values
-        delta_k = ascend(task_ascent(params, batch), delta0, cfg)[0][-1]
-        attacked = Batch(inputs=x + delta_k, targets=batch.targets)
-        hit = _forward(params, attacked.inputs)
-        grad = grad_params(params, batch, clean) + cfg.alpha * grad_params(params, attacked, hit)
-        stats = step_stats(batch, clean, task_loss(hit, batch.targets), delta0, delta_k)
+        delta_k = ascend(task_ascent(params, x, targets), delta0, cfg)[0][-1]
+        hit = _forward(params, x + delta_k)
+        grad = _task_grad(params, clean, targets) + cfg.alpha * _task_grad(params, hit, targets)
+        stats = step_stats(targets, clean, _task_loss(hit, targets), delta0, delta_k)
     else:
         raise ContractViolation(f"method must be one of {[m.value for m in Method]}, got {method!r}")
     new_params, new_state = optimizer_step(params, opt_state, grad)

@@ -98,7 +98,8 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> Callable[[np.nd
     A is (D, D) symmetric, B is (D, P). Gradients and Hessians are exact:
     d g / d delta = A flat(delta) + B theta, d g / d theta = B^T flat(delta),
     d2 g / d delta^2 = A, and the mixed matrix [i, j] = B[i, j], so the
-    tangent map along u is (B^T flat(u), A flat(u)) everywhere.
+    tangent map along u is (B^T flat(u), A flat(u), 0.0) everywhere: the
+    objective has no clean branch, so its clean-output seed is 0.0.
     """
     a_mat = np.asarray(a_mat, dtype=np.float64)
     b_mat = np.asarray(b_mat, dtype=np.float64)
@@ -108,8 +109,8 @@ def quadratic_objective(a_mat: np.ndarray, b_mat: np.ndarray) -> Callable[[np.nd
     def _grad_delta(delta: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return (a_mat @ delta.ravel() + b_mat @ theta).reshape(delta.shape)
 
-    def _tangent(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return b_mat.T @ u.ravel(), (a_mat @ u.ravel()).reshape(u.shape)
+    def _tangent(u: np.ndarray, curv: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
+        return b_mat.T @ u.ravel(), (a_mat @ u.ravel()).reshape(u.shape), 0.0
 
     return lambda theta: lambda delta: (_grad_delta(delta, theta), _tangent)
 

@@ -54,7 +54,8 @@ def adv_objectives(params: ModelParams, x: np.ndarray, kind: RegularizerKind) ->
 def attach_fd_second_order(family: Family, theta: np.ndarray) -> tuple[Linearize, Hess]:
     """(family(theta) with tangent maps that are products with the matrices,
     hess). hess(delta) -> (hdd, hdt) at theta, memoized on delta, so forward
-    and reverse mode consume identical matrices."""
+    and reverse mode consume identical matrices. hdt holds the whole mixed
+    derivative, clean branch included, so the maps' clean-output seed is 0.0."""
     obj = family(theta)
     cache = {}
 
@@ -68,9 +69,9 @@ def attach_fd_second_order(family: Family, theta: np.ndarray) -> tuple[Linearize
         return cache[key]
 
     def linearize(delta):
-        def tangent(u):
+        def tangent(u, curv=True):
             hdd, hdt = hess(delta)
-            return hdt.T @ u.ravel(), (hdd.T @ u.ravel()).reshape(u.shape)
+            return hdt.T @ u.ravel(), (hdd.T @ u.ravel()).reshape(u.shape), 0.0
 
         return obj(delta)[0], tangent
 

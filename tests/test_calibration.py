@@ -225,3 +225,16 @@ def test_read_predictions_csv(tmp_path):
     empty.write_text("confidence,correct\n")
     with pytest.raises(ContractViolation):
         read_predictions_csv(str(empty))
+
+
+def test_validation_names_the_bad_input():
+    """One scan checks both inputs; the message names the confidences when
+    both are bad, as the two checks in turn did."""
+    ok, flags = np.array([0.5, 0.5]), np.array([1, 0])
+    bad_conf = r"confidences must lie in \[0, 1\]"
+    with pytest.raises(ContractViolation, match=bad_conf):
+        bin_predictions(np.array([np.nan, 0.5]), flags, 10)
+    with pytest.raises(ContractViolation, match=bad_conf):
+        bin_predictions(np.array([1.5, 0.5]), np.array([2, 0]), 10)
+    with pytest.raises(ContractViolation, match="correct flags must be 0/1"):
+        bin_predictions(ok, np.array([1.0, 0.5]), 10)

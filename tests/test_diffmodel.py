@@ -170,7 +170,7 @@ def test_grad_input_matches_fd(objective):
     x = rng.normal(size=(5, 3))
     if objective == "task_loss":
         targets = rng.integers(0, 3, 5)
-        grad_delta = task_ascent(p, Batch(inputs=x, targets=targets))
+        grad_delta = task_ascent(p, x, targets)
 
         def val(delta):
             return task_loss(mlp_forward(p, x + delta), targets) * x.shape[0]
@@ -282,30 +282,30 @@ def test_stacked_forward_and_loss_are_each_members(width):
     def results(params, x, y, i):
         fwd = _forward(params, x)
         dout, t_dout = seed_out[i], t_seed[i]
-        _, seeds = _backward_input(params, fwd.acts, dout)
-        t_out, t_acts, t_outs = _forward_tangent(params, fwd.acts, u[i])
+        _, seeds = _backward_input(params, fwd, dout)
+        t_out, t_acts, t_outs = _forward_tangent(params, fwd, u[i])
         return [
             *fwd.acts[1:],
             fwd.out,
             np.asarray(task_loss(fwd, y)),
-            *_backward(params, fwd.acts, dout),
+            *_backward(params, fwd, dout),
             grad_params(params, Batch(x, y), fwd),
             t_out,
-            *_backward_tangent(params, fwd.acts, seeds, t_acts, t_outs, t_dout),
+            *_backward_tangent(params, fwd, seeds, t_acts, t_outs, t_dout),
         ]
 
     for x, y in ((xs[0], ys[0]), (xs, ys)):
         fwd = _forward(sp, x)
-        _, seeds = _backward_input(sp, fwd.acts, seed_out)
-        t_out, t_acts, t_outs = _forward_tangent(sp, fwd.acts, u)
+        _, seeds = _backward_input(sp, fwd, seed_out)
+        t_out, t_acts, t_outs = _forward_tangent(sp, fwd, u)
         stacked = [
             *fwd.acts[1:],
             fwd.out,
             task_loss(fwd, y),
-            *_backward(sp, fwd.acts, seed_out),
+            *_backward(sp, fwd, seed_out),
             grad_params(sp, Batch(x, y), fwd),
             t_out,
-            *_backward_tangent(sp, fwd.acts, seeds, t_acts, t_outs, t_seed),
+            *_backward_tangent(sp, fwd, seeds, t_acts, t_outs, t_seed),
         ]
         assert task_loss(fwd, y).shape == (6,)
         for i in range(6):
@@ -314,3 +314,33 @@ def test_stacked_forward_and_loss_are_each_members(width):
                 assert got[i].tobytes() == want.tobytes()
     with pytest.raises(ContractViolation):
         Batch(xs, ys[:, :-1])  # one target short in every member
+
+
+def test_forward_only_passes_never_fill_tanh_grads(monkeypatch):
+    """tanh' is computed on a pass's first backward or tangent, and never by a
+    pass that is only evaluated: mlp_forward's pass, and in
+    gradcheck.total_objective the clean pass and the final value pass, while
+    each of the K ascent steps' passes fills it once, for its backward.
+    Filling it for every pass up front made gradcheck 20.6% slower."""
+    from salt import diffmodel, regularizers
+    from salt.gradcheck import sample_instance, total_objective
+
+    rng = np.random.default_rng(3)
+    p = init_params([2, 5, 4, 3], rng)
+    fwd = mlp_forward(p, rng.normal(size=(6, 2)))
+    task_loss(fwd, rng.integers(0, 3, 6))
+    assert "tanh_grads" not in fwd.__dict__
+
+    inst, _ = sample_instance(0, 0)
+    passes = []
+    original = diffmodel._forward
+
+    def recorded(params, inputs):
+        passes.append(original(params, inputs))
+        return passes[-1]
+
+    for module in (diffmodel, regularizers):
+        monkeypatch.setattr(module, "_forward", recorded)
+    total_objective(inst.params, inst.batch, inst.cfg, inst.kind, inst.delta0)
+    filled = ["tanh_grads" in fwd.__dict__ for fwd in passes]
+    assert filled == [False] + [True] * inst.cfg.k_steps + [False]

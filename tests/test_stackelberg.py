@@ -16,10 +16,10 @@ import pytest
 
 from helpers import count_c_calls, count_minor_faults, count_reductions, quadratic_objective, random_quadratic, shipped_config
 from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
-from salt.diffmodel import Batch, grad_params, init_params, mlp_forward, task_loss
+from salt.diffmodel import Batch, _backward, _task_seed_sum, grad_params, init_params, mlp_forward, task_loss
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState
-from salt.perturb import AdvConfig, NormKind, ProjMode, ascend, sample_init
+from salt.perturb import AdvConfig, NormKind, ProjMode, ascend, project_jvp_rows, sample_init
 from salt.regularizers import RegularizerKind, reg_grad_delta_tangent, reg_grad_params_sum, reg_value_sum
 from salt.stackelberg import (
     Method,
@@ -33,7 +33,7 @@ from salt.stackelberg import (
 )
 
 KIND = RegularizerKind.KL_DIVERGENCE
-P_CARRIER = [1, 3]  # flat size 1*3 + 3 = 6
+P_CARRIER = [2, 2]  # flat size 2*2 + 2 = 6; a model over the (n, 2) inputs the adjoint takes
 
 
 def _carrier(rng, p_dim=6):
@@ -246,9 +246,13 @@ def test_adjoint_modes_agree_on_mlp(seed):
 
 def _tangent_fd_errors(params, x, delta, kind, u, steps):
     """Relative errors of the tangent map at delta along u against central
-    differences of reg_grad_params_sum's (theta, delta) gradients, per step."""
+    differences of reg_grad_params_sum's (theta, delta) gradients, per step.
+    The map's clean-output seed is backpropagated through the clean pass and
+    added to its mixed part."""
     _, tangent = reg_grad_delta_tangent(params, x, delta, kind)
-    got = np.concatenate([part.ravel() for part in tangent(u)])
+    mixed, curv, seed = tangent(u)
+    mixed = mixed + _backward(params, mlp_forward(params, x), seed)[0]
+    got = np.concatenate([mixed.ravel(), curv.ravel()])
     errs = []
     for h in steps:
         plus = reg_grad_params_sum(params, x, delta + h * u, kind)
@@ -581,7 +585,7 @@ def test_task_ascent_increases_task_loss():
         batch = Batch(inputs=x, targets=y)
         cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
         d0 = np.random.default_rng(seed + 500).standard_normal(x.shape) * cfg.sigma
-        dk = ascend(task_ascent(p, batch), sample_init(cfg.sigma, x.shape, seed + 500).values, cfg)[0][-1]
+        dk = ascend(task_ascent(p, x, y), sample_init(cfg.sigma, x.shape, seed + 500).values, cfg)[0][-1]
         before = task_loss(mlp_forward(p, x + d0), y)
         after = task_loss(mlp_forward(p, x + dk), y)
         if after >= before:
@@ -640,11 +644,13 @@ def test_step_forward_and_backward_counts(monkeypatch):
     passes and the same numpy reductions on (3, ...) arrays. Every backward
     pass runs _backward_input; _backward also forms the parameter gradient.
     SALT: 1 clean + K unroll + 1 endpoint forwards; K unroll backwards to the
-    inputs, 1 task + 2 endpoint parameter-gradient backwards, and per reverse
-    step one tangent forward, one tangent backward and one parameter-gradient
-    backward of the clean branch. The flat steps share their clean pass the
-    same way. The last figure is the numpy reductions per step: a clean
-    pass's one softmax feeds its loss, its seed and the regularizer."""
+    inputs, 1 endpoint parameter-gradient backward, per reverse step one
+    tangent forward and one tangent backward, and one backward of the clean
+    pass that carries every seed on it as a stack: the task seed, the
+    regularizer's clean seed and each reverse step's clean-output seed. VAT
+    backpropagates its clean pass once the same way. The last figure is the
+    numpy reductions per step: a clean pass's one softmax feeds its loss, its
+    seed and the regularizer, and each step checks its labels once."""
     import sys
 
     from salt import diffmodel
@@ -655,9 +661,9 @@ def test_step_forward_and_backward_counts(monkeypatch):
     for name in names:
         original = getattr(diffmodel, name)
 
-        def counted(*args, _name=name, _fn=original):
+        def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         for module in salt_modules:
             if getattr(module, name, None) is original:
@@ -669,12 +675,12 @@ def test_step_forward_and_backward_counts(monkeypatch):
         assert k == 2
         state = OptimizerState(kind="Adam", lr=1e-3)
         kind = cfg.model.regularizer_kind
-        assert (1 + k + 1, k + 3 + k, 3 + k) == (4, 7, 5)
+        assert (1 + k + 1, k + 2) == (4, 4)
         steps = {
-            Method.SALT: ((4, 7, 5, k, k), 56),
-            Method.VAT: ((k + 2, k + 3, 3, 0, 0), 34),
-            Method.ADV: ((k + 2, k + 2, 2, 0, 0), 34),
-            Method.ERM: ((1, 1, 1, 0, 0), 11),
+            Method.SALT: ((4, 4, 2, k, k), 39),
+            Method.VAT: ((k + 2, k + 2, 2, 0, 0), 25),
+            Method.ADV: ((k + 2, k + 2, 2, 0, 0), 24),
+            Method.ERM: ((1, 1, 1, 0, 0), 9),
         }
         for method, (want, reductions) in steps.items():
             counts.update(dict.fromkeys(names, 0))
@@ -720,10 +726,81 @@ def test_stacked_gradient_masks_a_degenerate_member():
                 assert got.stats[key][i] == value, (i, key)
 
 
+def _per_seed_reference(params, batch, cfg, kind, rng):
+    """(leader part, interaction part) with every seed on the clean pass
+    backpropagated by its own _backward call: the task seed, the
+    regularizer's clean seed (inside reg_grad_params_sum) and each reverse
+    step's clean-output seed, added in the order the step adds them."""
+    x, n = batch.inputs, batch.n
+    clean = mlp_forward(params, x)
+    tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
+    reg, reg_delta, _ = reg_grad_params_sum(params, x, tape.deltas[-1], kind, clean)
+    task = _backward(params, clean, _task_seed_sum(clean, batch.targets) / n)[0]
+    leader = task if cfg.alpha == 0.0 else task + cfg.alpha * (reg / n)
+    u = v = reg_delta / n
+    g = np.zeros(leader.shape)
+    for k in range(tape.k_steps, 0, -1):
+        u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
+        d_theta, curv, seed = tape.tangents[k - 1](u)
+        g = g + cfg.eta * (d_theta + _backward(params, clean, seed)[0])
+        u = u + cfg.eta * curv
+    members = [v] if v.ndim == 2 else list(v)
+    degenerate = np.array([np.linalg.norm(m) < 1e-14 for m in members])
+    interaction = np.where(degenerate[:, None], 0.0, cfg.alpha * g).reshape(leader.shape)
+    return leader, interaction
+
+
+@pytest.mark.parametrize("members", [None, 3])
+@pytest.mark.parametrize("kind", list(RegularizerKind))
+def test_one_clean_backprop_equals_per_seed_backprops(kind, members):
+    """stackelberg_gradient backpropagates every seed on its clean pass in one
+    stacked call; its leader and interaction parts have the bits of one
+    _backward call per seed, for K = 0..3, alpha = 0 and 0.7, a lone problem
+    and a stack of three, on both heads."""
+    width = 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3
+    rng = np.random.default_rng(50)
+    params = init_params([2, 6, 5, width], rng, scale=1.5)
+    x = rng.normal(size=(5, 2))
+    y = rng.normal(size=5) if width == 1 else rng.integers(0, width, 5)
+    seeds = 4
+    if members is not None:
+        params = params.replace_values(params.values * (1.0 + 0.2 * rng.normal(size=(members, params.n_params))))
+        x, y = np.stack([x + 0.1 * i for i in range(members)]), np.stack([y] * members)
+        seeds = [4, 5, 6]
+    batch = Batch(x, y)
+    for k_steps in range(4):
+        for alpha in (0.7, 0.0):
+            cfg = AdvConfig(alpha=alpha, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=k_steps)
+            got = stackelberg_gradient(params, batch, cfg, kind, seeds)
+            leader, interaction = _per_seed_reference(params, batch, cfg, kind, seeds)
+            assert np.array_equal(got.leader_part, leader), (k_steps, alpha)
+            assert np.array_equal(got.interaction_part, interaction), (k_steps, alpha)
+            assert np.any(interaction) == (alpha > 0.0 and k_steps > 0)
+
+
+def test_one_clean_backprop_with_a_degenerate_member():
+    """A stack whose middle member's endpoint gradient is exactly zero: the
+    one stacked clean backprop still gives the per-seed bits, and that
+    member's interaction is 0.0."""
+    params, batch = _mlp_batch(18, sizes=(2, 5, 3), n=4)
+    values = np.stack([params.values, params.values.copy(), 0.5 * params.values])
+    values[1, -(5 * 3 + 3) :] = 0.0
+    stack = params.replace_values(values)
+    stacked_batch = Batch(np.stack([batch.inputs] * 3), np.stack([batch.targets] * 3))
+    for k_steps in range(1, 4):
+        cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=k_steps)
+        got = stackelberg_gradient(stack, stacked_batch, cfg, KIND, [7, 8, 9])
+        leader, interaction = _per_seed_reference(stack, stacked_batch, cfg, KIND, [7, 8, 9])
+        assert got.stats["degenerate_interaction"].tolist() == [False, True, False]
+        assert np.array_equal(got.leader_part, leader), k_steps
+        assert np.array_equal(got.interaction_part, interaction), k_steps
+
+
 def test_epoch_evaluation_reduction_count():
     """numpy reductions in one epoch's evaluation at the canonical point: one
     forward per split, whose one softmax gives the loss and the confidences,
-    then the test split's reliability report, grouped in one pass."""
+    then the test split's reliability report, grouped in one pass, whose
+    input checks make one scan."""
     from salt.calibration import bin_predictions, confidence_of
     from salt.harness.datasets import gen_two_moons
     from salt.harness.experiment import _evaluate
@@ -738,7 +815,7 @@ def test_epoch_evaluation_reduction_count():
         bin_predictions(confidence_of(fwd), correct)
 
     assert count_reductions(lambda: _evaluate(params, test)) == 6
-    assert count_reductions(evaluate_epoch) == 16
+    assert count_reductions(evaluate_epoch) == 15
 
 
 _CANONICAL_STACKS = """
