@@ -59,7 +59,6 @@ from .stackelberg import (
     stackelberg_gradient,
     training_step,
     unroll_forward,
-    vat_gradient,
 )
 from .calibration import CalibrationReport, bin_predictions, confidence_of
 
@@ -94,5 +93,4 @@ __all__ = [
     "task_loss",
     "training_step",
     "unroll_forward",
-    "vat_gradient",
 ]

@@ -384,10 +384,10 @@ def _task_grad(params: ModelParams, fwd: ForwardPass, targets: Array) -> Array:
     return _backward(params, fwd, seed, to_inputs=False)[0]
 
 
-def grad_params(params: ModelParams, batch: Batch, fwd: ForwardPass | None = None) -> Array:
+def grad_params(params: ModelParams, batch: Batch) -> Array:
     """Gradient of the batch-mean task loss with respect to the flat
-    parameters. fwd is the batch's forward pass, computed when not given."""
-    fwd = _forward(params, batch.inputs) if fwd is None else fwd
+    parameters."""
+    fwd = _forward(params, batch.inputs)
     return _task_grad(params, fwd, _check_targets(fwd, batch.targets))
 
 

@@ -188,14 +188,13 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
             json.dump(config_to_dict(c), fh, indent=2)
             fh.write("\n")
 
-    n = train.n
+    n, steps = train.n, len(range(0, train.n, cfg.batch_size))
     with ExitStack() as files:
         metrics_fhs = [files.enter_context(open(r.metrics_path, "w")) for r in records]
         timing_fhs = [files.enter_context(open(os.path.join(c.outdir, "timing.jsonl"), "w")) for c in cfgs]
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
             orders = join([rng.permutation(n) for rng in order_rngs])
-            reg_values: list[list[float]] = [[] for _ in cfgs]
             for lo in range(0, n, cfg.batch_size):
                 sel = (*lead, orders[..., lo : lo + cfg.batch_size])
                 batch = Batch(train.inputs[sel], train.targets[sel])
@@ -203,7 +202,6 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
                 columns = {key: _split(value, runs) for key, value in stats.items()}
                 for i, record in enumerate(records):
                     record.step_stats.append({key: column[i] for key, column in columns.items()})
-                    reg_values[i].append(columns["reg_value"][i])
             tr = {key: _split(value, runs) for key, value in _evaluate(params, train)[0].items()}
             metrics, fwd, correct = _evaluate(params, test)
             te = {key: _split(value, runs) for key, value in metrics.items()}
@@ -220,7 +218,7 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
                     row["train_rmse"] = tr["rmse"][i]
                     row["val_rmse"] = te["rmse"][i]
                     row["ece"] = None
-                row["reg_value"] = float(np.mean(reg_values[i]))
+                row["reg_value"] = float(np.mean([s["reg_value"] for s in record.step_stats[-steps:]]))
                 record.rows.append(row)
                 fh.write(json.dumps(row) + "\n")
                 fh.flush()

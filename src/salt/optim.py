@@ -1,6 +1,7 @@
 """Pure-functional SGD and Adam over the flat parameter vector."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +23,12 @@ class OptimizerState:
     def __post_init__(self) -> None:
         if self.kind not in ("SGD", "Adam"):
             raise ContractViolation(f"unknown optimizer kind: {self.kind!r}")
-        if self.lr <= 0:
-            raise ContractViolation("learning rate must be positive")
+        # plain comparisons: adam_step rebuilds the state on every step
+        if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
+            raise ContractViolation(f"learning rate must be positive and finite, got {self.lr!r}")
+        b1, b2 = self.betas
+        if not (0 <= b1 < 1 and 0 <= b2 < 1):
+            raise ContractViolation(f"betas must lie in [0, 1), got {self.betas!r}")
 
 
 def sgd_step(params: ModelParams, state: OptimizerState, grad: Array) -> tuple[ModelParams, OptimizerState]:

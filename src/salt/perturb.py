@@ -90,10 +90,13 @@ def sample_init(sigma: float, shape: tuple[int, ...], rng: Rng | Sequence[Rng]) 
     draws member i's (n, d) from the i-th, as a lone draw from it would."""
     if require_real("sigma", sigma) < 0:
         raise ContractViolation(f"sigma must be non-negative, got {sigma!r}")
+    lone = isinstance(rng, (int, np.integer, np.random.Generator))
     if len(shape) == 3:
-        if isinstance(rng, (int, np.integer, np.random.Generator)) or len(rng) != shape[0]:
+        if lone or len(rng) != shape[0]:
             raise ContractViolation("a stacked draw takes one rng per member")
         return Perturbation(values=np.stack([_generator(g).standard_normal(shape[1:]) for g in rng]) * sigma)
+    if not lone:
+        raise ContractViolation("a lone draw takes one rng")
     return Perturbation(values=_generator(rng).standard_normal(shape) * sigma)
 
 

@@ -7,7 +7,7 @@ The outer objective is
 
 where delta_K is produced by k_steps of projected gradient ascent starting
 from a Gaussian draw. Its total derivative splits into a leader part (delta
-treated as a constant: `vat_gradient`, the flat baseline's whole gradient)
+treated as a constant: `_leader_part`, the flat baseline's whole gradient)
 and an interaction part that tracks how the ascent's endpoint moves with theta.
 
 The interaction part is computed by a reverse sweep over the recorded
@@ -28,6 +28,9 @@ its seed's lone backprop and is added where that backprop was.
 what the follower climbs (nothing for ERM, the task loss for Adv, the
 regularizer for VAT and SALT) and in whether the leader differentiates
 through the follower (SALT alone); the others hold its endpoint constant.
+VAT's step makes SALT's calls up to the reverse sweep: the same unroll, the
+same regularizer parts at the endpoint and the same `_leader_part`, with no
+further seeds on its clean backprop.
 
 Everything here also runs a stack of m problems at once: parameters (m, P)
 and a batch (m, n, d), with one rng per member. Each member's results are
@@ -200,21 +203,18 @@ def interaction_adjoint(
     x: Array,
     obj: Linearize,
     cfg: AdvConfig,
-    cotangent: Array | None = None,
 ) -> Array:
     """alpha * (d reg_mean / d delta_K) @ (d delta_K / d theta), accumulated in reverse.
 
-    Walks the tape backwards (see _reverse_sweep), then backpropagates the
-    steps' clean-output seeds through the clean pass at (params, x) in one
-    call. cotangent is d reg_mean / d delta_K, computed from obj when not
-    given.
+    Walks the tape backwards from d reg_mean / d delta_K, which obj gives at
+    the endpoint (see _reverse_sweep), then backpropagates the steps'
+    clean-output seeds through the clean pass at (params, x) in one call.
     """
     _check_tape(tape, params, x, cfg)
     if tape.k_steps == 0:
         return cfg.alpha * np.zeros(params.values.shape)
     n = tape.deltas[0].shape[-2]
-    u = obj(tape.deltas[-1])[0] / n if cotangent is None else cotangent
-    mixed, seeds = _reverse_sweep(tape, cfg, u)
+    mixed, seeds = _reverse_sweep(tape, cfg, obj(tape.deltas[-1])[0] / n)
     clean_parts = _clean_backprop(params, mlp_forward(params, x), seeds)
     return _interaction(mixed, clean_parts, cfg, params.values.shape)
 
@@ -240,23 +240,6 @@ def _leader_part(
     if cfg.alpha == 0.0:
         return parts[0], parts[2:]
     return parts[0] + cfg.alpha * ((reg_theta + parts[1]) / n), parts[2:]
-
-
-def vat_gradient(
-    params: ModelParams, batch: Batch, delta: Array, cfg: AdvConfig, kind: RegularizerKind, clean: ForwardPass
-) -> tuple[Array, Array, float]:
-    """The leader part: task-loss gradient plus alpha times the regularizer's
-    parameter gradient, with delta held constant; also the summed
-    regularizer's delta gradient and value at delta, from the same perturbed
-    pass. clean is the pass at batch.inputs."""
-    return _vat_gradient(params, _check_targets(clean, batch.targets), batch.inputs, delta, cfg, kind, clean)
-
-
-def _vat_gradient(
-    params: ModelParams, targets: Array, x: Array, delta: Array, cfg: AdvConfig, kind: RegularizerKind, clean: ForwardPass
-) -> tuple[Array, Array, float]:
-    _, reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta, kind, clean)
-    return _leader_part(params, clean, targets, cfg, reg_theta, reg_seed)[0], reg_delta, reg_sum
 
 
 def step_stats(targets: Array, clean: ForwardPass, reg_value: float | Array, delta0: Array, delta_k: Array) -> dict:
@@ -382,7 +365,8 @@ def training_step(
         stats = {"clean_loss": _task_loss(clean, targets), "reg_value": 0.0, "delta_norm": 0.0}
     elif method == Method.VAT:
         tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
-        grad, _, reg_sum = _vat_gradient(params, targets, x, tape.deltas[-1], cfg, kind, clean)
+        _, reg_theta, _, reg_sum, reg_seed = _reg_grad_params_parts(params, x, tape.deltas[-1], kind, clean)
+        grad = _leader_part(params, clean, targets, cfg, reg_theta, reg_seed)[0]
         stats = step_stats(targets, clean, reg_sum / batch.n, tape.deltas[0], tape.deltas[-1])
     elif method == Method.ADV:
         delta0 = sample_init(cfg.sigma, x.shape, rng).values

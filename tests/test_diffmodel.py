@@ -289,7 +289,7 @@ def test_stacked_forward_and_loss_are_each_members(width):
             fwd.out,
             np.asarray(task_loss(fwd, y)),
             *_backward(params, fwd, dout),
-            grad_params(params, Batch(x, y), fwd),
+            grad_params(params, Batch(x, y)),
             t_out,
             *_backward_tangent(params, fwd, seeds, t_acts, t_outs, t_dout),
         ]
@@ -303,7 +303,7 @@ def test_stacked_forward_and_loss_are_each_members(width):
             fwd.out,
             task_loss(fwd, y),
             *_backward(sp, fwd, seed_out),
-            grad_params(sp, Batch(x, y), fwd),
+            grad_params(sp, Batch(x, y)),
             t_out,
             *_backward_tangent(sp, fwd, seeds, t_acts, t_outs, t_seed),
         ]

@@ -77,3 +77,10 @@ def test_rejects_bad_state():
         OptimizerState(kind="RMSProp", lr=0.1)
     with pytest.raises(ContractViolation):
         OptimizerState(kind="Adam", lr=0.0)
+    for lr in (float("nan"), float("inf"), True):
+        with pytest.raises(ContractViolation, match="learning rate must be positive and finite"):
+            OptimizerState(kind="Adam", lr=lr)
+    for betas in ((1.0, 0.98), (0.9, -0.1), (float("nan"), 0.98)):
+        with pytest.raises(ContractViolation, match=r"betas must lie in \[0, 1\)"):
+            OptimizerState(kind="Adam", lr=0.1, betas=betas)
+    assert OptimizerState(kind="Adam", lr=0.1, betas=(0.0, 0.0), eps=0.0).eps == 0.0

@@ -123,6 +123,9 @@ def test_stacked_sample_init_draws_each_member_from_its_own_rng():
     for rng in (np.random.default_rng(0), 0, [0, 1]):
         with pytest.raises(ContractViolation, match="one rng per member"):
             sample_init(0.3, (3, 4, 2), rng)
+    for rng in ([np.random.default_rng(0)], [0, 1], (5,)):
+        with pytest.raises(ContractViolation, match="a lone draw takes one rng"):
+            sample_init(0.3, (4, 2), rng)
 
 
 def test_ascend_closed_form_linear_regression():

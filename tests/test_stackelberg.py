@@ -18,7 +18,7 @@ from helpers import count_c_calls, count_minor_faults, count_reductions, quadrat
 from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.diffmodel import Batch, _backward, _task_seed_sum, grad_params, init_params, mlp_forward, task_loss
 from salt.errors import ContractViolation
-from salt.optim import OptimizerState
+from salt.optim import OptimizerState, optimizer_step
 from salt.perturb import AdvConfig, NormKind, ProjMode, ascend, project_jvp_rows, sample_init
 from salt.regularizers import RegularizerKind, reg_grad_delta_tangent, reg_grad_params_sum, reg_value_sum
 from salt.stackelberg import (
@@ -29,7 +29,6 @@ from salt.stackelberg import (
     task_ascent,
     training_step,
     unroll_forward,
-    vat_gradient,
 )
 
 KIND = RegularizerKind.KL_DIVERGENCE
@@ -312,8 +311,6 @@ def test_adjoint_matches_hessian_oracle(kind, norm, mode):
     assert np.linalg.norm(want) > 0
     got = interaction_adjoint(tape, params, x, obj, cfg)
     assert _rel(got, want) <= 1e-7
-    v = obj(tape.deltas[-1])[0] / x.shape[0]
-    assert np.array_equal(interaction_adjoint(tape, params, x, obj, cfg, cotangent=v), got)
 
 
 @pytest.mark.parametrize("kind", list(RegularizerKind))
@@ -380,12 +377,17 @@ def _mlp_batch(seed, sizes=(2, 5, 3), n=4):
     return params, Batch(inputs=x, targets=y)
 
 
+def _sum_of_parts(params, batch, delta, cfg, kind):
+    """The flat gradient at a fixed delta from its two public parts: the task
+    gradient plus alpha times the regularizer's mean parameter gradient."""
+    return grad_params(params, batch) + cfg.alpha * (reg_grad_params_sum(params, batch.inputs, delta, kind)[0] / batch.n)
+
+
 def _flat_gradient(params, batch, cfg, seed):
-    """VAT's follower endpoint for the seed, and VAT's leader gradient there."""
+    """VAT's follower endpoint for the seed, and the flat gradient there."""
     x = batch.inputs
-    clean = mlp_forward(params, x)
-    delta = unroll_forward(params, x, cfg, make_adv_objective(params, x, KIND, clean), seed).deltas[-1]
-    return delta, vat_gradient(params, batch, delta, cfg, KIND, clean)[0]
+    delta = unroll_forward(params, x, cfg, make_adv_objective(params, x, KIND), seed).deltas[-1]
+    return delta, _sum_of_parts(params, batch, delta, cfg, KIND)
 
 
 def test_gradient_decomposition_and_leader_part():
@@ -490,9 +492,9 @@ def _flat_setup(seed=0, sizes=(2, 8, 3), n=5):
     return p, Batch(inputs=x, targets=y)
 
 
-def _vat_endpoint(p, x, cfg, seed, clean=None):
+def _vat_endpoint(p, x, cfg, seed):
     """The follower's endpoint, as the VAT step computes it."""
-    return unroll_forward(p, x, cfg, make_adv_objective(p, x, KIND, clean), seed).deltas[-1]
+    return unroll_forward(p, x, cfg, make_adv_objective(p, x, KIND), seed).deltas[-1]
 
 
 def test_k0_returns_projected_init_unchanged_by_model():
@@ -518,37 +520,42 @@ def test_follower_matches_unroll_trajectory():
                     assert vat_stats[key] == salt_stats[key]
 
 
-def test_vat_gradient_matches_sum_of_parts():
-    p, batch = _flat_setup(seed=5)
-    cfg = AdvConfig(alpha=0.7, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
-    x = batch.inputs
-    clean = mlp_forward(p, x)
-    d = _vat_endpoint(p, x, cfg, 11, clean)
-    g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
-    want = grad_params(p, batch) + cfg.alpha * (reg_grad_params_sum(p, x, d, KIND)[0] / batch.n)
-    assert np.array_equal(g, want)
+def test_leader_part_matches_sum_of_parts():
+    """The leader part at the follower's endpoint, from one stacked clean
+    backprop, has the bits of the task gradient plus alpha times the
+    regularizer's mean parameter gradient there, on both heads."""
+    for sizes, kind in (((2, 8, 3), KIND), ((2, 8, 1), RegularizerKind.SQUARED_DIFFERENCE)):
+        p, batch = _flat_setup(seed=5, sizes=sizes)
+        cfg = AdvConfig(alpha=0.7, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
+        grad = stackelberg_gradient(p, batch, cfg, kind, 11)
+        assert np.array_equal(grad.leader_part, _sum_of_parts(p, batch, grad.tape.deltas[-1], cfg, kind)), kind
 
 
-def test_vat_gradient_alpha_zero_is_clean_gradient():
+def test_vat_step_alpha_zero_is_erm_step():
+    """With alpha = 0 the regularizer does not reach VAT's update, however
+    far its follower climbs: the step has the bits of ERM's."""
     p, batch = _flat_setup(seed=6)
-    cfg = AdvConfig(alpha=0.0, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
-    d = np.full_like(batch.inputs, 100.0)
-    clean = mlp_forward(p, batch.inputs)
-    assert np.array_equal(vat_gradient(p, batch, d, cfg, KIND, clean)[0], grad_params(p, batch))
+    cfg = AdvConfig(alpha=0.0, epsilon=100.0, eta=50.0, sigma=100.0, k_steps=2)
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    vat, vat_state, stats = training_step(Method.VAT, p, batch, cfg, KIND, state, 3)
+    erm, erm_state, _ = training_step(Method.ERM, p, batch, cfg, KIND, state, 3)
+    assert stats["delta_norm"] > 10.0
+    assert np.array_equal(vat.values, erm.values)
+    assert np.array_equal(vat_state.m, erm_state.m) and np.array_equal(vat_state.v, erm_state.v)
 
 
-def test_vat_gradient_matches_fd_with_frozen_delta():
+def test_leader_part_matches_fd_with_frozen_delta():
     p, batch = _flat_setup(seed=8, sizes=(2, 5, 2), n=3)
     cfg = AdvConfig(alpha=1.3, epsilon=0.5, eta=0.6, sigma=0.1, k_steps=2)
     x = batch.inputs
-    clean = mlp_forward(p, x)
-    d = _vat_endpoint(p, x, cfg, 2, clean)
+    grad = stackelberg_gradient(p, batch, cfg, KIND, 2)
+    d = grad.tape.deltas[-1]
 
     def total(theta):
         q = p.replace_values(theta)
         return task_loss(mlp_forward(q, x), batch.targets) + cfg.alpha * (reg_value_sum(q, x, d, KIND) / batch.n)
 
-    g = vat_gradient(p, batch, d, cfg, KIND, clean)[0]
+    g = grad.leader_part
     h = 1e-6
     fd = np.zeros_like(g)
     for i in range(g.size):
@@ -750,6 +757,21 @@ def _per_seed_reference(params, batch, cfg, kind, rng):
     return leader, interaction
 
 
+def _head_inputs(kind, members):
+    """Parameters, a batch of 5 and the follower's rng for the head kind
+    needs, lone or as a stack of distinct members with one rng each."""
+    width = 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3
+    rng = np.random.default_rng(50)
+    params = init_params([2, 6, 5, width], rng, scale=1.5)
+    x = rng.normal(size=(5, 2))
+    y = rng.normal(size=5) if width == 1 else rng.integers(0, width, 5)
+    if members is None:
+        return params, Batch(x, y), 4
+    params = params.replace_values(params.values * (1.0 + 0.2 * rng.normal(size=(members, params.n_params))))
+    x, y = np.stack([x + 0.1 * i for i in range(members)]), np.stack([y] * members)
+    return params, Batch(x, y), [4, 5, 6]
+
+
 @pytest.mark.parametrize("members", [None, 3])
 @pytest.mark.parametrize("kind", list(RegularizerKind))
 def test_one_clean_backprop_equals_per_seed_backprops(kind, members):
@@ -757,17 +779,7 @@ def test_one_clean_backprop_equals_per_seed_backprops(kind, members):
     stacked call; its leader and interaction parts have the bits of one
     _backward call per seed, for K = 0..3, alpha = 0 and 0.7, a lone problem
     and a stack of three, on both heads."""
-    width = 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3
-    rng = np.random.default_rng(50)
-    params = init_params([2, 6, 5, width], rng, scale=1.5)
-    x = rng.normal(size=(5, 2))
-    y = rng.normal(size=5) if width == 1 else rng.integers(0, width, 5)
-    seeds = 4
-    if members is not None:
-        params = params.replace_values(params.values * (1.0 + 0.2 * rng.normal(size=(members, params.n_params))))
-        x, y = np.stack([x + 0.1 * i for i in range(members)]), np.stack([y] * members)
-        seeds = [4, 5, 6]
-    batch = Batch(x, y)
+    params, batch, seeds = _head_inputs(kind, members)
     for k_steps in range(4):
         for alpha in (0.7, 0.0):
             cfg = AdvConfig(alpha=alpha, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=k_steps)
@@ -776,6 +788,25 @@ def test_one_clean_backprop_equals_per_seed_backprops(kind, members):
             assert np.array_equal(got.leader_part, leader), (k_steps, alpha)
             assert np.array_equal(got.interaction_part, interaction), (k_steps, alpha)
             assert np.any(interaction) == (alpha > 0.0 and k_steps > 0)
+
+
+@pytest.mark.parametrize("members", [None, 3])
+@pytest.mark.parametrize("kind", list(RegularizerKind))
+def test_vat_step_is_optimizer_step_on_leader_part(kind, members):
+    """VAT's step makes SALT's calls up to the reverse sweep: its update has
+    the bits of optimizer_step on stackelberg_gradient's leader part at the
+    same rng, for K = 0..3, alpha = 0 and 0.7, a lone problem and a stack of
+    three, on both heads."""
+    params, batch, seeds = _head_inputs(kind, members)
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    for k_steps in range(4):
+        for alpha in (0.7, 0.0):
+            cfg = AdvConfig(alpha=alpha, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=k_steps)
+            got, got_state, _ = training_step(Method.VAT, params, batch, cfg, kind, state, seeds)
+            leader = stackelberg_gradient(params, batch, cfg, kind, seeds).leader_part
+            want, want_state = optimizer_step(params, state, leader)
+            assert np.array_equal(got.values, want.values), (k_steps, alpha)
+            assert np.array_equal(got_state.m, want_state.m) and np.array_equal(got_state.v, want_state.v)
 
 
 def test_one_clean_backprop_with_a_degenerate_member():
