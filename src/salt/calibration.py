@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffmodel import Array, ForwardPass
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 
 _CSV_HEADER = ["bin_lower", "bin_upper", "count", "mean_confidence", "accuracy", "calib_error"]
 
@@ -70,8 +70,7 @@ def bin_predictions(
 ) -> CalibrationReport:
     """Aggregate per-bin accuracy and confidence; ece is the count-weighted sum
     of the per-bin gaps, accumulated in bin order."""
-    if m_bins < 1:
-        raise ContractViolation("need at least one bin")
+    require_int("m_bins", m_bins, 1)
     confidences, flags = _validate(confidences, correct)
     n = confidences.size
     if equal_mass:

@@ -65,17 +65,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         shapes = tuple((int(r), int(c)) for r, c in self.shapes)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _checked_values(values, sum(r * c for r, c in shapes)))
         object.__setattr__(self, "shapes", shapes)
-        if values.ndim not in (1, 2):
-            raise ContractViolation("parameter values must be a flat vector or a stack of them")
-        expected = sum(r * c for r, c in shapes)
-        if values.shape[-1] != expected:
-            raise ContractViolation(
-                f"parameter vector has {values.shape[-1]} entries, shapes require {expected}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ContractViolation("parameter vector contains non-finite entries")
 
     @property
     def n_params(self) -> int:
@@ -90,7 +81,13 @@ class ModelParams:
         return self.shapes[-1][1]
 
     def replace_values(self, values: Array) -> "ModelParams":
-        return ModelParams(values=values, shapes=self.shapes)
+        """These shapes with new values, which are checked as __post_init__
+        checks them; the shapes, already normalised, are not walked again."""
+        values = _checked_values(np.asarray(values, dtype=np.float64), self.values.shape[-1])
+        new = object.__new__(ModelParams)
+        object.__setattr__(new, "values", values)
+        object.__setattr__(new, "shapes", self.shapes)
+        return new
 
     @_memo
     def layers(self) -> tuple[tuple[Array, Array], ...]:
@@ -103,6 +100,18 @@ class ModelParams:
             mats.append(self.values[..., off : off + r * c].reshape(*lead, r, c))
             off += r * c
         return tuple(zip(mats[0::2], mats[1::2]))
+
+
+def _checked_values(values: Array, expected: int) -> Array:
+    """values, a float64 array, checked as a flat vector or a stack of them,
+    expected entries each, all finite."""
+    if values.ndim not in (1, 2):
+        raise ContractViolation("parameter values must be a flat vector or a stack of them")
+    if values.shape[-1] != expected:
+        raise ContractViolation(f"parameter vector has {values.shape[-1]} entries, shapes require {expected}")
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
+        raise ContractViolation("parameter vector contains non-finite entries")
+    return values
 
 
 @dataclass(frozen=True)
@@ -181,9 +190,9 @@ class ForwardPass:
     def softmax_parts(self) -> tuple[Array, Array, Array]:
         """(s, e, S): shifted logits out - max, e = exp(s) and the row sums
         of e (keepdims). The top entry of each row of e is exp(0) = 1."""
-        s = self.out - self.out.max(axis=-1, keepdims=True)
+        s = self.out - np.maximum.reduce(self.out, axis=-1, keepdims=True)
         e = np.exp(s)
-        return s, e, e.sum(axis=-1, keepdims=True)
+        return s, e, np.add.reduce(e, axis=-1, keepdims=True)
 
     @_memo
     def tanh_grads(self) -> list[Array]:
@@ -243,7 +252,7 @@ def _backward(
     grad wrt inputs, None with to_inputs False); a stacked seed (..., n, C)
     gives (..., P) parameter gradients."""
     g, seeds = _backward_input(params, fwd, dout, to_inputs)
-    grads = [m for a, s in zip(fwd.acts, seeds) for m in (a.mT @ s, s.sum(axis=-2, keepdims=True))]
+    grads = [m for a, s in zip(fwd.acts, seeds) for m in (a.mT @ s, np.add.reduce(s, axis=-2, keepdims=True))]
     return _flatten_grads(grads), g
 
 
@@ -285,7 +294,7 @@ def _backward_tangent(
     t = t_dout
     for i in range(len(layers) - 1, -1, -1):
         grads[2 * i] = t_acts[i].mT @ seeds[i] + acts[i].mT @ t
-        grads[2 * i + 1] = t.sum(axis=-2, keepdims=True)
+        grads[2 * i + 1] = np.add.reduce(t, axis=-2, keepdims=True)
         if i > 0:
             # seeds[i-1] = (seeds[i] @ W.T) * (1 - a^2) with a = tanh(z) and
             # d(1 - a^2) = -2 a (1 - a^2) dz
@@ -318,10 +327,10 @@ def _check_labels(targets: Array, n_classes: int) -> Array:
     labels = np.asarray(targets)
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractViolation("classification targets must be integer labels")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ContractViolation(
-            f"label out of range for {n_classes} classes: [{labels.min()}, {labels.max()}]"
-        )
+    if labels.size:
+        lo, hi = np.minimum.reduce(labels, axis=None), np.maximum.reduce(labels, axis=None)
+        if lo < 0 or hi >= n_classes:
+            raise ContractViolation(f"label out of range for {n_classes} classes: [{lo}, {hi}]")
     return labels
 
 
@@ -355,11 +364,12 @@ def _check_targets(fwd: ForwardPass, targets: Array) -> Array:
 
 
 def _task_loss(fwd: ForwardPass, targets: Array) -> float | Array:
+    n = fwd.out.shape[-2]
     if fwd.is_classification:
         picked = fwd.log_probs[_label_index(targets)]
         # a stack's pick comes out column-major; the mean must run over contiguous rows
-        return _per_member(-np.ascontiguousarray(picked).mean(axis=-1))
-    return _per_member(((fwd.scalars - targets) ** 2).mean(axis=-1))
+        return _per_member(-(np.add.reduce(np.ascontiguousarray(picked), axis=-1) / n))
+    return _per_member(np.add.reduce((fwd.scalars - targets) ** 2, axis=-1) / n)
 
 
 def task_loss(fwd: ForwardPass, targets: Array) -> float | Array:

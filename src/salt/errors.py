@@ -18,6 +18,9 @@ def require_int(name: str, value, minimum: int) -> None:
 
 def require_real(name: str, value) -> float:
     """value as a float; raise unless it is a finite real number, not a bool."""
+    # a finite float, the common case, skips the ABC checks; NaN and +-inf fail the chained comparison
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ContractViolation(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):

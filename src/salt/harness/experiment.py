@@ -34,11 +34,11 @@ from ..diffmodel import (
     Batch,
     ForwardPass,
     ModelParams,
+    _forward,
     _per_member,
+    _task_loss,
     init_params,
-    mlp_forward,
     save_checkpoint,
-    task_loss,
 )
 from ..errors import ContractViolation
 from ..optim import OptimizerState
@@ -67,12 +67,14 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
 def _evaluate(params: ModelParams, batch: Batch) -> tuple[dict, ForwardPass, Array | None]:
     """Loss and accuracy or RMSE ((R,) arrays for a stack), the pass they
     were read from, and a classification head's correct flags ((R, n) for
-    a stack)."""
-    fwd = mlp_forward(params, batch.inputs)
-    loss = task_loss(fwd, batch.targets)
+    a stack). batch is a split as _checked_dataset checked it, so its inputs
+    and targets are not checked again."""
+    fwd = _forward(params, batch.inputs)
+    loss = _task_loss(fwd, batch.targets)
     if fwd.is_classification:
         correct = fwd.logits.argmax(axis=-1) == batch.targets
-        return {"loss": loss, "acc": _per_member(correct.mean(axis=-1))}, fwd, correct
+        acc = np.add.reduce(correct, axis=-1, dtype=np.float64) / batch.n
+        return {"loss": loss, "acc": _per_member(acc)}, fwd, correct
     return {"loss": loss, "rmse": _per_member(np.sqrt(loss))}, fwd, None
 
 
@@ -111,15 +113,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _checked_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
-    """The config's (train, test), checked against its model."""
+    """The config's (train, test), each split checked against its model:
+    input width, target type and, for a classification head, label range.
+    _evaluate reads them without checking again."""
     train, test = load_dataset(cfg)
     is_class = cfg.model.is_classification
-    if train.inputs.shape[1] != cfg.model.layers[0]:
-        raise ContractViolation(
-            f"dataset width {train.inputs.shape[1]} does not match model input width {cfg.model.layers[0]}"
-        )
-    if is_class != np.issubdtype(train.targets.dtype, np.integer):
-        raise ContractViolation("model head does not match the dataset target type")
+    for split in (train, test):
+        if split.inputs.shape[1] != cfg.model.layers[0]:
+            raise ContractViolation(
+                f"dataset width {split.inputs.shape[1]} does not match model input width {cfg.model.layers[0]}"
+            )
+        if is_class != np.issubdtype(split.targets.dtype, np.integer):
+            raise ContractViolation("model head does not match the dataset target type")
     if is_class:
         _check_class_labels(cfg, train, test)
     return train, test

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class OptimizerState:
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ContractViolation(f"betas must lie in [0, 1), got {self.betas!r}")
+        if isinstance(self.eps, bool) or not 0 <= self.eps < math.inf:
+            raise ContractViolation(f"eps must be non-negative and finite, got {self.eps!r}")
 
 
 def sgd_step(params: ModelParams, state: OptimizerState, grad: Array) -> tuple[ModelParams, OptimizerState]:
@@ -45,7 +47,7 @@ def adam_step(params: ModelParams, state: OptimizerState, grad: Array) -> tuple[
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     new_values = params.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params.replace_values(new_values), replace(state, t=t, m=m, v=v)
+    return params.replace_values(new_values), OptimizerState(state.kind, state.lr, state.betas, state.eps, t, m, v)
 
 
 def optimizer_step(params: ModelParams, state: OptimizerState, grad: Array) -> tuple[ModelParams, OptimizerState]:

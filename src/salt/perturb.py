@@ -109,7 +109,7 @@ def project_rows(values: Array, epsilon: float, norm: NormKind) -> Array:
     if require_real("epsilon", epsilon) <= 0:
         raise ContractViolation(f"epsilon must be positive, got {epsilon!r}")
     if norm == NormKind.L2:
-        norms = np.sqrt((values**2).sum(axis=-1))
+        norms = np.sqrt(np.add.reduce(values**2, axis=-1))
         scale = np.where(norms > epsilon * (1.0 + _PROJ_SLACK), epsilon / np.maximum(norms, 1e-300), 1.0)
         return values * scale[..., None]
     if norm == NormKind.LINF:
@@ -135,10 +135,10 @@ def project_jvp_rows(
     if mode != ProjMode.EXACT_JACOBIAN:
         raise ContractViolation(f"unknown projection mode: {mode!r}")
     if norm == NormKind.L2:
-        norms = np.sqrt((values**2).sum(axis=-1, keepdims=True))
+        norms = np.sqrt(np.add.reduce(values**2, axis=-1, keepdims=True))
         active = norms > epsilon * (1.0 + _PROJ_SLACK)
         nrm = np.where(active, norms, 1.0)  # inactive rows: any finite norm; their result is discarded
-        radial = (values * tangent).sum(axis=-1, keepdims=True) / nrm**2
+        radial = np.add.reduce(values * tangent, axis=-1, keepdims=True) / nrm**2
         return np.where(active, (epsilon / nrm) * (tangent - values * radial), tangent)
     if norm == NormKind.LINF:
         return np.where(np.abs(values) > epsilon, 0.0, tangent)

@@ -53,12 +53,16 @@ class RegularizerKind(str, Enum):
     SQUARED_DIFFERENCE = "SquaredDifference"
 
 
-def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array:
-    x = _check_shape(params, x)
+def _check_kind(params: ModelParams, kind: RegularizerKind) -> None:
     if kind == RegularizerKind.KL_DIVERGENCE and params.output_dim == 1:
         raise ContractViolation("KL regularizer needs a classification head")
     if kind == RegularizerKind.SQUARED_DIFFERENCE and params.output_dim != 1:
         raise ContractViolation("squared-difference regularizer needs a regression head")
+
+
+def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array:
+    x = _check_shape(params, x)
+    _check_kind(params, kind)
     return x
 
 
@@ -69,33 +73,36 @@ def _kl_rows(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Array, Array
     p = clean.probs
     diff = clean.log_probs - pert.log_probs
     terms = np.where(p > _PROB_FLOOR, p * diff, 0.0)
-    return terms.sum(axis=-1), p, pert.probs, diff
+    return np.add.reduce(terms, axis=-1), p, pert.probs, diff
 
 
 # Summed (per-example, unscaled) primitives; divide by n for the batch mean.
 # Each takes an optional clean pass: x and theta are fixed through a training
 # step, so a step computes mlp_forward once and hands it to every evaluation.
+# Each checks its inputs in _checked and runs an unchecked body, which a
+# training step calls directly: it checks x and kind once, where it builds
+# its clean pass, and draws every delta it evaluates at x's shape.
 
 
-def _passes(
+def _checked(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
-) -> tuple[ForwardPass, ForwardPass]:
-    """The clean and the perturbed pass; x and delta may carry a leading stack axis."""
+) -> tuple[Array, Array, ForwardPass]:
+    """x and delta checked against params and kind (both may carry a leading
+    stack axis), and the clean pass at x, computed when not given."""
     x = _check_inputs(params, x, kind)
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim > 3 or delta.shape[-2:] != x.shape[-2:]:
         raise ContractViolation("delta must match the (n, d) shape of the inputs, with an optional stack axis")
-    clean = _forward(params, x) if clean is None else clean
-    return clean, _forward(params, x + delta)
+    return x, delta, (_forward(params, x) if clean is None else clean)
 
 
 def _value_seeds(clean: ForwardPass, pert: ForwardPass, kind: RegularizerKind) -> tuple[float | Array, Array, Array]:
     """The summed regularizer and its seeds on the perturbed and the clean output."""
     if kind == RegularizerKind.KL_DIVERGENCE:
         kl, p, q, diff = _kl_rows(clean, pert)
-        return _per_member(kl.sum(axis=-1)), q - p, p * (diff - kl[..., None])
+        return _per_member(np.add.reduce(kl, axis=-1)), q - p, p * (diff - kl[..., None])
     resid = clean.out[..., 0] - pert.out[..., 0]
-    return _per_member((resid**2).sum(axis=-1)), (-2.0 * resid)[..., None], (2.0 * resid)[..., None]
+    return _per_member(np.add.reduce(resid**2, axis=-1)), (-2.0 * resid)[..., None], (2.0 * resid)[..., None]
 
 
 def _seed_tangents(
@@ -109,7 +116,9 @@ def _seed_tangents(
 
         def seed_tangents(t: Array) -> tuple[Array, Array]:
             # softmax Jacobians: d(q - p) = q (t - <q, t>), d(p (diff - kl)) = -p (t - <p, t>)
-            return q * (t - (q * t).sum(axis=-1, keepdims=True)), p * ((p * t).sum(axis=-1, keepdims=True) - t)
+            dq = np.add.reduce(q * t, axis=-1, keepdims=True)
+            dp = np.add.reduce(p * t, axis=-1, keepdims=True)
+            return q * (t - dq), p * (dp - t)
 
         return q - p, seed_tangents
     resid = clean.out[..., 0] - pert.out[..., 0]
@@ -119,20 +128,15 @@ def _seed_tangents(
 def reg_value_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> float | Array:
-    return _value_seeds(*_passes(params, x, delta, kind, clean), kind)[0]
+    x, delta, clean = _checked(params, x, delta, kind, clean)
+    return _value_seeds(clean, _forward(params, x + delta), kind)[0]
 
 
-def reg_grad_delta_tangent(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+def _grad_delta_tangent(
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass
 ) -> tuple[Array, TangentMap]:
-    """What one perturbed pass at delta yields to the follower: d(sum of
-    per-example regularizers)/d(delta), and the exact tangent map of that
-    pass (see TangentMap). The map takes a direction u (n, d) and returns the
-    derivatives along u of d(same)/d(theta), with the clean branch left as its
-    seed, and of d(same)/d(delta): the mixed and the delta-delta
-    Hessian-vector products, by one tangent forward and one tangent backward
-    over the recorded pass."""
-    clean, pert = _passes(params, x, delta, kind, clean)
+    """reg_grad_delta_tangent on checked inputs and a given clean pass."""
+    pert = _forward(params, x + delta)
     seed, seed_tangents = _seed_tangents(clean, pert, kind)
     gdelta, seeds = _backward_input(params, pert, seed)
 
@@ -145,6 +149,20 @@ def reg_grad_delta_tangent(
     return gdelta, tangent
 
 
+def reg_grad_delta_tangent(
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+) -> tuple[Array, TangentMap]:
+    """What one perturbed pass at delta yields to the follower: d(sum of
+    per-example regularizers)/d(delta), and the exact tangent map of that
+    pass (see TangentMap). The map takes a direction u (n, d) and returns the
+    derivatives along u of d(same)/d(theta), with the clean branch left as its
+    seed, and of d(same)/d(delta): the mixed and the delta-delta
+    Hessian-vector products, by one tangent forward and one tangent backward
+    over the recorded pass."""
+    x, delta, clean = _checked(params, x, delta, kind, clean)
+    return _grad_delta_tangent(params, x, delta, kind, clean)
+
+
 def reg_grad_delta_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> Array:
@@ -153,15 +171,16 @@ def reg_grad_delta_sum(
 
 
 def _reg_grad_params_parts(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
-) -> tuple[ForwardPass, Array, Array, float | Array, Array]:
-    """reg_grad_params_sum with the clean branch left as its seed: (the clean
-    pass, the perturbed branch's theta gradient, the delta gradient, the sum,
-    the seed on the clean output)."""
-    clean, pert = _passes(params, x, delta, kind, clean)
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass, to_inputs: bool = True
+) -> tuple[Array, Array | None, float | Array, Array]:
+    """reg_grad_params_sum on checked inputs and a given clean pass, with the
+    clean branch left as its seed: (the perturbed branch's theta gradient, the
+    delta gradient or, with to_inputs False, None, the sum, the seed on the
+    clean output)."""
+    pert = _forward(params, x + delta)
     value, seed_pert, seed_clean = _value_seeds(clean, pert, kind)
-    gtheta, gdelta = _backward(params, pert, seed_pert)
-    return clean, gtheta, gdelta, value, seed_clean
+    gtheta, gdelta = _backward(params, pert, seed_pert, to_inputs)
+    return gtheta, gdelta, value, seed_clean
 
 
 def reg_grad_params_sum(
@@ -170,5 +189,6 @@ def reg_grad_params_sum(
     """What one perturbed pass at delta yields to the leader: d(sum of
     per-example regularizers)/d(theta) with delta held fixed, d(same)/d(delta),
     and the sum."""
-    clean, gtheta, gdelta, value, seed_clean = _reg_grad_params_parts(params, x, delta, kind, clean)
+    x, delta, clean = _checked(params, x, delta, kind, clean)
+    gtheta, gdelta, value, seed_clean = _reg_grad_params_parts(params, x, delta, kind, clean)
     return gtheta + _backward(params, clean, seed_clean, to_inputs=False)[0], gdelta, value

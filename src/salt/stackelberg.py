@@ -64,7 +64,15 @@ from .diffmodel import (
 from .errors import ContractViolation
 from .optim import OptimizerState, optimizer_step
 from .perturb import AdvConfig, Rng, ascend, project_jvp_rows, sample_init
-from .regularizers import RegularizerKind, TangentMap, _reg_grad_params_parts, reg_grad_delta_tangent
+from .regularizers import (
+    RegularizerKind,
+    TangentMap,
+    _check_inputs,
+    _check_kind,
+    _grad_delta_tangent,
+    _reg_grad_params_parts,
+    reg_grad_delta_tangent,
+)
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
 # point and the interaction part is zeroed instead of amplifying noise.
@@ -88,6 +96,12 @@ def make_adv_objective(
     x = np.asarray(x, dtype=np.float64)
     clean = mlp_forward(params, x) if clean is None else clean
     return lambda delta: reg_grad_delta_tangent(params, x, delta, kind, clean)
+
+
+def _step_objective(params: ModelParams, x: Array, kind: RegularizerKind, clean: ForwardPass) -> Linearize:
+    """make_adv_objective inside a step, which checked x and kind where it
+    built clean and draws every delta at x's shape: its calls check nothing."""
+    return lambda delta: _grad_delta_tangent(params, x, delta, kind, clean)
 
 
 # ---------- forward unroll ----------
@@ -246,19 +260,25 @@ def step_stats(targets: Array, clean: ForwardPass, reg_value: float | Array, del
     """The stats every adversarial step reports, from its checked targets, its
     clean pass and its follower's init and endpoint: floats, or (m,) arrays
     for a stack."""
+    norms = np.sqrt(np.add.reduce(delta_k**2, axis=-1))
     return {
         "clean_loss": _task_loss(clean, targets),
         "reg_value": reg_value,
-        "delta_norm": _per_member(np.sqrt((delta_k**2).sum(axis=-1)).mean(axis=-1)),
-        "delta0_sum": _per_member(delta0.sum(axis=(-2, -1))),
+        "delta_norm": _per_member(np.add.reduce(norms, axis=-1) / norms.shape[-1]),
+        "delta0_sum": _per_member(np.add.reduce(delta0, axis=(-2, -1))),
     }
 
 
 def _member_norms(a: Array, member_ndim: int) -> Array:
     """np.linalg.norm of a lone array, or of each member of a stack whose
-    members have member_ndim axes. Each norm is a BLAS dot over that member
-    alone, whose bits a norm over the whole stack need not reproduce."""
-    return np.linalg.norm(a) if a.ndim == member_ndim else np.array([np.linalg.norm(m) for m in a])
+    members have member_ndim axes, by norm's own code path for a float
+    array: the square root of the BLAS dot of the flattened array with
+    itself. Each member's dot runs over that member alone, whose bits a norm
+    over the whole stack need not reproduce."""
+    if a.ndim == member_ndim:
+        f = a.ravel(order="K")
+        return np.sqrt(f.dot(f))
+    return np.array([_member_norms(m, member_ndim) for m in a])
 
 
 @dataclass(frozen=True)
@@ -284,15 +304,16 @@ def stackelberg_gradient(
     """The leader's full gradient at batch: unroll the follower, take the flat
     gradient at its endpoint, and add the interaction term, with every seed on
     the clean pass in one backprop. A member whose endpoint gradient is
-    degenerate gets an interaction of exactly 0.0."""
-    x = batch.inputs
+    degenerate gets an interaction of exactly 0.0. x, kind and the targets are
+    checked once, with the clean pass."""
     t0 = time.perf_counter()
-    clean = mlp_forward(params, x)
+    x = _check_inputs(params, batch.inputs, kind)
+    clean = _forward(params, x)
     targets = _check_targets(clean, batch.targets)
-    tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
+    tape = unroll_forward(params, x, cfg, _step_objective(params, x, kind, clean), rng)
     t1 = time.perf_counter()
     delta_k = tape.deltas[-1]
-    _, reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean)
+    reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean)
     v = reg_delta / batch.n
     degenerate = _member_norms(v, 2) < _DEGENERATE_NORM
     # Python's all and any over the members, not numpy reductions
@@ -351,7 +372,8 @@ def training_step(
     task loss from the same draw and adds alpha times the task gradient at
     its endpoint. ERM takes the clean task gradient. kind and rng go unused
     where the method has no regularizer or no follower. Each step checks its
-    batch's targets once."""
+    batch and, where it is used, kind once, where it builds its clean pass;
+    the follower's evaluations do not check again."""
     if method == Method.SALT:
         grad = stackelberg_gradient(params, batch, cfg, kind, rng)
         t2 = time.perf_counter()
@@ -364,10 +386,12 @@ def training_step(
         grad = _task_grad(params, clean, targets)
         stats = {"clean_loss": _task_loss(clean, targets), "reg_value": 0.0, "delta_norm": 0.0}
     elif method == Method.VAT:
-        tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
-        _, reg_theta, _, reg_sum, reg_seed = _reg_grad_params_parts(params, x, tape.deltas[-1], kind, clean)
+        _check_kind(params, kind)
+        tape = unroll_forward(params, x, cfg, _step_objective(params, x, kind, clean), rng)
+        delta_k = tape.deltas[-1]
+        reg_theta, _, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean, to_inputs=False)
         grad = _leader_part(params, clean, targets, cfg, reg_theta, reg_seed)[0]
-        stats = step_stats(targets, clean, reg_sum / batch.n, tape.deltas[0], tape.deltas[-1])
+        stats = step_stats(targets, clean, reg_sum / batch.n, tape.deltas[0], delta_k)
     elif method == Method.ADV:
         delta0 = sample_init(cfg.sigma, x.shape, rng).values
         delta_k = ascend(task_ascent(params, x, targets), delta0, cfg)[0][-1]

@@ -3,6 +3,7 @@ with known derivatives."""
 from __future__ import annotations
 
 import csv
+import gc
 import os
 import subprocess
 import sys
@@ -24,23 +25,43 @@ def shipped_config(name: str) -> ExperimentConfig:
     return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
 
 
-def count_c_calls(fn, match: Callable[[object], bool]) -> int:
-    """Number of calls of C functions or methods that match(callable) accepts
-    while fn() runs, counted from sys.setprofile's c_call events. A count,
-    not a timing, so it repeats exactly."""
+def _count_profile_events(fn, accept: Callable[[str, object], bool]) -> int:
+    """Number of sys.setprofile events (event, arg) that accept takes while
+    fn() runs. A count, not a timing, so it repeats exactly: the garbage
+    collector is emptied first and paused while fn runs, so that no other
+    code's garbage (say, a generator it finalizes) is counted."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "c_call" and match(arg):
+        if accept(event, arg):
             count += 1
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return count
+
+
+def count_c_calls(fn, match: Callable[[object], bool]) -> int:
+    """Number of calls of C functions or methods that match(callable) accepts
+    while fn() runs, counted from sys.setprofile's c_call events."""
+    return _count_profile_events(fn, lambda event, arg: event == "c_call" and match(arg))
+
+
+def count_python_calls(fn) -> int:
+    """Number of Python-level calls while fn() runs: sys.setprofile's call
+    events (Python functions, generator resumptions included) plus its c_call
+    events (C functions and methods). numpy's own Python wrappers count, so
+    the figure belongs to one numpy and one Python version."""
+    return _count_profile_events(fn, lambda event, arg: event in ("call", "c_call"))
 
 
 def count_reductions(fn) -> int:

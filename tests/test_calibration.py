@@ -204,6 +204,17 @@ def test_validation_errors():
         bin_predictions(ok, flags, 0)
 
 
+def test_bin_count_must_be_a_positive_integer():
+    """A bool, a fractional float or a string bin count is a ContractViolation
+    naming m_bins, not a bare TypeError from deep inside numpy."""
+    ok, flags = np.array([0.5, 0.5]), np.array([1, 0])
+    for m_bins in (True, 2.5, "3", 0, -1):
+        for equal_mass in (False, True):
+            with pytest.raises(ContractViolation, match="m_bins"):
+                bin_predictions(ok, flags, m_bins, equal_mass)
+    assert bin_predictions(ok, flags, np.int64(3)) == bin_predictions(ok, flags, 3)
+
+
 def test_read_predictions_csv(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("confidence,correct\n0.9,1\n0.4,0\n")

@@ -243,6 +243,29 @@ def test_contract_violations(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_replace_values_checks_values_as_the_constructor_does():
+    """replace_values skips re-normalising the shapes, not the value checks:
+    a wrong size, a wrong rank or a non-finite entry is still rejected, lone
+    or stacked, and the result equals the constructor's."""
+    p = init_params([2, 4, 3], np.random.default_rng(9))
+    for bad in (np.zeros(p.n_params - 1), np.zeros((2, 3, p.n_params)), np.zeros(()), np.zeros((2, p.n_params + 1))):
+        with pytest.raises(ContractViolation) as fresh:
+            ModelParams(bad, p.shapes)
+        with pytest.raises(ContractViolation) as replaced:
+            p.replace_values(bad)
+        assert str(replaced.value) == str(fresh.value)
+    for bad in (np.nan, np.inf, -np.inf):
+        for values in (p.values.copy(), np.stack([p.values] * 3)):
+            values[..., -1] = bad
+            with pytest.raises(ContractViolation, match="non-finite"):
+                p.replace_values(values)
+    as_list = p.replace_values(list(range(p.n_params)))  # ints, as a list
+    want = ModelParams(np.arange(p.n_params), p.shapes)
+    assert as_list.values.dtype == np.float64 and np.array_equal(as_list.values, want.values)
+    assert as_list.shapes is p.shapes and as_list.shapes == want.shapes
+    assert [w.shape for w, _ in as_list.layers] == [w.shape for w, _ in want.layers]
+
+
 def test_stacked_params_validate_every_member():
     rng = np.random.default_rng(8)
     p = init_params([2, 4, 3], rng)

@@ -568,6 +568,22 @@ def test_run_rejects_mismatched_model(tmp_path):
         run_experiment(cfg)
 
 
+def test_run_checks_the_test_split_against_the_model(tmp_path):
+    """The test split is checked as the train split is, before anything is
+    written: evaluation reads both splits without checking them again."""
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
+    test.write_text("x0,x1,x2,target\n0.1,0.2,0.3,0\n0.3,0.4,0.5,1\n")
+    cfg = override(
+        _tiny(Method.ERM),
+        dataset=DatasetSpec(kind="csv", train_path=str(train), test_path=str(test)),
+        outdir=str(tmp_path / "run"),
+    )
+    with pytest.raises(ContractViolation, match="dataset width 3 does not match model input width 2"):
+        run_experiment(cfg)
+    assert not (tmp_path / "run").exists()
+
+
 def test_regression_head_trains_on_integer_valued_csv_targets(tmp_path):
     """A width-1 head reads a CSV's last column as real targets, whether or
     not they happen to be whole numbers."""

@@ -83,4 +83,20 @@ def test_rejects_bad_state():
     for betas in ((1.0, 0.98), (0.9, -0.1), (float("nan"), 0.98)):
         with pytest.raises(ContractViolation, match=r"betas must lie in \[0, 1\)"):
             OptimizerState(kind="Adam", lr=0.1, betas=betas)
+    # NaN and a negative eps used to fail only at the first step, as non-finite
+    # parameters; an infinite one zeroed every update; True stepped with eps 1
+    for eps in (float("nan"), -1.0, -1e-300, float("inf"), True):
+        with pytest.raises(ContractViolation, match="eps must be non-negative and finite"):
+            OptimizerState(kind="Adam", lr=0.1, eps=eps)
     assert OptimizerState(kind="Adam", lr=0.1, betas=(0.0, 0.0), eps=0.0).eps == 0.0
+
+
+def test_adam_state_keeps_its_settings_across_steps():
+    """adam_step builds the next state directly, checks included: every
+    setting carries over and only t and the moments move."""
+    params = init_params([2, 3], np.random.default_rng(5))
+    state = OptimizerState(kind="Adam", lr=0.02, betas=(0.5, 0.75), eps=1e-6)
+    for t in (1, 2):
+        _, state = optimizer_step(params, state, np.ones(9))
+        assert (state.kind, state.lr, state.betas, state.eps, state.t) == ("Adam", 0.02, (0.5, 0.75), 1e-6, t)
+        assert state.m.shape == state.v.shape == (9,)
