@@ -62,6 +62,41 @@ def _validate(confidences: Array, correct: Array) -> tuple[Array, Array]:
     return confidences, flags
 
 
+def _equal_width_index(confidences: Array, m_bins: int) -> Array:
+    """Each confidence's bin among m_bins equal-width bins ((m-1)/M, m/M],
+    with 0 in the first."""
+    return np.clip(np.ceil(confidences * m_bins).astype(np.int64) - 1, 0, m_bins - 1)
+
+
+def _bin_gaps(
+    confidences: Array, flags: Array, idx: Array, m_bins: int
+) -> tuple[list[tuple[int, float, float, float]], float]:
+    """Each bin's (count, mean confidence, accuracy, |accuracy - mean
+    confidence|), all zero for an empty bin, and the ece: the count-weighted
+    sum of the gaps, accumulated in bin order. One grouping pass: a stable
+    sort keeps each bin's confidences in input order, so summing its
+    contiguous slice matches confidences[idx == m].sum() bit for bit. The
+    flags are 0/1 (bool or float), so bincount sums them exactly."""
+    n = confidences.size
+    counts = np.bincount(idx, minlength=m_bins).tolist()
+    hits = np.bincount(idx, weights=flags, minlength=m_bins).tolist()
+    grouped = confidences[np.argsort(idx, kind="stable")]
+    rows: list[tuple[int, float, float, float]] = []
+    ece = 0.0
+    lo = 0
+    for count, hit in zip(counts, hits):
+        if count == 0:  # adds 0.0 to a non-negative ece, which leaves it as it is
+            rows.append((0, 0.0, 0.0, 0.0))
+            continue
+        mean_conf = float(np.add.reduce(grouped[lo : lo + count])) / count
+        acc = hit / count
+        gap = abs(acc - mean_conf)
+        lo += count
+        rows.append((count, mean_conf, acc, gap))
+        ece += (count / n) * gap
+    return rows, ece
+
+
 def bin_predictions(
     confidences: Array,
     correct: Array,
@@ -72,7 +107,6 @@ def bin_predictions(
     of the per-bin gaps, accumulated in bin order."""
     require_int("m_bins", m_bins, 1)
     confidences, flags = _validate(confidences, correct)
-    n = confidences.size
     if equal_mass:
         edges = np.quantile(confidences, np.linspace(0.0, 1.0, m_bins + 1))
         edges[0] = 0.0
@@ -81,40 +115,18 @@ def bin_predictions(
         idx = np.searchsorted(edges[1:-1], confidences, side="left")
     else:
         edges = np.linspace(0.0, 1.0, m_bins + 1)
-        idx = np.ceil(confidences * m_bins).astype(np.int64) - 1
-        idx = np.clip(idx, 0, m_bins - 1)
-    # One grouping pass: a stable sort keeps each bin's confidences in input
-    # order, so summing its contiguous slice matches confidences[idx == m].sum()
-    # bit for bit. The flags are 0/1, so bincount sums them exactly.
-    counts = np.bincount(idx, minlength=m_bins)
-    hits = np.bincount(idx, weights=flags, minlength=m_bins)
-    grouped = confidences[np.argsort(idx, kind="stable")]
-    bins: list[BinStats] = []
-    ece = 0.0
-    lo = 0
-    for m in range(m_bins):
-        count = int(counts[m])
-        if count == 0:
-            mean_conf = 0.0
-            acc = 0.0
-            gap = 0.0
-        else:
-            mean_conf = float(grouped[lo : lo + count].sum()) / count
-            acc = float(hits[m]) / count
-            gap = abs(acc - mean_conf)
-            lo += count
-        bins.append(
-            BinStats(
-                lower=float(edges[m]),
-                upper=float(edges[m + 1]),
-                count=count,
-                mean_confidence=mean_conf,
-                accuracy=acc,
-                calib_error=gap,
-            )
-        )
-        ece += (count / n) * gap
-    return CalibrationReport(bins=tuple(bins), ece=ece, n=n)
+        idx = _equal_width_index(confidences, m_bins)
+    rows, ece = _bin_gaps(confidences, flags, idx, m_bins)
+    bins = tuple(BinStats(float(edges[m]), float(edges[m + 1]), *row) for m, row in enumerate(rows))
+    return CalibrationReport(bins=bins, ece=ece, n=confidences.size)
+
+
+def equal_width_ece(confidences: Array, correct: Array, m_bins: int = 10) -> float:
+    """bin_predictions(confidences, correct, m_bins).ece, bit for bit, without
+    its checks, its bins or their edges: for confidences in [0, 1] and 0/1
+    (or bool) flags of matching shape, such as a training run's test pass
+    gives every epoch."""
+    return _bin_gaps(confidences, correct, _equal_width_index(confidences, m_bins), m_bins)[1]
 
 
 def write_reliability_csv(report: CalibrationReport, path: str) -> None:

@@ -15,7 +15,9 @@ and then returns one result per member. Every member's result is
 bit-identical to running that member alone: the stacked ops are the same
 IEEE ops, batched by np.matmul and by reductions over a member's own axes.
 A single problem's 2-D call runs the same code with no run axis, and a
-stack of seeds (k, ..., C) on one pass backpropagates in one call.
+stack of seeds (k, ..., C) on one pass backpropagates in one call. Every
+product goes through _matmul, which takes ndarray.dot for two matrices and
+@ for a stack: the same BLAS call either way.
 
 The backward and tangent passes read tanh' (1 - a^2) from the ForwardPass,
 which computes it on first use: a pass that is only evaluated never pays
@@ -161,6 +163,14 @@ def _flatten_grads(grads: Sequence[Array]) -> Array:
 # ---------- forward / backward engine ----------
 
 
+def _matmul(a: Array, b: Array) -> Array:
+    """a @ b. Two matrices go through ndarray.dot, which makes the same BLAS
+    call as the matmul gufunc, with the same bits, without the gufunc's
+    per-call cost; a stacked operand keeps @, whose broadcasting dot does
+    not have."""
+    return a.dot(b) if a.ndim == 2 and b.ndim == 2 else a @ b
+
+
 # repr=False: tracers key calls by repr, and printing the arrays outlasts the pass.
 @dataclass(frozen=True, eq=False, repr=False)
 class ForwardPass:
@@ -219,7 +229,7 @@ def _forward(params: ModelParams, inputs: Array) -> ForwardPass:
         # one buffer per layer: the bias add and tanh write into the matmul's
         # result, the same IEEE ops as a @ w + b and np.tanh without two
         # fresh arrays, which on a 500-row pass cost more than the arithmetic
-        a = a @ w
+        a = _matmul(a, w)
         a += b
         if i < len(layers) - 1:
             np.tanh(a, out=a)
@@ -240,9 +250,9 @@ def _backward_input(
     g = dout
     for i in range(len(layers) - 1, 0, -1):
         seeds[i] = g
-        g = (g @ layers[i][0].mT) * fwd.tanh_grads[i - 1]
+        g = _matmul(g, layers[i][0].mT) * fwd.tanh_grads[i - 1]
     seeds[0] = g
-    return (g @ layers[0][0].mT if to_inputs else None), seeds
+    return (_matmul(g, layers[0][0].mT) if to_inputs else None), seeds
 
 
 def _backward(
@@ -252,7 +262,7 @@ def _backward(
     grad wrt inputs, None with to_inputs False); a stacked seed (..., n, C)
     gives (..., P) parameter gradients."""
     g, seeds = _backward_input(params, fwd, dout, to_inputs)
-    grads = [m for a, s in zip(fwd.acts, seeds) for m in (a.mT @ s, np.add.reduce(s, axis=-2, keepdims=True))]
+    grads = [m for a, s in zip(fwd.acts, seeds) for m in (_matmul(a.mT, s), np.add.reduce(s, axis=-2, keepdims=True))]
     return _flatten_grads(grads), g
 
 
@@ -265,7 +275,7 @@ def _forward_tangent(params: ModelParams, fwd: ForwardPass, u: Array) -> tuple[A
     t_outs: list[Array] = []
     t = u
     for i, (w, _) in enumerate(layers):
-        t = t @ w
+        t = _matmul(t, w)
         t_outs.append(t)
         if i < len(layers) - 1:
             t = t * fwd.tanh_grads[i]
@@ -293,13 +303,13 @@ def _backward_tangent(
     grads: list[Array] = [t_dout] * (2 * len(layers))
     t = t_dout
     for i in range(len(layers) - 1, -1, -1):
-        grads[2 * i] = t_acts[i].mT @ seeds[i] + acts[i].mT @ t
+        grads[2 * i] = _matmul(t_acts[i].mT, seeds[i]) + _matmul(acts[i].mT, t)
         grads[2 * i + 1] = np.add.reduce(t, axis=-2, keepdims=True)
         if i > 0:
             # seeds[i-1] = (seeds[i] @ W.T) * (1 - a^2) with a = tanh(z) and
             # d(1 - a^2) = -2 a (1 - a^2) dz
-            t = (t @ layers[i][0].mT) * fwd.tanh_grads[i - 1] - 2.0 * seeds[i - 1] * acts[i] * t_outs[i - 1]
-    return _flatten_grads(grads), (t @ layers[0][0].mT if to_inputs else None)
+            t = _matmul(t, layers[i][0].mT) * fwd.tanh_grads[i - 1] - 2.0 * seeds[i - 1] * acts[i] * t_outs[i - 1]
+    return _flatten_grads(grads), (_matmul(t, layers[0][0].mT) if to_inputs else None)
 
 
 def _check_inputs(params: ModelParams, inputs: Array) -> Array:

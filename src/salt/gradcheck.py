@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ModelParams, init_params, mlp_forward, task_loss
+from .diffmodel import Array, Batch, ModelParams, _forward, init_params, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ascend
-from .regularizers import RegularizerKind, reg_grad_delta_sum, reg_value_sum
+from .regularizers import RegularizerKind, _checked, _grad_delta_tangent, _value_seeds, reg_grad_delta_sum
 from .stackelberg import UnrollTape, stackelberg_gradient
 
 # Relative distance from a pre-projection point to the ball boundary below
@@ -70,12 +70,14 @@ def total_objective(
 ) -> float | Array:
     """Task loss plus alpha times the regularizer at the endpoint of the ascent
     re-run from a fixed init under the current parameters. For stacked
-    parameters (m, P), an (m,) array of each member's objective."""
-    x = batch.inputs
-    clean = mlp_forward(params, x)
-    deltas, _ = ascend(lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean), delta0, cfg)
+    parameters (m, P), an (m,) array of each member's objective. x, kind and
+    delta0's shape are checked once per call, where the clean pass is built;
+    the iterates take their shape from delta0 and x, so the ascent's
+    evaluations and the endpoint's run the regularizers' unchecked bodies."""
+    x, delta0, clean = _checked(params, batch.inputs, delta0, kind, None)
+    deltas, _ = ascend(lambda delta: _grad_delta_tangent(params, x, delta, kind, clean)[0], delta0, cfg)
     loss = task_loss(clean, batch.targets)
-    return loss + cfg.alpha * (reg_value_sum(params, x, deltas[-1], kind, clean) / batch.n)
+    return loss + cfg.alpha * (_value_seeds(clean, _forward(params, x + deltas[-1]), kind)[0] / batch.n)
 
 
 def hypergradient_fd(

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..calibration import bin_predictions, confidence_of, write_reliability_csv
+from ..calibration import bin_predictions, confidence_of, equal_width_ece, write_reliability_csv
 from ..diffmodel import (
     Array,
     Batch,
@@ -163,7 +163,11 @@ def _split(value, runs: int) -> list:
 def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) -> list[RunRecord]:
     """Train runs that differ only in seed and outdir as one (R, ...) stack.
     A lone run keeps 2-D arrays: a stack of one pays for its extra axis in
-    every numpy call, a few percent of each step."""
+    every numpy call, a few percent of each step; it also keeps each step's
+    stats dict as returned, where a stack splits it per run. Each epoch
+    gathers its shuffled split once and gives every step a slice of it. The
+    per-epoch ece is read without the bins; the bins are built once, from
+    the last epoch's test pass, for reliability.csv."""
     cfg, runs, solo = cfgs[0], len(cfgs), len(cfgs) == 1
     join = (lambda parts: parts[0]) if solo else np.stack
     is_class = cfg.model.is_classification
@@ -190,8 +194,7 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
         os.makedirs(c.outdir, exist_ok=True)
         records.append(RunRecord(config=c, metrics_path=os.path.join(c.outdir, "metrics.jsonl")))
         with open(os.path.join(c.outdir, "resolved_config.json"), "w") as fh:
-            json.dump(config_to_dict(c), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(config_to_dict(c), indent=2) + "\n")  # one write; dump streams ~100 small ones
 
     n, steps = train.n, len(range(0, train.n, cfg.batch_size))
     with ExitStack() as files:
@@ -200,25 +203,29 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
             orders = join([rng.permutation(n) for rng in order_rngs])
+            inputs, targets = train.inputs[(*lead, orders)], train.targets[(*lead, orders)]
             for lo in range(0, n, cfg.batch_size):
-                sel = (*lead, orders[..., lo : lo + cfg.batch_size])
-                batch = Batch(train.inputs[sel], train.targets[sel])
+                batch = Batch(inputs[..., lo : lo + cfg.batch_size, :], targets[..., lo : lo + cfg.batch_size])
                 params, opt_state, stats = training_step(cfg.method, params, batch, cfg.adv, kind, opt_state, rngs)
-                columns = {key: _split(value, runs) for key, value in stats.items()}
-                for i, record in enumerate(records):
-                    record.step_stats.append({key: column[i] for key, column in columns.items()})
+                if solo:
+                    records[0].step_stats.append(stats)
+                else:
+                    columns = {key: _split(value, runs) for key, value in stats.items()}
+                    for i, record in enumerate(records):
+                        record.step_stats.append({key: column[i] for key, column in columns.items()})
             tr = {key: _split(value, runs) for key, value in _evaluate(params, train)[0].items()}
             metrics, fwd, correct = _evaluate(params, test)
             te = {key: _split(value, runs) for key, value in metrics.items()}
             if is_class:  # only the test split's reliability is reported
-                reports = list(map(bin_predictions, _split(confidence_of(fwd), runs), _split(correct, runs)))
+                confs, corrects = _split(confidence_of(fwd), runs), _split(correct, runs)
+                eces = list(map(equal_width_ece, confs, corrects))
             del fwd  # the test split's activations, freed before the next epoch trains
             for i, (record, fh) in enumerate(zip(records, metrics_fhs)):
                 row: dict = {"epoch": epoch, "train_loss": tr["loss"][i], "val_loss": te["loss"][i]}
                 if is_class:
                     row["train_acc"] = tr["acc"][i]
                     row["val_acc"] = te["acc"][i]
-                    row["ece"] = reports[i].ece
+                    row["ece"] = eces[i]
                 else:
                     row["train_rmse"] = tr["rmse"][i]
                     row["val_rmse"] = te["rmse"][i]
@@ -236,7 +243,7 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
         record.params = params.replace_values(values)
         record.checkpoint_path = os.path.join(c.outdir, "checkpoint.json")
         save_checkpoint(record.params, record.checkpoint_path)
-        if is_class:
+        if is_class:  # the last epoch's bins, whose ece its row holds
             record.reliability_path = os.path.join(c.outdir, "reliability.csv")
-            write_reliability_csv(reports[i], record.reliability_path)
+            write_reliability_csv(bin_predictions(confs[i], corrects[i]), record.reliability_path)
     return records

@@ -60,7 +60,10 @@ def count_python_calls(fn) -> int:
     """Number of Python-level calls while fn() runs: sys.setprofile's call
     events (Python functions, generator resumptions included) plus its c_call
     events (C functions and methods). numpy's own Python wrappers count, so
-    the figure belongs to one numpy and one Python version."""
+    the figure belongs to one numpy and one Python version. Operators
+    (a @ b, a + b) raise no event, so the figure skips them: a step's cost
+    is its calls and its products, and ndarray.dot counts where @, which
+    costs more, does not."""
     return _count_profile_events(fn, lambda event, arg: event in ("call", "c_call"))
 
 

@@ -24,7 +24,7 @@ from salt.diffmodel import ModelParams
 from salt.errors import ContractViolation
 from salt.perturb import AdvConfig, NormKind, ProjMode
 from salt.regularizers import RegularizerKind
-from salt.stackelberg import Linearize, UnrollTape, _check_tape, make_adv_objective
+from salt.stackelberg import Linearize, UnrollTape, make_adv_objective
 
 # theta (P,) -> the inner objective at theta
 Family = Callable[[np.ndarray], Linearize]
@@ -82,8 +82,8 @@ def jacobian_forward_oracle(
     tape: UnrollTape, params: ModelParams, x: np.ndarray, cfg: AdvConfig, hess: Hess
 ) -> np.ndarray:
     """d delta_K / d theta as a (D, P) matrix: J <- Pi'(J + eta (Hdd J + Hdt))
-    over the tape's steps, with the matrices from hess at params."""
-    _check_tape(tape, params, x, cfg)
+    over the tape's steps, with the matrices from hess at params, which
+    must be where the tape was recorded."""
     n, d = tape.deltas[0].shape
     if n * d * params.n_params > _ORACLE_SIZE_LIMIT:
         raise ContractViolation(f"forward oracle refused: {n * d} x {params.n_params} Jacobian")

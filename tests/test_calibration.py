@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from salt.calibration import (
     bin_predictions,
     confidence_of,
+    equal_width_ece,
     read_predictions_csv,
     write_reliability_csv,
 )
@@ -158,7 +159,9 @@ def _bits(report):
 @pytest.mark.parametrize("m_bins", [1, 3, 10, 15])
 def test_bin_predictions_matches_the_masked_loop_bit_for_bit(m_bins, equal_mass):
     """The single grouping pass reproduces the per-bin masked means exactly,
-    for bool and float flags, with empty bins, ties and values on the edges."""
+    for bool and float flags, with empty bins, ties and values on the edges,
+    0 and 1 among them. With equal-width bins the unchecked equal_width_ece,
+    which a training run reads every epoch, has the oracle's ece bits."""
     rng = np.random.default_rng(2 * m_bins + equal_mass)
     empty_bins = 0
     for case in range(40):
@@ -168,14 +171,17 @@ def test_bin_predictions_matches_the_masked_loop_bit_for_bit(m_bins, equal_mass)
             conf = rng.uniform(lo, lo + 0.1, size=n)
         elif case % 4 == 1:
             conf = rng.uniform(size=n)
-        elif case % 4 == 2:  # repeated values, the bin edges, 0 and 1
-            conf = rng.choice(np.linspace(0.0, 1.0, 2 * m_bins + 1), size=n)
+        elif case % 4 == 2:  # repeated values, the bin edges, exactly 0 and exactly 1
+            conf = np.concatenate([rng.choice(np.linspace(0.0, 1.0, 2 * m_bins + 1), size=n), [0.0, 1.0]])
         else:  # one value: the equal-mass edges collapse
             conf = np.full(n, rng.uniform())
-        correct = rng.uniform(size=n) < conf
+        correct = rng.uniform(size=conf.size) < conf
         for flags in (correct, correct.astype(np.float64)):
             got = bin_predictions(conf, flags, m_bins, equal_mass)
-            assert _bits(got) == _bits(bin_predictions_masked(conf, flags, m_bins, equal_mass)), case
+            want = bin_predictions_masked(conf, flags, m_bins, equal_mass)
+            assert _bits(got) == _bits(want), case
+            if not equal_mass:
+                assert equal_width_ece(conf, flags, m_bins).hex() == want.ece.hex(), case
         empty_bins += sum(b.count == 0 for b in got.bins)
     assert m_bins == 1 or empty_bins > 0
 

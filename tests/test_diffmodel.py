@@ -345,7 +345,7 @@ def test_forward_only_passes_never_fill_tanh_grads(monkeypatch):
     gradcheck.total_objective the clean pass and the final value pass, while
     each of the K ascent steps' passes fills it once, for its backward.
     Filling it for every pass up front made gradcheck 20.6% slower."""
-    from salt import diffmodel, regularizers
+    from salt import diffmodel, gradcheck, regularizers
     from salt.gradcheck import sample_instance, total_objective
 
     rng = np.random.default_rng(3)
@@ -362,8 +362,49 @@ def test_forward_only_passes_never_fill_tanh_grads(monkeypatch):
         passes.append(original(params, inputs))
         return passes[-1]
 
-    for module in (diffmodel, regularizers):
+    for module in (diffmodel, regularizers, gradcheck):
         monkeypatch.setattr(module, "_forward", recorded)
     total_objective(inst.params, inst.batch, inst.cfg, inst.kind, inst.delta0)
     filled = ["tanh_grads" in fwd.__dict__ for fwd in passes]
     assert filled == [False] + [True] * inst.cfg.k_steps + [False]
+
+
+def test_matmul_has_the_bits_of_the_operator(monkeypatch):
+    """_matmul takes ndarray.dot for two matrices and @ otherwise. Every pass
+    gives the bits it gives with @ at every product: lone and stacked
+    parameters and inputs, classification and width-1 regression heads, a
+    (k, n, C) seed stack on one pass, and the transposed operands of the
+    backward and tangent passes."""
+    from salt import diffmodel
+    from salt.diffmodel import _backward, _backward_input, _backward_tangent, _forward, _forward_tangent
+
+    def passes():
+        rng = np.random.default_rng(17)
+        results = []
+        for sizes in ([2, 32, 32, 2], [3, 7, 5, 1]):
+            p = init_params(sizes, rng)
+            x = rng.normal(size=(25, sizes[0]))
+            sp = p.replace_values(p.values + 0.1 * rng.normal(size=(3, p.n_params)))
+            for params, inputs in ((p, x), (sp, x), (p, np.stack([x, -x])), (sp, rng.normal(size=(3, 25, sizes[0])))):
+                fwd = _forward(params, inputs)
+                seed = rng.normal(size=fwd.out.shape)
+                u = rng.normal(size=inputs.shape)
+                _, seeds = _backward_input(params, fwd, seed)
+                t_out, t_acts, t_outs = _forward_tangent(params, fwd, u)
+                results += [fwd.out, *_backward(params, fwd, seed), t_out]
+                results += _backward_tangent(params, fwd, seeds, t_acts, t_outs, rng.normal(size=t_out.shape))
+                results.append(_backward(params, fwd, rng.normal(size=(4, *fwd.out.shape)), to_inputs=False)[0])
+        return results
+
+    got = passes()
+    operands = []
+
+    def operator(a, b):
+        operands.append((a.ndim, b.ndim, a.flags.c_contiguous and b.flags.c_contiguous))
+        return a @ b
+
+    monkeypatch.setattr(diffmodel, "_matmul", operator)
+    want = passes()
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+    # both sides of the selection ran, the dot side also on transposed operands
+    assert {(2, 2, True), (2, 2, False), (2, 3, False), (3, 2, True), (3, 3, False)} <= set(operands)

@@ -89,24 +89,17 @@ def test_hypergradient_fd_alpha0_matches_clean_gradient():
     assert np.linalg.norm(fd - clean) <= 1e-6 * max(np.linalg.norm(clean), 1.0)
 
 
-def _tape_with_pre(pre, cfg):
-    return UnrollTape(
-        deltas=(np.zeros_like(pre), pre),
-        pre_projections=(pre,),
-        tangents=(),
-        cfg=cfg,
-        theta=np.zeros(0),
-        x=np.zeros(0),
-    )
+def _tape_with_pre(pre):
+    return UnrollTape(deltas=(np.zeros_like(pre), pre), pre_projections=(pre,), tangents=())
 
 
 def test_kink_margin_detects_boundary_grazing():
     cfg = AdvConfig(epsilon=1.0, eta=0.1, sigma=0.1, k_steps=1)
-    safe = _tape_with_pre(np.array([[0.5, 0.0], [0.0, 2.0]]), cfg)
+    safe = _tape_with_pre(np.array([[0.5, 0.0], [0.0, 2.0]]))
     assert kink_margin_ok(safe, cfg)
-    grazing = _tape_with_pre(np.array([[1.0 + 1e-5, 0.0]]), cfg)
+    grazing = _tape_with_pre(np.array([[1.0 + 1e-5, 0.0]]))
     assert not kink_margin_ok(grazing, cfg)
-    inside_graze = _tape_with_pre(np.array([[1.0 - 1e-5, 0.0]]), cfg)
+    inside_graze = _tape_with_pre(np.array([[1.0 - 1e-5, 0.0]]))
     assert not kink_margin_ok(inside_graze, cfg)
 
 

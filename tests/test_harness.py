@@ -203,7 +203,7 @@ def test_config_defaults_and_roundtrip():
 
 
 def test_shipped_configs_match_resolved_format():
-    # resolved_config.json is json.dump(config_to_dict(cfg), indent=2) plus a newline;
+    # resolved_config.json is json.dumps(config_to_dict(cfg), indent=2) plus a newline;
     # the shipped configs are written in that format, so they pin it.
     paths = sorted(os.path.join(CONFIG_DIR, n) for n in os.listdir(CONFIG_DIR) if n.endswith(".json"))
     assert len(paths) == 4

@@ -350,30 +350,6 @@ def test_forward_oracle_refuses_large_instances():
         jacobian_forward_oracle(tape, params, x, cfg, hess)
 
 
-# ---------- tape check ----------
-
-
-def test_tape_rejects_mismatched_inputs():
-    rng = np.random.default_rng(13)
-    params = init_params([2, 3, 2], rng)
-    x = rng.normal(size=(3, 2))
-    cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.2, k_steps=1)
-    obj = make_adv_objective(params, x, KIND)
-    tape = unroll_forward(params, x, cfg, obj, rng=0)
-
-    other_params = params.replace_values(params.values + 1e-3)
-    with pytest.raises(ContractViolation):
-        interaction_adjoint(tape, other_params, x, obj, cfg)
-    with pytest.raises(ContractViolation):
-        interaction_adjoint(tape, params, x + 1e-3, obj, cfg)
-    other_cfg = AdvConfig(epsilon=1.0, eta=0.6, sigma=0.2, k_steps=1)
-    with pytest.raises(ContractViolation):
-        interaction_adjoint(tape, params, x, obj, other_cfg)
-    _, hess = attach_fd_second_order(adv_objectives(params, x, KIND), params.values)
-    with pytest.raises(ContractViolation):
-        jacobian_forward_oracle(tape, other_params, x, cfg, hess)
-
-
 # ---------- full leader gradient ----------
 
 
@@ -733,11 +709,18 @@ def test_step_python_call_counts():
     already normal, and a step checks its inputs once, where it builds its
     clean pass. Before these, the same count read ERM 142, Adv 330, VAT 362
     and SALT 524 lone, and ERM 142, Adv 348, VAT 377 and SALT 591 stacked.
-    Measured with numpy 2.4.6 on Python 3.11: another version's numpy
-    wrappers may move the figures."""
+
+    The count skips operators: a @ b raises no profile event. Every product
+    goes through diffmodel._matmul, one counted Python call, and two
+    matrices then through ndarray.dot, one counted C call, which is cheaper
+    than the @ it replaced. So these figures rose, from ERM 90, Adv 211,
+    VAT 229 and SALT 331 lone and 91, 232, 246 and 373 stacked, while the
+    step got faster; VAT and SALT also dropped the tape's two copies of
+    theta and x. Measured with numpy 2.4.6 on Python 3.11: another
+    version's numpy wrappers may move the figures."""
     want = {
-        None: {Method.ERM: 90, Method.ADV: 211, Method.VAT: 229, Method.SALT: 331},
-        3: {Method.ERM: 91, Method.ADV: 232, Method.VAT: 246, Method.SALT: 373},
+        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 278, Method.SALT: 428},
+        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 272, Method.SALT: 423},
     }
     for members, counts in want.items():
         cfg, params, batch, seeds = _canonical_step_inputs(members)
