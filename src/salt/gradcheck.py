@@ -21,7 +21,7 @@ import numpy as np
 from .diffmodel import Array, Batch, ModelParams, _forward, init_params, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ascend
-from .regularizers import RegularizerKind, _checked, _grad_delta_tangent, _value_seeds, reg_grad_delta_sum
+from .regularizers import RegularizerKind, _checked, _grad_delta_tangent, _value_seeds, head_kind, reg_grad_delta_sum
 from .stackelberg import UnrollTape, stackelberg_gradient
 
 # Relative distance from a pre-projection point to the ball boundary below
@@ -87,9 +87,11 @@ def hypergradient_fd(
     kind: RegularizerKind,
     delta0: Array,
 ) -> Array:
-    """Central differences of the total objective over every parameter,
-    evaluated _FD_CHUNK parameters per stacked call."""
+    """Central differences of the total objective over every parameter of
+    one parameter vector, evaluated _FD_CHUNK parameters per stacked call."""
     base = params.values
+    if base.ndim != 1:
+        raise ContractViolation(f"hypergradient_fd takes one parameter vector, got a stack of shape {base.shape}")
     grad = np.empty(base.size)
     for j0 in range(0, base.size, _FD_CHUNK):
         js = np.arange(j0, min(j0 + _FD_CHUNK, base.size))
@@ -128,12 +130,8 @@ def sample_instance(master_seed: int, index: int, k_steps: int | None = None) ->
         params = init_params(sizes, rng, scale=1.8)
         n = int(rng.integers(2, 4))
         x = rng.standard_normal((n, d)) * 1.5
-        if regression:
-            targets = rng.standard_normal(n)
-            kind = RegularizerKind.SQUARED_DIFFERENCE
-        else:
-            targets = rng.integers(0, n_classes, size=n)
-            kind = RegularizerKind.KL_DIVERGENCE
+        targets = rng.standard_normal(n) if regression else rng.integers(0, n_classes, size=n)
+        kind = head_kind(params.output_dim)
         batch = Batch(x, targets)
         boundary = index % 3 == 2
         sigma = 0.1

@@ -11,7 +11,7 @@ from ..errors import ContractViolation
 from ..gradcheck import run_gradcheck
 from .config import load_config, override
 from .experiment import run_experiment
-from .sweep import parse_axis_value, sweep
+from .sweep import _AXIS_TYPES, parse_axis_value, sweep
 
 _GRADCHECK_TOL = 1e-4
 
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.set_defaults(fn=_cmd_gradcheck)
 
     p_sw = sub.add_parser("sweep", help="train across an adversary axis and summarize")
-    p_sw.add_argument("--axis", required=True, choices=["k_steps", "epsilon", "norm"])
+    p_sw.add_argument("--axis", required=True, choices=list(_AXIS_TYPES))
     p_sw.add_argument("--values", required=True, help="comma-separated axis values")
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--seeds", help="comma-separated seeds (default: the config seed)")

@@ -10,14 +10,14 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..errors import ContractViolation, require_int, require_real, require_str
 from ..perturb import AdvConfig
-from ..regularizers import RegularizerKind
+from ..regularizers import RegularizerKind, head_kind
 from ..stackelberg import Method
-from .datasets import check_split
+from .datasets import DATASET_KINDS, check_split
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    kind: str = "two_moons"  # two_moons | blobs | sine | csv
+    kind: str = "two_moons"  # one of datasets.DATASET_KINDS
     n_train: int = 100
     n_test: int = 500
     noise_std: float = 0.1
@@ -25,7 +25,7 @@ class DatasetSpec:
     test_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("two_moons", "blobs", "sine", "csv"):
+        if self.kind not in DATASET_KINDS:
             raise ContractViolation(f"unknown dataset kind: {self.kind!r}")
         for name, path in (("train_path", self.train_path), ("test_path", self.test_path)):
             if path is not None:
@@ -53,11 +53,7 @@ class ModelSpec:
 
     @property
     def regularizer_kind(self) -> RegularizerKind:
-        return (
-            RegularizerKind.KL_DIVERGENCE
-            if self.is_classification
-            else RegularizerKind.SQUARED_DIFFERENCE
-        )
+        return head_kind(self.layers[-1])
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,11 @@ def gen_sine_regression(n_train: int, n_test: int, noise_std: float, seed: int) 
     return split(n_train), split(n_test)
 
 
+# The generated dataset kinds; kind "csv" reads train_path and test_path.
+GENERATORS = {"two_moons": gen_two_moons, "blobs": gen_blobs, "sine": gen_sine_regression}
+DATASET_KINDS = (*GENERATORS, "csv")
+
+
 def load_csv(path: str, kind: str) -> Batch:
     """Last column is the target: integer class labels for kind
     "classification", real targets for kind "regression"."""

@@ -44,7 +44,7 @@ from ..errors import ContractViolation
 from ..optim import OptimizerState
 from ..stackelberg import training_step
 from .config import ExperimentConfig, config_to_dict
-from .datasets import gen_blobs, gen_sine_regression, gen_two_moons, load_csv
+from .datasets import GENERATORS, load_csv
 
 
 def substream(master_seed: int, label: str) -> np.random.Generator:
@@ -54,12 +54,8 @@ def substream(master_seed: int, label: str) -> np.random.Generator:
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[Batch, Batch]:
     ds = cfg.dataset
-    if ds.kind == "two_moons":
-        return gen_two_moons(ds.n_train, ds.n_test, ds.noise_std, cfg.seed)
-    if ds.kind == "blobs":
-        return gen_blobs(ds.n_train, ds.n_test, ds.noise_std, cfg.seed)
-    if ds.kind == "sine":
-        return gen_sine_regression(ds.n_train, ds.n_test, ds.noise_std, cfg.seed)
+    if ds.kind in GENERATORS:
+        return GENERATORS[ds.kind](ds.n_train, ds.n_test, ds.noise_std, cfg.seed)
     kind = "classification" if cfg.model.is_classification else "regression"
     return load_csv(ds.train_path, kind), load_csv(ds.test_path, kind)
 
@@ -171,7 +167,6 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
     cfg, runs, solo = cfgs[0], len(cfgs), len(cfgs) == 1
     join = (lambda parts: parts[0]) if solo else np.stack
     is_class = cfg.model.is_classification
-    kind = cfg.model.regularizer_kind
     model_rngs = [substream(c.seed, "model-init") for c in cfgs]
     order_rngs = [substream(c.seed, "data-order") for c in cfgs]
     perturb_rngs = [substream(c.seed, "perturb-init") for c in cfgs]
@@ -206,7 +201,7 @@ def _train_group(cfgs: list[ExperimentConfig], data: list[tuple[Batch, Batch]]) 
             inputs, targets = train.inputs[(*lead, orders)], train.targets[(*lead, orders)]
             for lo in range(0, n, cfg.batch_size):
                 batch = Batch(inputs[..., lo : lo + cfg.batch_size, :], targets[..., lo : lo + cfg.batch_size])
-                params, opt_state, stats = training_step(cfg.method, params, batch, cfg.adv, kind, opt_state, rngs)
+                params, opt_state, stats = training_step(cfg.method, params, batch, cfg.adv, opt_state, rngs)
                 if solo:
                     records[0].step_stats.append(stats)
                 else:

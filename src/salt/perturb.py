@@ -1,9 +1,8 @@
 """Perturbation lifecycle: Gaussian init, norm-ball projection, projected ascent.
 
 Each example carries its own perturbation row, constrained independently
-(per-example norm ball). The projection is exact; its Jacobian is available
-for differentiation through the ascent, with an optional straight-through
-mode that pretends the projection is the identity.
+(per-example norm ball). The projection is exact, and so is the Jacobian
+that differentiation through the ascent applies.
 
 Every method's follower runs the same ascent (`ascend`); they differ only in
 the gradient they climb and in whether the leader differentiates through it.
@@ -29,9 +28,11 @@ class NormKind(str, Enum):
     LINF = "LInf"
 
 
+# The exact projection Jacobian is the one mode. The key stays while
+# bench/micro.py passes cfg.proj_mode, and keeps the shipped configs and
+# every resolved_config.json as they are.
 class ProjMode(str, Enum):
     EXACT_JACOBIAN = "ExactJacobian"
-    STRAIGHT_THROUGH = "StraightThrough"
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,6 @@ def project_jvp_rows(
         raise ContractViolation("tangent must match the perturbation shape")
     if require_real("epsilon", epsilon) <= 0:
         raise ContractViolation(f"epsilon must be positive, got {epsilon!r}")
-    if mode == ProjMode.STRAIGHT_THROUGH:
-        return tangent.copy()
     if mode != ProjMode.EXACT_JACOBIAN:
         raise ContractViolation(f"unknown projection mode: {mode!r}")
     if norm == NormKind.L2:

@@ -8,7 +8,7 @@ Every primitive also takes a leading run axis: stacked parameters (m, P),
 inputs (m, n, d) or a delta (m, n, d), and then returns one result per
 member, bit-identical to evaluating each member alone.
 
-The follower's evaluations (`reg_grad_delta_tangent`) leave the clean branch
+The follower's evaluations (`_grad_delta_tangent`) leave the clean branch
 as a seed on the clean pass's output: their tangent maps return it instead
 of backpropagating it, so the leader can backpropagate every seed on its
 clean pass in one stacked call. They also skip the value and the clean seed
@@ -53,11 +53,16 @@ class RegularizerKind(str, Enum):
     SQUARED_DIFFERENCE = "SquaredDifference"
 
 
+def head_kind(output_dim: int) -> RegularizerKind:
+    """KL for a classification head, squared difference for a width-1 head."""
+    return RegularizerKind.KL_DIVERGENCE if output_dim > 1 else RegularizerKind.SQUARED_DIFFERENCE
+
+
 def _check_kind(params: ModelParams, kind: RegularizerKind) -> None:
-    if kind == RegularizerKind.KL_DIVERGENCE and params.output_dim == 1:
-        raise ContractViolation("KL regularizer needs a classification head")
-    if kind == RegularizerKind.SQUARED_DIFFERENCE and params.output_dim != 1:
-        raise ContractViolation("squared-difference regularizer needs a regression head")
+    want = head_kind(params.output_dim)
+    if kind != want:
+        kinds = [k.value for k in RegularizerKind]
+        raise ContractViolation(f"a width-{params.output_dim} head takes {want.value}, got {kind!r} (kinds: {kinds})")
 
 
 def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array:
@@ -125,17 +130,16 @@ def _seed_tangents(
     return (-2.0 * resid)[..., None], lambda t: (2.0 * t, -2.0 * t)
 
 
-def reg_value_sum(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
-) -> float | Array:
-    x, delta, clean = _checked(params, x, delta, kind, clean)
-    return _value_seeds(clean, _forward(params, x + delta), kind)[0]
-
-
 def _grad_delta_tangent(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass
 ) -> tuple[Array, TangentMap]:
-    """reg_grad_delta_tangent on checked inputs and a given clean pass."""
+    """What one perturbed pass at delta yields to the follower, for checked
+    inputs and their clean pass: d(sum of per-example regularizers)/d(delta),
+    and the exact tangent map of that pass (see TangentMap). The map takes a
+    direction u (n, d) and returns the derivatives along u of d(same)/d(theta),
+    with the clean branch left as its seed, and of d(same)/d(delta): the mixed
+    and the delta-delta Hessian-vector products, by one tangent forward and
+    one tangent backward over the recorded pass."""
     pert = _forward(params, x + delta)
     seed, seed_tangents = _seed_tangents(clean, pert, kind)
     gdelta, seeds = _backward_input(params, pert, seed)
@@ -149,25 +153,12 @@ def _grad_delta_tangent(
     return gdelta, tangent
 
 
-def reg_grad_delta_tangent(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
-) -> tuple[Array, TangentMap]:
-    """What one perturbed pass at delta yields to the follower: d(sum of
-    per-example regularizers)/d(delta), and the exact tangent map of that
-    pass (see TangentMap). The map takes a direction u (n, d) and returns the
-    derivatives along u of d(same)/d(theta), with the clean branch left as its
-    seed, and of d(same)/d(delta): the mixed and the delta-delta
-    Hessian-vector products, by one tangent forward and one tangent backward
-    over the recorded pass."""
-    x, delta, clean = _checked(params, x, delta, kind, clean)
-    return _grad_delta_tangent(params, x, delta, kind, clean)
-
-
 def reg_grad_delta_sum(
     params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
 ) -> Array:
     """d(sum of per-example regularizers)/d(delta); row i touches only example i."""
-    return reg_grad_delta_tangent(params, x, delta, kind, clean)[0]
+    x, delta, clean = _checked(params, x, delta, kind, clean)
+    return _grad_delta_tangent(params, x, delta, kind, clean)[0]
 
 
 def _reg_grad_params_parts(

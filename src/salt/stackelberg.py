@@ -68,10 +68,10 @@ from .regularizers import (
     RegularizerKind,
     TangentMap,
     _check_inputs,
-    _check_kind,
+    _checked,
     _grad_delta_tangent,
     _reg_grad_params_parts,
-    reg_grad_delta_tangent,
+    head_kind,
 )
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
@@ -92,10 +92,12 @@ def make_adv_objective(
     clean: ForwardPass | None = None,
 ) -> Linearize:
     """The production inner objective at params: per-example regularizers,
-    summed. Every call shares one clean pass, computed here when not given."""
-    x = np.asarray(x, dtype=np.float64)
-    clean = mlp_forward(params, x) if clean is None else clean
-    return lambda delta: reg_grad_delta_tangent(params, x, delta, kind, clean)
+    summed, whose call at delta returns regularizers._grad_delta_tangent
+    there. x and kind are checked here, and again with delta on every call.
+    Every call shares one clean pass, computed here when not given."""
+    x = _check_inputs(params, x, kind)
+    clean = _forward(params, x) if clean is None else clean
+    return lambda delta: _grad_delta_tangent(params, x, _checked(params, x, delta, kind, clean)[1], kind, clean)
 
 
 def _step_objective(params: ModelParams, x: Array, kind: RegularizerKind, clean: ForwardPass) -> Linearize:
@@ -285,16 +287,25 @@ def stackelberg_gradient(
     gradient at its endpoint, and add the interaction term, with every seed on
     the clean pass in one backprop. A member whose endpoint gradient is
     degenerate gets an interaction of exactly 0.0. x, kind and the targets are
-    checked once, with the clean pass."""
-    t0 = time.perf_counter()
+    checked once, with the clean pass; kind must be the one the head takes."""
     x = _check_inputs(params, batch.inputs, kind)
     clean = _forward(params, x)
-    targets = _check_targets(clean, batch.targets)
+    return _salt_gradient(params, x, clean, _check_targets(clean, batch.targets), cfg, rng)
+
+
+def _salt_gradient(
+    params: ModelParams, x: Array, clean: ForwardPass, targets: Array, cfg: AdvConfig, rng: Rng | Sequence[Rng]
+) -> StackelbergGrad:
+    """stackelberg_gradient for checked inputs and targets and the clean pass
+    at x, with the regularizer the head takes. Its timers start after the
+    clean pass."""
+    t0 = time.perf_counter()
+    n, kind = x.shape[-2], head_kind(params.output_dim)
     tape = unroll_forward(params, x, cfg, _step_objective(params, x, kind, clean), rng)
     t1 = time.perf_counter()
     delta_k = tape.deltas[-1]
     reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean)
-    v = reg_delta / batch.n
+    v = reg_delta / n
     degenerate = _member_norms(v, 2) < _DEGENERATE_NORM
     # Python's all and any over the members, not numpy reductions
     sweep = not (cfg.alpha == 0.0 or tape.k_steps == 0 or all(degenerate.flat))
@@ -309,7 +320,7 @@ def stackelberg_gradient(
     t2 = time.perf_counter()
     ratio = _member_norms(interaction, 1) / np.maximum(_member_norms(leader, 1), 1e-300)
     stats = {
-        **step_stats(targets, clean, reg_sum / batch.n, tape.deltas[0], delta_k),
+        **step_stats(targets, clean, reg_sum / n, tape.deltas[0], delta_k),
         "interaction_ratio": _per_member(ratio),
         "degenerate_interaction": _per_member(degenerate),
         "t_unroll": t1 - t0,
@@ -341,7 +352,6 @@ def training_step(
     params: ModelParams,
     batch: Batch,
     cfg: AdvConfig,
-    kind: RegularizerKind,
     opt_state: OptimizerState,
     rng: Rng | Sequence[Rng],
 ) -> tuple[ModelParams, OptimizerState, dict]:
@@ -350,23 +360,23 @@ def training_step(
     SALT takes the full Stackelberg gradient. VAT runs the same follower and
     takes only the leader part, its endpoint held constant. Adv climbs the
     task loss from the same draw and adds alpha times the task gradient at
-    its endpoint. ERM takes the clean task gradient. kind and rng go unused
-    where the method has no regularizer or no follower. Each step checks its
-    batch and, where it is used, kind once, where it builds its clean pass;
-    the follower's evaluations do not check again."""
-    if method == Method.SALT:
-        grad = stackelberg_gradient(params, batch, cfg, kind, rng)
-        t2 = time.perf_counter()
-        new_params, new_state = optimizer_step(params, opt_state, grad.total)
-        return new_params, new_state, {**grad.stats, "t_update": time.perf_counter() - t2}
+    its endpoint. ERM takes the clean task gradient. The regularizer is the
+    one the head takes (regularizers.head_kind); rng goes unused where the
+    method has no follower. Each step checks its batch once, where it builds
+    its clean pass; the follower's evaluations do not check again."""
     x = batch.inputs
     clean = mlp_forward(params, x)
     targets = _check_targets(clean, batch.targets)
+    if method == Method.SALT:
+        grad = _salt_gradient(params, x, clean, targets, cfg, rng)
+        t2 = time.perf_counter()
+        new_params, new_state = optimizer_step(params, opt_state, grad.total)
+        return new_params, new_state, {**grad.stats, "t_update": time.perf_counter() - t2}
     if method == Method.ERM:
         grad = _task_grad(params, clean, targets)
         stats = {"clean_loss": _task_loss(clean, targets), "reg_value": 0.0, "delta_norm": 0.0}
     elif method == Method.VAT:
-        _check_kind(params, kind)
+        kind = head_kind(params.output_dim)
         tape = unroll_forward(params, x, cfg, _step_objective(params, x, kind, clean), rng)
         delta_k = tape.deltas[-1]
         reg_theta, _, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean, to_inputs=False)

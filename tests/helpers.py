@@ -14,6 +14,7 @@ import numpy as np
 
 from salt.diffmodel import Batch
 from salt.harness.config import ExperimentConfig, load_config
+from salt.regularizers import reg_grad_params_sum
 from salt.stackelberg import Linearize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,6 +24,12 @@ CONFIG_DIR = os.path.join(ROOT, "configs")
 def shipped_config(name: str) -> ExperimentConfig:
     """A config from configs/, e.g. shipped_config("canonical_salt")."""
     return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+
+
+def reg_value(params, x, delta, kind, clean=None):
+    """The summed regularizer at delta, as reg_grad_params_sum returns it
+    beside its gradients."""
+    return reg_grad_params_sum(params, x, delta, kind, clean)[2]
 
 
 def _count_profile_events(fn, accept: Callable[[str, object], bool]) -> int:

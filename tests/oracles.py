@@ -22,7 +22,7 @@ import numpy as np
 from salt.calibration import BinStats, CalibrationReport, _validate
 from salt.diffmodel import ModelParams
 from salt.errors import ContractViolation
-from salt.perturb import AdvConfig, NormKind, ProjMode
+from salt.perturb import AdvConfig, NormKind
 from salt.regularizers import RegularizerKind
 from salt.stackelberg import Linearize, UnrollTape, make_adv_objective
 
@@ -96,8 +96,6 @@ def jacobian_forward_oracle(
 
 def _project_jacobian(pre: np.ndarray, jac: np.ndarray, cfg: AdvConfig) -> np.ndarray:
     """Left-multiply the (D, P) Jacobian by the projection Jacobian at pre."""
-    if cfg.proj_mode == ProjMode.STRAIGHT_THROUGH:
-        return jac
     blocks = jac.reshape(*pre.shape, -1)
     if cfg.norm == NormKind.LINF:
         return (blocks * (np.abs(pre) <= cfg.epsilon)[:, :, None]).reshape(jac.shape)

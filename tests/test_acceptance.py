@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import shipped_config
+from helpers import reg_value, shipped_config
 from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.calibration import bin_predictions
 from salt.diffmodel import Batch, grad_params, init_params
@@ -37,7 +37,6 @@ from salt.regularizers import (
     RegularizerKind,
     reg_grad_delta_sum,
     reg_grad_params_sum,
-    reg_value_sum,
 )
 from salt.stackelberg import (
     interaction_adjoint,
@@ -169,13 +168,13 @@ def test_criterion_04_hvp_probe_fidelity_and_linear_cost(capfd):
     gc.disable()
     try:
         for cfg in cfgs:
-            training_step(Method.SALT, params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, 999)
+            training_step(Method.SALT, params, batch, cfg, state, 999)
         # every repetition times each k in turn, so a change of host speed
         # part-way through hits all depths alike instead of bending the line
         for rep in range(13):
             for i, cfg in enumerate(cfgs):
                 t0 = time.perf_counter()
-                training_step(Method.SALT, params, batch, cfg, RegularizerKind.KL_DIVERGENCE, state, rep)
+                training_step(Method.SALT, params, batch, cfg, state, rep)
                 # min over repeats: the best case is the scheduler-noise-free cost
                 best[i] = min(best[i], time.perf_counter() - t0)
     finally:
@@ -262,9 +261,9 @@ def test_criterion_06_regularizer_properties(capfd):
         kind = RegularizerKind.SQUARED_DIFFERENCE if regression else RegularizerKind.KL_DIVERGENCE
         delta = rng.standard_normal((n, d)) * 0.5
 
-        val = reg_value_sum(params, x, delta, kind) / n
+        val = reg_value(params, x, delta, kind) / n
         nonneg &= val >= 0.0
-        zero_at_zero &= reg_value_sum(params, x, np.zeros_like(delta), kind) / n == 0.0
+        zero_at_zero &= reg_value(params, x, np.zeros_like(delta), kind) / n == 0.0
         g0 = reg_grad_delta_sum(params, x, np.zeros_like(delta), kind) / n
         worst_zero_grad = max(worst_zero_grad, float(np.linalg.norm(g0)))
 
@@ -275,8 +274,8 @@ def test_criterion_06_regularizer_properties(capfd):
         for j in range(flat.size):
             e = np.zeros(flat.size)
             e[j] = h
-            fp = reg_value_sum(params, x, (flat + e).reshape(delta.shape), kind) / n
-            fm = reg_value_sum(params, x, (flat - e).reshape(delta.shape), kind) / n
+            fp = reg_value(params, x, (flat + e).reshape(delta.shape), kind) / n
+            fm = reg_value(params, x, (flat - e).reshape(delta.shape), kind) / n
             fd_d.ravel()[j] = (fp - fm) / (2 * h)
         worst_delta_fd = max(worst_delta_fd, rel(gd, fd_d))
 
@@ -285,8 +284,8 @@ def test_criterion_06_regularizer_properties(capfd):
         for j in range(gt.size):
             e = np.zeros(gt.size)
             e[j] = h
-            fp = reg_value_sum(params.replace_values(params.values + e), x, delta, kind) / n
-            fm = reg_value_sum(params.replace_values(params.values - e), x, delta, kind) / n
+            fp = reg_value(params.replace_values(params.values + e), x, delta, kind) / n
+            fm = reg_value(params.replace_values(params.values - e), x, delta, kind) / n
             fd_t[j] = (fp - fm) / (2 * h)
         worst_theta_fd = max(worst_theta_fd, rel(gt, fd_t))
     ok = (

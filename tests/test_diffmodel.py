@@ -161,7 +161,8 @@ def test_grad_params_matches_fd(seed):
 def test_grad_input_matches_fd(objective):
     """The input gradient each flat follower climbs: Adv's summed task loss,
     VAT's summed regularizer."""
-    from salt.regularizers import RegularizerKind, reg_value_sum
+    from helpers import reg_value
+    from salt.regularizers import RegularizerKind
     from salt.stackelberg import make_adv_objective, task_ascent
 
     rng = np.random.default_rng(7)
@@ -187,7 +188,7 @@ def test_grad_input_matches_fd(objective):
             return obj(delta)[0]
 
         def val(delta):
-            return reg_value_sum(p, x, delta, kind)
+            return reg_value(p, x, delta, kind)
 
     delta = np.full_like(x, 0.1)
     g = grad_delta(delta)

@@ -173,3 +173,14 @@ def test_stacked_fd_is_bit_identical_to_one_at_a_time(case):
         assert kind == RegularizerKind.SQUARED_DIFFERENCE
     assert params.n_params > _FD_CHUNK  # more than one chunk
     assert np.array_equal(hypergradient_fd(*args), _fd_one_at_a_time(*args))
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_hypergradient_fd_takes_one_parameter_vector(members):
+    """A stack of parameter vectors is refused by name: its central
+    differences would perturb every member's entry j at once, and before the
+    check a stack of two died on a numpy broadcast."""
+    params, batch, cfg, kind, delta0 = _toy_instance(0)
+    stack = params.replace_values(np.repeat(params.values[None], members, axis=0))
+    with pytest.raises(ContractViolation, match="one parameter vector"):
+        hypergradient_fd(stack, batch, cfg, kind, delta0)

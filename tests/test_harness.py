@@ -293,6 +293,8 @@ def test_config_validates_values():
         ({"adv": {"alpha": True}}, "bad adv value: alpha must be a real number, got True"),
         ({"adv": {"alpha": -0.5}}, "bad adv value: alpha must be non-negative, got -0.5"),
         ({"adv": {"eta": "0.1"}}, "bad adv value: eta must be a real number, got '0.1'"),
+        # the exact projection Jacobian is the one mode
+        ({"adv": {"proj_mode": "StraightThrough"}}, "bad adv value: proj_mode must be one of ['ExactJacobian']"),
         ({"dataset": {"noise_std": float("nan")}}, "bad dataset value: noise_std must be finite, got nan"),
         ({"dataset": {"noise_std": False}}, "bad dataset value: noise_std must be a real number, got False"),
         # string fields: outdir a non-empty string, the paths a string or null

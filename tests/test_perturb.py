@@ -87,13 +87,6 @@ def test_projection_jacobian_symmetric():
             assert np.allclose(jac, jac.T, atol=1e-14)
 
 
-def test_straight_through_is_identity():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=(2, 6)) * 10
-    u = rng.normal(size=(2, 6))
-    assert np.array_equal(project_jvp_rows(v, u, 0.5, NormKind.L2, ProjMode.STRAIGHT_THROUGH), u)
-
-
 def test_sample_init_statistics():
     rng = np.random.default_rng(4)
     sigma = 0.37
@@ -184,8 +177,9 @@ def test_adv_config_validation():
         AdvConfig(epsilon=float("nan"))
     with pytest.raises(ContractViolation, match=r"norm must be one of \['L2', 'LInf'\], got 'L3'"):
         AdvConfig(norm="L3")
-    with pytest.raises(ContractViolation, match=r"proj_mode must be one of .*, got 'X'"):
-        AdvConfig(proj_mode="X")
+    for bad in ("X", "StraightThrough"):
+        with pytest.raises(ContractViolation, match=rf"proj_mode must be one of \['ExactJacobian'\], got '{bad}'"):
+            AdvConfig(proj_mode=bad)
     # the primitives check their own radius, scale, norm, mode and shapes
     v = np.ones((2, 3))
     with pytest.raises(ContractViolation, match="an \\(n, d\\) matrix or a stack"):
@@ -196,19 +190,19 @@ def test_adv_config_validation():
     for bad in (float("nan"), float("inf"), float("-inf"), 0.0):
         with pytest.raises(ContractViolation, match="epsilon must be"):
             project_rows(v, bad, NormKind.L2)
-        for mode in ProjMode:
-            with pytest.raises(ContractViolation, match="epsilon must be"):
-                project_jvp_rows(v, v, bad, NormKind.L2, mode)
+        with pytest.raises(ContractViolation, match="epsilon must be"):
+            project_jvp_rows(v, v, bad, NormKind.L2, ProjMode.EXACT_JACOBIAN)
     with pytest.raises(ContractViolation, match="unknown norm"):
         project_rows(v, 1.0, "L3")
     with pytest.raises(ContractViolation, match="unknown norm"):
         project_jvp_rows(v, v, 1.0, "L3", ProjMode.EXACT_JACOBIAN)
     with pytest.raises(ContractViolation, match="tangent must match"):
         project_jvp_rows(v, np.ones((2, 2)), 1.0, NormKind.L2, ProjMode.EXACT_JACOBIAN)
-    with pytest.raises(ContractViolation, match="unknown projection mode"):
-        project_jvp_rows(v, v, 1.0, NormKind.L2, "Bogus")
-    cfg = AdvConfig(norm="LInf", proj_mode="StraightThrough")
-    assert cfg.norm is NormKind.LINF and cfg.proj_mode is ProjMode.STRAIGHT_THROUGH
+    for bad in ("Bogus", "StraightThrough"):
+        with pytest.raises(ContractViolation, match="unknown projection mode"):
+            project_jvp_rows(v, v, 1.0, NormKind.L2, bad)
+    cfg = AdvConfig(norm="LInf", proj_mode="ExactJacobian")
+    assert cfg.norm is NormKind.LINF and cfg.proj_mode is ProjMode.EXACT_JACOBIAN
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reg_value
 from oracles import kl_divergence, log_softmax, softmax
 from salt import regularizers
 from salt.diffmodel import ModelParams, _forward, init_params, mlp_forward
 from salt.errors import ContractViolation
-from salt.regularizers import (
-    RegularizerKind,
-    reg_grad_delta_sum,
-    reg_grad_delta_tangent,
-    reg_grad_params_sum,
-    reg_value_sum,
-)
+from salt.regularizers import RegularizerKind, reg_grad_delta_sum, reg_grad_params_sum
+from salt.stackelberg import make_adv_objective
 
 
 def test_kl_known_values():
@@ -60,7 +56,7 @@ def test_kl_value_matches_per_row_oracle():
         clean = softmax(mlp_forward(p, x).logits)
         pert = softmax(mlp_forward(p, x + delta).logits)
         want = sum(kl_divergence(c, q) for c, q in zip(clean, pert))
-        assert reg_value_sum(p, x, delta, RegularizerKind.KL_DIVERGENCE) == pytest.approx(want, rel=1e-12)
+        assert reg_value(p, x, delta, RegularizerKind.KL_DIVERGENCE) == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_delta_is_exactly_zero():
@@ -72,7 +68,7 @@ def test_zero_delta_is_exactly_zero():
         p = init_params(sizes, rng)
         x = rng.normal(size=(5, 2))
         zero = np.zeros_like(x)
-        assert reg_value_sum(p, x, zero, kind) / x.shape[0] == 0.0
+        assert reg_value(p, x, zero, kind) / x.shape[0] == 0.0
         assert np.linalg.norm(reg_grad_delta_sum(p, x, zero, kind) / x.shape[0]) <= 1e-12
 
 
@@ -86,11 +82,11 @@ def test_squared_difference_closed_form_linear_model():
     delta = np.array([[0.1, 0.2], [-0.4, 0.5], [1.0, 1.0]])
     kind = RegularizerKind.SQUARED_DIFFERENCE
     want = sum(float(w @ d) ** 2 for d in delta)
-    assert reg_value_sum(p, x, delta, kind) == pytest.approx(want, rel=1e-14)
+    assert reg_value(p, x, delta, kind) == pytest.approx(want, rel=1e-14)
     g = reg_grad_delta_sum(p, x, delta, kind)
     want_g = np.stack([2.0 * float(w @ d) * w for d in delta])
     assert np.allclose(g, want_g, atol=1e-13)
-    assert reg_value_sum(p, x, delta, kind) / x.shape[0] == pytest.approx(want / 3.0, rel=1e-14)
+    assert reg_value(p, x, delta, kind) / x.shape[0] == pytest.approx(want / 3.0, rel=1e-14)
 
 
 def test_logit_shift_invariance():
@@ -99,11 +95,11 @@ def test_logit_shift_invariance():
     p = init_params([2, 6, 3], rng)
     x = rng.normal(size=(4, 2))
     delta = rng.normal(size=(4, 2)) * 0.3
-    base = reg_value_sum(p, x, delta, RegularizerKind.KL_DIVERGENCE) / x.shape[0]
+    base = reg_value(p, x, delta, RegularizerKind.KL_DIVERGENCE) / x.shape[0]
     # shift the output bias: identical change to clean and perturbed logits
     shifted = p.values.copy()
     shifted[-3:] += 5.0
-    new = reg_value_sum(p.replace_values(shifted), x, delta, RegularizerKind.KL_DIVERGENCE) / x.shape[0]
+    new = reg_value(p.replace_values(shifted), x, delta, RegularizerKind.KL_DIVERGENCE) / x.shape[0]
     out_old = softmax(mlp_forward(p, x).logits)
     out_new = softmax(mlp_forward(p.replace_values(shifted), x).logits)
     assert np.allclose(out_old, out_new, atol=1e-12)
@@ -122,7 +118,7 @@ def test_partials_match_fd(seed, kind):
     delta = rng.normal(size=(n, sizes[0])) * 0.4
 
     def val(theta, delta):
-        return reg_value_sum(p.replace_values(theta), x, delta, kind) / n
+        return reg_value(p.replace_values(theta), x, delta, kind) / n
 
     g_delta = reg_grad_delta_sum(p, x, delta, kind) / n
     g_theta = reg_grad_params_sum(p, x, delta, kind)[0] / n
@@ -160,7 +156,7 @@ def test_supplied_clean_pass_is_bit_identical(kind):
         g_delta = reg_grad_delta_sum(p, x, delta, kind)
         assert np.array_equal(reg_grad_delta_sum(p, x, delta, kind, clean), g_delta)
         assert np.array_equal(fresh[1], g_delta)
-        assert reg_value_sum(p, x, delta, kind, clean) == reg_value_sum(p, x, delta, kind) == fresh[2]
+        assert reg_value(p, x, delta, kind, clean) == reg_value(p, x, delta, kind) == fresh[2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,17 +168,17 @@ def test_regularizer_nonnegative(seed):
     p = init_params([2, 5, out_w], rng, scale=2.0)
     x = rng.normal(size=(3, 2)) * 2.0
     delta = rng.normal(size=(3, 2)) * rng.uniform(0, 2)
-    assert reg_value_sum(p, x, delta, kind) / x.shape[0] >= 0.0
+    assert reg_value(p, x, delta, kind) / x.shape[0] >= 0.0
 
 
 def test_head_mismatch_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(ContractViolation):
-        reg_value_sum(init_params([2, 4, 1], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.KL_DIVERGENCE)
+        reg_value(init_params([2, 4, 1], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.KL_DIVERGENCE)
     with pytest.raises(ContractViolation):
-        reg_value_sum(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.SQUARED_DIFFERENCE)
+        reg_value(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 2)), RegularizerKind.SQUARED_DIFFERENCE)
     with pytest.raises(ContractViolation):
-        reg_value_sum(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 3)), RegularizerKind.KL_DIVERGENCE)
+        reg_value(init_params([2, 4, 3], rng), np.zeros((2, 2)), np.zeros((2, 3)), RegularizerKind.KL_DIVERGENCE)
 
 
 @pytest.mark.parametrize("kind", list(RegularizerKind))
@@ -199,14 +195,14 @@ def test_stacked_value_and_delta_gradient_are_each_members(kind):
         (p, deltas, [(p, d) for d in deltas]),
     )
     for params, delta, singles in cases:
-        values = reg_value_sum(params, x, delta, kind)
+        values = reg_value(params, x, delta, kind)
         grads = reg_grad_delta_sum(params, x, delta, kind)
         assert values.shape == (4,) and grads.shape == (4, 5, 2)
         for i, (one, d) in enumerate(singles):
-            assert values[i] == reg_value_sum(one, x, d, kind)
+            assert values[i] == reg_value(one, x, d, kind)
             assert np.array_equal(grads[i], reg_grad_delta_sum(one, x, d, kind))
     with pytest.raises(ContractViolation):
-        reg_value_sum(p, x, deltas[None], kind)
+        reg_value(p, x, deltas[None], kind)
 
 
 @pytest.mark.parametrize("kind", list(RegularizerKind))
@@ -220,8 +216,8 @@ def test_stacked_inputs_give_each_members_gradients_and_tangents(kind):
     x, delta, u = (rng.normal(size=(4, 5, 2)) for _ in range(3))
 
     def results(params, x, delta, u):
-        g_delta, tangent = reg_grad_delta_tangent(params, x, delta, kind)
-        return [np.asarray(reg_value_sum(params, x, delta, kind)), g_delta, *tangent(u)] + [
+        g_delta, tangent = make_adv_objective(params, x, kind)(delta)
+        return [np.asarray(reg_value(params, x, delta, kind)), g_delta, *tangent(u)] + [
             np.asarray(r) for r in reg_grad_params_sum(params, x, delta, kind)
         ]
 
@@ -257,9 +253,9 @@ def test_kl_reads_the_perturbed_pass_softmax_bit_for_bit(n_classes, monkeypatch)
     last = 8 * n_classes + n_classes  # the output layer's weights and bias
 
     def outputs(p, stack, delta, u):
-        g_delta, tangent = reg_grad_delta_tangent(p, x, delta, kind)
+        g_delta, tangent = make_adv_objective(p, x, kind)(delta)
         g_theta, _, value = reg_grad_params_sum(p, x, delta, kind)
-        stacked = reg_value_sum(stack, x, delta, kind), reg_grad_delta_sum(stack, x, delta, kind)
+        stacked = reg_value(stack, x, delta, kind), reg_grad_delta_sum(stack, x, delta, kind)
         return [np.asarray(value), g_delta, g_theta, *tangent(u), *stacked]
 
     for scale in np.logspace(-3, 3, 7):

@@ -21,14 +21,15 @@ from helpers import (
     count_reductions,
     quadratic_objective,
     random_quadratic,
+    reg_value,
     shipped_config,
 )
 from oracles import adv_objectives, attach_fd_second_order, hvp_fd, jacobian_forward_oracle
 from salt.diffmodel import Batch, _backward, _task_seed_sum, grad_params, init_params, mlp_forward, task_loss
 from salt.errors import ContractViolation
 from salt.optim import OptimizerState, optimizer_step
-from salt.perturb import AdvConfig, NormKind, ProjMode, ascend, project_jvp_rows, sample_init
-from salt.regularizers import RegularizerKind, reg_grad_delta_tangent, reg_grad_params_sum, reg_value_sum
+from salt.perturb import AdvConfig, NormKind, ascend, project_jvp_rows, sample_init
+from salt.regularizers import RegularizerKind, reg_grad_delta_sum, reg_grad_params_sum
 from salt.stackelberg import (
     Method,
     interaction_adjoint,
@@ -256,7 +257,7 @@ def _tangent_fd_errors(params, x, delta, kind, u, steps):
     differences of reg_grad_params_sum's (theta, delta) gradients, per step.
     The map's clean-output seed is backpropagated through the clean pass and
     added to its mixed part."""
-    _, tangent = reg_grad_delta_tangent(params, x, delta, kind)
+    _, tangent = make_adv_objective(params, x, kind)(delta)
     mixed, curv, seed = tangent(u)
     mixed = mixed + _backward(params, mlp_forward(params, x), seed)[0]
     got = np.concatenate([mixed.ravel(), curv.ravel()])
@@ -297,17 +298,16 @@ def test_tangent_matches_central_differences():
     assert errs[1] <= errs[0] / 50 and errs[1] <= 1e-7, errs
 
 
-@pytest.mark.parametrize("mode", list(ProjMode))
 @pytest.mark.parametrize("norm", list(NormKind))
 @pytest.mark.parametrize("kind", list(RegularizerKind))
-def test_adjoint_matches_hessian_oracle(kind, norm, mode):
+def test_adjoint_matches_hessian_oracle(kind, norm):
     """The production adjoint, from the recorded passes' tangent maps, against
     the same sweep over second-derivative matrices built by central
     differences, with the projection active."""
     rng = np.random.default_rng(30)
     params = init_params([2, 6, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=2.0)
     x = rng.normal(size=(4, 2))
-    cfg = AdvConfig(alpha=0.7, epsilon=0.3, eta=0.8, sigma=0.3, k_steps=3, norm=norm, proj_mode=mode)
+    cfg = AdvConfig(alpha=0.7, epsilon=0.3, eta=0.8, sigma=0.3, k_steps=3, norm=norm)
     obj = make_adv_objective(params, x, kind)
     tape = unroll_forward(params, x, cfg, obj, rng=4)
     clipped = [np.abs(pre).max() > cfg.epsilon for pre in tape.pre_projections]
@@ -323,20 +323,20 @@ def test_adjoint_matches_hessian_oracle(kind, norm, mode):
 
 @pytest.mark.parametrize("kind", list(RegularizerKind))
 def test_adv_objective_is_the_regularizer_at_its_own_params(kind):
-    """obj(delta) is reg_grad_delta_tangent at the params obj was made at, bit
-    for bit in the gradient and in the tangent map along u, whether obj
-    computed its clean pass or was given one."""
+    """obj(delta)'s gradient is reg_grad_delta_sum at the params obj was made
+    at, bit for bit, and its gradient and tangent map along u are the same
+    whether obj computed its clean pass or was given one."""
     rng = np.random.default_rng(31)
     params = init_params([2, 5, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=1.5)
     x = rng.normal(size=(3, 2))
-    for obj in (make_adv_objective(params, x, kind), make_adv_objective(params, x, kind, mlp_forward(params, x))):
-        for _ in range(3):
-            delta = rng.normal(size=x.shape) * 0.3
-            u = rng.normal(size=x.shape)
-            g_delta, tangent = reg_grad_delta_tangent(params, x, delta, kind)
-            got_delta, got_tangent = obj(delta)
-            assert np.array_equal(got_delta, g_delta)
-            assert all(np.array_equal(a, b) for a, b in zip(got_tangent(u), tangent(u)))
+    own, given = make_adv_objective(params, x, kind), make_adv_objective(params, x, kind, mlp_forward(params, x))
+    for _ in range(3):
+        delta = rng.normal(size=x.shape) * 0.3
+        u = rng.normal(size=x.shape)
+        (g_own, t_own), (g_given, t_given) = own(delta), given(delta)
+        assert np.array_equal(g_own, reg_grad_delta_sum(params, x, delta, kind))
+        assert np.array_equal(g_given, g_own)
+        assert all(np.array_equal(a, b) for a, b in zip(t_given(u), t_own(u)))
 
 
 def test_forward_oracle_refuses_large_instances():
@@ -403,7 +403,6 @@ def test_gradient_alpha0_reduces_to_clean_gradient():
 
 def test_end_to_end_hypergradient_matches_finite_differences():
     from salt.diffmodel import task_loss
-    from salt.regularizers import reg_value_sum
 
     for seed in range(3):
         params, batch = _mlp_batch(seed + 20, sizes=(2, 4, 3), n=3)
@@ -414,7 +413,7 @@ def test_end_to_end_hypergradient_matches_finite_differences():
             obj = make_adv_objective(cur, batch.inputs, KIND)
             tape = unroll_forward(cur, batch.inputs, cfg, obj, rng=seed)
             loss = task_loss(mlp_forward(cur, batch.inputs), batch.targets)
-            return loss + cfg.alpha * (reg_value_sum(cur, batch.inputs, tape.deltas[-1], KIND) / batch.n)
+            return loss + cfg.alpha * (reg_value(cur, batch.inputs, tape.deltas[-1], KIND) / batch.n)
 
         got = stackelberg_gradient(params, batch, cfg, KIND, rng=seed).total
         h = 1e-5
@@ -430,8 +429,8 @@ def test_training_step_deterministic_and_guarded():
     params, batch = _mlp_batch(17)
     cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
     state = OptimizerState(kind="Adam", lr=1e-3)
-    p1, _, s1 = training_step(Method.SALT, params, batch, cfg, KIND, state, 9)
-    p2, _, s2 = training_step(Method.SALT, params, batch, cfg, KIND, state, 9)
+    p1, _, s1 = training_step(Method.SALT, params, batch, cfg, state, 9)
+    p2, _, s2 = training_step(Method.SALT, params, batch, cfg, state, 9)
     assert np.array_equal(p1.values, p2.values)
     assert s1["interaction_ratio"] == s2["interaction_ratio"]
     assert not s1["degenerate_interaction"]
@@ -439,13 +438,13 @@ def test_training_step_deterministic_and_guarded():
     # sigma = 0 pins the start at the divergence's stationary point: the whole
     # trajectory stays at zero and the interaction is declared degenerate
     flat_cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.0, k_steps=2)
-    _, _, s3 = training_step(Method.SALT, params, batch, flat_cfg, KIND, state, 9)
+    _, _, s3 = training_step(Method.SALT, params, batch, flat_cfg, state, 9)
     assert s3["degenerate_interaction"]
     assert s3["interaction_ratio"] == 0.0
 
     # a method outside the four is refused, not run as another method
     with pytest.raises(ContractViolation, match=r"method must be one of \['ERM', 'Adv', 'VAT', 'SALT'\], got 'SGDA'"):
-        training_step("SGDA", params, batch, cfg, KIND, state, 9)
+        training_step("SGDA", params, batch, cfg, state, 9)
 
 
 @pytest.mark.parametrize("members", [None, 3])
@@ -458,7 +457,7 @@ def test_step_stat_keys_per_method(members):
     flat = erm | {"delta0_sum"}
     salt = flat | {"interaction_ratio", "degenerate_interaction", "t_unroll", "t_gradient", "t_update"}
     for method, want in ((Method.ERM, erm), (Method.ADV, flat), (Method.VAT, flat), (Method.SALT, salt)):
-        stats = training_step(method, params, batch, cfg.adv, cfg.model.regularizer_kind, state, rng)[2]
+        stats = training_step(method, params, batch, cfg.adv, state, rng)[2]
         assert set(stats) == want, (members, method)
 
 
@@ -493,13 +492,13 @@ def test_follower_matches_unroll_trajectory():
     """VAT and SALT pair by construction: for the same config and seed both
     steps run the same follower, so their perturbation stats agree bit for bit."""
     state = OptimizerState(kind="Adam", lr=1e-3)
-    for sizes, kind in (((2, 8, 3), KIND), ((2, 8, 1), RegularizerKind.SQUARED_DIFFERENCE)):
+    for sizes in ((2, 8, 3), (2, 8, 1)):
         p, batch = _flat_setup(seed=3, sizes=sizes)
         for norm in ("L2", "LInf"):
             for k in (0, 1, 4):
                 cfg = AdvConfig(epsilon=0.3, eta=0.8, sigma=0.2, k_steps=k, norm=norm)
-                _, _, vat_stats = training_step(Method.VAT, p, batch, cfg, kind, state, 7)
-                _, _, salt_stats = training_step(Method.SALT, p, batch, cfg, kind, state, 7)
+                _, _, vat_stats = training_step(Method.VAT, p, batch, cfg, state, 7)
+                _, _, salt_stats = training_step(Method.SALT, p, batch, cfg, state, 7)
                 for key in ("clean_loss", "delta0_sum", "delta_norm", "reg_value"):
                     assert vat_stats[key] == salt_stats[key]
 
@@ -521,8 +520,8 @@ def test_vat_step_alpha_zero_is_erm_step():
     p, batch = _flat_setup(seed=6)
     cfg = AdvConfig(alpha=0.0, epsilon=100.0, eta=50.0, sigma=100.0, k_steps=2)
     state = OptimizerState(kind="Adam", lr=1e-3)
-    vat, vat_state, stats = training_step(Method.VAT, p, batch, cfg, KIND, state, 3)
-    erm, erm_state, _ = training_step(Method.ERM, p, batch, cfg, KIND, state, 3)
+    vat, vat_state, stats = training_step(Method.VAT, p, batch, cfg, state, 3)
+    erm, erm_state, _ = training_step(Method.ERM, p, batch, cfg, state, 3)
     assert stats["delta_norm"] > 10.0
     assert np.array_equal(vat.values, erm.values)
     assert np.array_equal(vat_state.m, erm_state.m) and np.array_equal(vat_state.v, erm_state.v)
@@ -537,7 +536,7 @@ def test_leader_part_matches_fd_with_frozen_delta():
 
     def total(theta):
         q = p.replace_values(theta)
-        return task_loss(mlp_forward(q, x), batch.targets) + cfg.alpha * (reg_value_sum(q, x, d, KIND) / batch.n)
+        return task_loss(mlp_forward(q, x), batch.targets) + cfg.alpha * (reg_value(q, x, d, KIND) / batch.n)
 
     g = grad.leader_part
     h = 1e-6
@@ -560,7 +559,7 @@ def test_ascent_increases_regularizer():
         cfg = AdvConfig(epsilon=1.0, eta=0.5, sigma=0.1, k_steps=3)
         d0 = np.random.default_rng(seed + 1000).standard_normal(x.shape) * cfg.sigma
         dk = _vat_endpoint(p, x, cfg, seed + 1000)
-        if reg_value_sum(p, x, dk, KIND) >= reg_value_sum(p, x, d0, KIND):
+        if reg_value(p, x, dk, KIND) >= reg_value(p, x, d0, KIND):
             wins += 1
     assert wins >= 0.95 * trials
 
@@ -588,8 +587,8 @@ def test_training_step_statistics_and_determinism():
     p, batch = _flat_setup(seed=9)
     cfg = AdvConfig(alpha=1.0, epsilon=0.5, eta=0.7, sigma=0.1, k_steps=2)
     state = OptimizerState(kind="Adam", lr=1e-3)
-    p1, s1, st1 = training_step(Method.VAT, p, batch, cfg, KIND, state, 77)
-    p2, s2, st2 = training_step(Method.VAT, p, batch, cfg, KIND, state, 77)
+    p1, s1, st1 = training_step(Method.VAT, p, batch, cfg, state, 77)
+    p2, s2, st2 = training_step(Method.VAT, p, batch, cfg, state, 77)
     assert np.array_equal(p1.values, p2.values)
     assert st1 == st2
     assert st1["clean_loss"] == pytest.approx(task_loss(mlp_forward(p, batch.inputs), batch.targets))
@@ -599,30 +598,40 @@ def test_training_step_statistics_and_determinism():
     assert st1["delta0_sum"] == pytest.approx(raw.sum(), abs=1e-15)
 
 
-@pytest.mark.parametrize("method", [Method.VAT, Method.SALT])
-def test_step_rejects_a_regularizer_for_the_other_head(method):
-    """A step checks the regularizer kind against the head once, where it
-    builds its clean pass; its follower's evaluations do not check again.
-    Unchecked, KL on a width-1 head would read a one-class softmax and a
-    regularizer of exactly 0."""
+@pytest.mark.parametrize("width", [1, 3])
+def test_every_entry_rejects_a_kind_its_head_does_not_take(width):
+    """Each public entry that takes a regularizer kind checks it against the
+    one the head takes and names the legal kinds, for the other head's kind
+    and an unknown one alike. Unchecked, KL on a width-1 head reads a
+    one-class softmax and a regularizer of exactly 0, and an unknown kind
+    runs as squared difference or dies inside a backprop."""
+    from salt.gradcheck import hypergradient_fd
+
     cfg = AdvConfig(alpha=1.0, epsilon=0.5, eta=0.7, sigma=0.1, k_steps=2)
-    state = OptimizerState(kind="SGD", lr=0.1)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 2))
-    for width, kind, y, message in (
-        (1, RegularizerKind.KL_DIVERGENCE, rng.normal(size=4), "KL regularizer needs a classification head"),
-        (3, RegularizerKind.SQUARED_DIFFERENCE, rng.integers(0, 3, 4), "squared-difference regularizer needs a regression"),
-    ):
-        params = init_params([2, 5, width], rng)
-        with pytest.raises(ContractViolation, match=message):
-            training_step(method, params, Batch(x, y), cfg, kind, state, 0)
+    y = rng.normal(size=4) if width == 1 else rng.integers(0, width, 4)
+    params, batch = init_params([2, 5, width], rng), Batch(x, y)
+    other = RegularizerKind.KL_DIVERGENCE if width == 1 else RegularizerKind.SQUARED_DIFFERENCE
+    legal = r"head takes \w+, got .* \(kinds: \['KLDivergence', 'SquaredDifference'\]\)"
+    for kind in (other, "bogus"):
+        entries = {
+            "reg_grad_delta_sum": lambda: reg_grad_delta_sum(params, x, x, kind),
+            "reg_grad_params_sum": lambda: reg_grad_params_sum(params, x, x, kind),
+            "make_adv_objective": lambda: make_adv_objective(params, x, kind),
+            "stackelberg_gradient": lambda: stackelberg_gradient(params, batch, cfg, kind, 0),
+            "hypergradient_fd": lambda: hypergradient_fd(params, batch, cfg, kind, x),
+        }
+        for call in entries.values():
+            with pytest.raises(ContractViolation, match=legal):
+                call()
 
 
 def test_adv_training_step_runs_and_reports_attacked_loss():
     p, batch = _flat_setup(seed=10, sizes=(2, 6, 2))
     cfg = AdvConfig(alpha=1.0, epsilon=0.5, eta=0.7, sigma=0.1, k_steps=2)
     state = OptimizerState(kind="SGD", lr=0.1)
-    p1, _, stats = training_step(Method.ADV, p, batch, cfg, KIND, state, 5)
+    p1, _, stats = training_step(Method.ADV, p, batch, cfg, state, 5)
     assert not np.array_equal(p1.values, p.values)
     assert stats["reg_value"] >= 0.0
     assert stats["delta_norm"] > 0.0
@@ -684,7 +693,6 @@ def test_step_forward_and_backward_counts(monkeypatch):
         k = cfg.adv.k_steps
         assert k == 2
         state = OptimizerState(kind="Adam", lr=1e-3)
-        kind = cfg.model.regularizer_kind
         assert (1 + k + 1, k + 2) == (4, 4)
         steps = {
             Method.SALT: ((4, 4, 2, k, k), 39),
@@ -694,7 +702,7 @@ def test_step_forward_and_backward_counts(monkeypatch):
         }
         for method, (want, reductions) in steps.items():
             counts.update(dict.fromkeys(names, 0))
-            step = functools.partial(training_step, method, params, batch, cfg.adv, kind, state, rng)
+            step = functools.partial(training_step, method, params, batch, cfg.adv, state, rng)
             assert count_reductions(step) == reductions, (members, method)
             assert counts == dict(zip(names, want)), (members, method)
 
@@ -716,24 +724,26 @@ def test_step_python_call_counts():
     than the @ it replaced. So these figures rose, from ERM 90, Adv 211,
     VAT 229 and SALT 331 lone and 91, 232, 246 and 373 stacked, while the
     step got faster; VAT and SALT also dropped the tape's two copies of
-    theta and x. Measured with numpy 2.4.6 on Python 3.11: another
+    theta and x. SALT's step then took the head's kind and the clean pass
+    it builds for every method, where stackelberg_gradient checked a
+    passed kind and read the batch size through Batch.n twice: 428 and 423
+    became 426 and 421. Measured with numpy 2.4.6 on Python 3.11: another
     version's numpy wrappers may move the figures."""
     want = {
-        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 278, Method.SALT: 428},
-        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 272, Method.SALT: 423},
+        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 278, Method.SALT: 426},
+        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 272, Method.SALT: 421},
     }
     for members, counts in want.items():
         cfg, params, batch, seeds = _canonical_step_inputs(members)
         opt = cfg.optimizer
         state = OptimizerState(kind=opt.kind, lr=opt.lr, betas=opt.betas, eps=opt.eps)
         _, state = optimizer_step(params, state, np.ones_like(params.values))
-        kind = cfg.model.regularizer_kind
 
         def step(method):
             rng = np.random.default_rng(seeds) if members is None else [np.random.default_rng(s) for s in seeds]
             # a step's parameters arrive with no layer views built
             fresh = params.replace_values(params.values)
-            return functools.partial(training_step, method, fresh, batch, cfg.adv, kind, state, rng)
+            return functools.partial(training_step, method, fresh, batch, cfg.adv, state, rng)
 
         got = {}
         for method in counts:
@@ -775,7 +785,7 @@ def test_canonical_salt_step_takes_no_lock():
     state = OptimizerState(kind="Adam", lr=1e-3)
 
     def step():
-        training_step(Method.SALT, params, batch, cfg.adv, cfg.model.regularizer_kind, state, rng)
+        training_step(Method.SALT, params, batch, cfg.adv, state, rng)
 
     assert count_c_calls(step, lambda c: "RLock" in getattr(c, "__qualname__", "")) == 0
 
@@ -873,7 +883,7 @@ def test_vat_step_is_optimizer_step_on_leader_part(kind, members):
     for k_steps in range(4):
         for alpha in (0.7, 0.0):
             cfg = AdvConfig(alpha=alpha, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=k_steps)
-            got, got_state, _ = training_step(Method.VAT, params, batch, cfg, kind, state, seeds)
+            got, got_state, _ = training_step(Method.VAT, params, batch, cfg, state, seeds)
             leader = stackelberg_gradient(params, batch, cfg, kind, seeds).leader_part
             want, want_state = optimizer_step(params, state, leader)
             assert np.array_equal(got.values, want.values), (k_steps, alpha)
