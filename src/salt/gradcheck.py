@@ -74,7 +74,7 @@ def total_objective(
     delta0's shape are checked once per call, where the clean pass is built;
     the iterates take their shape from delta0 and x, so the ascent's
     evaluations and the endpoint's run the regularizers' unchecked bodies."""
-    x, delta0, clean = _checked(params, batch.inputs, delta0, kind, None)
+    x, delta0, clean = _checked(params, batch.inputs, delta0, kind)
     deltas, _ = ascend(lambda delta: _grad_delta_tangent(params, x, delta, kind, clean)[0], delta0, cfg)
     loss = task_loss(clean, batch.targets)
     return loss + cfg.alpha * (_value_seeds(clean, _forward(params, x + deltas[-1]), kind)[0] / batch.n)

@@ -54,7 +54,7 @@ def _parse_seed(raw: str) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     values = [parse_axis_value(args.axis, v) for v in args.values.split(",") if v]
-    seeds = [_parse_seed(s) for s in args.seeds.split(",") if s] if args.seeds else None
+    seeds = None if args.seeds is None else [_parse_seed(s) for s in args.seeds.split(",") if s]
     out_path = args.out or os.path.join(cfg.outdir, "sweep.csv")
     rows = sweep(cfg, args.axis, values, seeds, out_path)
     print(f"{len(rows)} rows -> {out_path}")
@@ -109,6 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("outdir", "out"):  # an empty path would read as absent and fall back to the default
+            if getattr(args, name, None) == "":
+                raise ContractViolation(f"--{name} must be a non-empty path")
         return args.fn(args)
     except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

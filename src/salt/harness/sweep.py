@@ -46,11 +46,11 @@ def sweep(
     """Train every (value, seed) pair and write one summary row each."""
     if axis not in _AXES:
         raise ContractViolation(f"unknown sweep axis: {axis!r} (expected one of {_AXES})")
-    if not values:
-        raise ContractViolation("sweep needs at least one axis value")
+    seeds = [template.seed] if seeds is None else list(seeds)
+    if not values or not seeds:
+        raise ContractViolation("sweep needs at least one axis value and one seed")
     if not template.model.is_classification:
         raise ContractViolation("sweep summaries need a classification model (accuracy and ece columns)")
-    seeds = list(seeds) if seeds else [template.seed]
     if len(set(values)) != len(values) or len(set(seeds)) != len(seeds):
         # a repeat would rerun into, and overwrite, the same run directory
         raise ContractViolation("sweep values and seeds must each be distinct")

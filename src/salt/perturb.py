@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -28,9 +28,8 @@ class NormKind(str, Enum):
     LINF = "LInf"
 
 
-# The exact projection Jacobian is the one mode. The key stays while
-# bench/micro.py passes cfg.proj_mode, and keeps the shipped configs and
-# every resolved_config.json as they are.
+# The exact projection Jacobian is the one mode: AdvConfig.proj_mode is a
+# class constant, not a setting. Both stay while bench/micro.py reads it.
 class ProjMode(str, Enum):
     EXACT_JACOBIAN = "ExactJacobian"
 
@@ -50,7 +49,7 @@ class AdvConfig:
     sigma: float = 1e-4
     k_steps: int = 2
     norm: NormKind = NormKind.L2
-    proj_mode: ProjMode = ProjMode.EXACT_JACOBIAN
+    proj_mode: ClassVar[ProjMode] = ProjMode.EXACT_JACOBIAN
 
     def __post_init__(self) -> None:
         for name, value in (("alpha", self.alpha), ("sigma", self.sigma), ("eta", self.eta)):
@@ -59,10 +58,8 @@ class AdvConfig:
         if require_real("epsilon", self.epsilon) <= 0:
             raise ContractViolation(f"epsilon must be positive, got {self.epsilon!r}")
         require_int("k_steps", self.k_steps, 0)
-        for name, kind in (("norm", NormKind), ("proj_mode", ProjMode)):
-            value = getattr(self, name)
-            require_str(name, value, tuple(member.value for member in kind))
-            object.__setattr__(self, name, kind(value))
+        require_str("norm", self.norm, tuple(member.value for member in NormKind))
+        object.__setattr__(self, "norm", NormKind(self.norm))
 
 
 @dataclass(frozen=True)

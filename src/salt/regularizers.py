@@ -82,23 +82,24 @@ def _kl_rows(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Array, Array
 
 
 # Summed (per-example, unscaled) primitives; divide by n for the batch mean.
-# Each takes an optional clean pass: x and theta are fixed through a training
-# step, so a step computes mlp_forward once and hands it to every evaluation.
-# Each checks its inputs in _checked and runs an unchecked body, which a
-# training step calls directly: it checks x and kind once, where it builds
-# its clean pass, and draws every delta it evaluates at x's shape.
+# Each public entry checks its inputs in _checked, which builds the clean pass
+# at (theta, x), and runs an unchecked body. A training step calls the bodies
+# directly: it checks x and kind once, where it builds the one clean pass its
+# evaluations share, and draws every delta it evaluates at x's shape.
 
 
-def _checked(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None
-) -> tuple[Array, Array, ForwardPass]:
-    """x and delta checked against params and kind (both may carry a leading
-    stack axis), and the clean pass at x, computed when not given."""
-    x = _check_inputs(params, x, kind)
+def _check_delta(x: Array, delta: Array) -> Array:
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim > 3 or delta.shape[-2:] != x.shape[-2:]:
         raise ContractViolation("delta must match the (n, d) shape of the inputs, with an optional stack axis")
-    return x, delta, (_forward(params, x) if clean is None else clean)
+    return delta
+
+
+def _checked(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> tuple[Array, Array, ForwardPass]:
+    """x and delta checked against params and kind (both may carry a leading
+    stack axis), and the clean pass at x."""
+    x = _check_inputs(params, x, kind)
+    return x, _check_delta(x, delta), _forward(params, x)
 
 
 def _value_seeds(clean: ForwardPass, pert: ForwardPass, kind: RegularizerKind) -> tuple[float | Array, Array, Array]:
@@ -153,11 +154,9 @@ def _grad_delta_tangent(
     return gdelta, tangent
 
 
-def reg_grad_delta_sum(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
-) -> Array:
+def reg_grad_delta_sum(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> Array:
     """d(sum of per-example regularizers)/d(delta); row i touches only example i."""
-    x, delta, clean = _checked(params, x, delta, kind, clean)
+    x, delta, clean = _checked(params, x, delta, kind)
     return _grad_delta_tangent(params, x, delta, kind, clean)[0]
 
 
@@ -175,11 +174,11 @@ def _reg_grad_params_parts(
 
 
 def reg_grad_params_sum(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass | None = None
+    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind
 ) -> tuple[Array, Array, float | Array]:
     """What one perturbed pass at delta yields to the leader: d(sum of
     per-example regularizers)/d(theta) with delta held fixed, d(same)/d(delta),
     and the sum."""
-    x, delta, clean = _checked(params, x, delta, kind, clean)
+    x, delta, clean = _checked(params, x, delta, kind)
     gtheta, gdelta, value, seed_clean = _reg_grad_params_parts(params, x, delta, kind, clean)
     return gtheta + _backward(params, clean, seed_clean, to_inputs=False)[0], gdelta, value

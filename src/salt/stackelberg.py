@@ -67,8 +67,8 @@ from .perturb import AdvConfig, Rng, ascend, project_jvp_rows, sample_init
 from .regularizers import (
     RegularizerKind,
     TangentMap,
+    _check_delta,
     _check_inputs,
-    _checked,
     _grad_delta_tangent,
     _reg_grad_params_parts,
     head_kind,
@@ -85,19 +85,14 @@ _DEGENERATE_NORM = 1e-14
 Linearize = Callable[[Array], tuple[Array, TangentMap]]
 
 
-def make_adv_objective(
-    params: ModelParams,
-    x: Array,
-    kind: RegularizerKind,
-    clean: ForwardPass | None = None,
-) -> Linearize:
+def make_adv_objective(params: ModelParams, x: Array, kind: RegularizerKind) -> Linearize:
     """The production inner objective at params: per-example regularizers,
     summed, whose call at delta returns regularizers._grad_delta_tangent
-    there. x and kind are checked here, and again with delta on every call.
-    Every call shares one clean pass, computed here when not given."""
+    there. x and kind are checked here, with the one clean pass every call
+    shares; each call checks its delta against x."""
     x = _check_inputs(params, x, kind)
-    clean = _forward(params, x) if clean is None else clean
-    return lambda delta: _grad_delta_tangent(params, x, _checked(params, x, delta, kind, clean)[1], kind, clean)
+    clean = _forward(params, x)
+    return lambda delta: _grad_delta_tangent(params, x, _check_delta(x, delta), kind, clean)
 
 
 def _step_objective(params: ModelParams, x: Array, kind: RegularizerKind, clean: ForwardPass) -> Linearize:
@@ -251,16 +246,11 @@ def step_stats(targets: Array, clean: ForwardPass, reg_value: float | Array, del
     }
 
 
-def _member_norms(a: Array, member_ndim: int) -> Array:
-    """np.linalg.norm of a lone array, or of each member of a stack whose
-    members have member_ndim axes, by norm's own code path for a float
-    array: the square root of the BLAS dot of the flattened array with
-    itself. Each member's dot runs over that member alone, whose bits a norm
-    over the whole stack need not reproduce."""
-    if a.ndim == member_ndim:
-        f = a.ravel(order="K")
-        return np.sqrt(f.dot(f))
-    return np.array([_member_norms(m, member_ndim) for m in a])
+def _member_norms(a: Array, axes: tuple[int, ...]) -> Array:
+    """The L2 norm of a lone array, or of each member of a stack, over the
+    member's axes: one pairwise sum of squares per member. On a C-ordered
+    stack, as a step makes them, each member's norm has its lone bits."""
+    return np.sqrt(np.add.reduce(a**2, axis=axes))
 
 
 @dataclass(frozen=True)
@@ -306,7 +296,7 @@ def _salt_gradient(
     delta_k = tape.deltas[-1]
     reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean)
     v = reg_delta / n
-    degenerate = _member_norms(v, 2) < _DEGENERATE_NORM
+    degenerate = _member_norms(v, (-2, -1)) < _DEGENERATE_NORM
     # Python's all and any over the members, not numpy reductions
     sweep = not (cfg.alpha == 0.0 or tape.k_steps == 0 or all(degenerate.flat))
     mixed, seeds = _reverse_sweep(tape, cfg, v) if sweep else ([], [])
@@ -318,7 +308,7 @@ def _salt_gradient(
     else:
         interaction = np.zeros(leader.shape)
     t2 = time.perf_counter()
-    ratio = _member_norms(interaction, 1) / np.maximum(_member_norms(leader, 1), 1e-300)
+    ratio = _member_norms(interaction, (-1,)) / np.maximum(_member_norms(leader, (-1,)), 1e-300)
     stats = {
         **step_stats(targets, clean, reg_sum / n, tape.deltas[0], delta_k),
         "interaction_ratio": _per_member(ratio),

@@ -26,10 +26,10 @@ def shipped_config(name: str) -> ExperimentConfig:
     return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
 
 
-def reg_value(params, x, delta, kind, clean=None):
+def reg_value(params, x, delta, kind):
     """The summed regularizer at delta, as reg_grad_params_sum returns it
     beside its gradients."""
-    return reg_grad_params_sum(params, x, delta, kind, clean)[2]
+    return reg_grad_params_sum(params, x, delta, kind)[2]
 
 
 def _count_profile_events(fn, accept: Callable[[str, object], bool]) -> int:

@@ -1,5 +1,6 @@
 """The benchmark's view of the package: every name bench/*.py imports from
-salt still exists, and every call it makes to a salt callable still binds.
+salt still exists, every call it makes to a salt callable still binds, and
+every attribute or key it reads from salt's results without a call resolves.
 
 bench/test_smoke.py runs the benchmark itself but lies outside the default
 test paths, so a refactor that renames or deletes a function the benchmark
@@ -14,7 +15,14 @@ import importlib
 import inspect
 import os
 
+import numpy as np
+
 from helpers import ROOT
+from salt.diffmodel import Batch, init_params
+from salt.harness.config import ModelSpec
+from salt.optim import OptimizerState
+from salt.perturb import AdvConfig, project_jvp_rows, sample_init
+from salt.stackelberg import Method, stackelberg_gradient, training_step
 
 
 def _parse(path: str) -> ast.Module:
@@ -53,10 +61,10 @@ def _resolves(module: str, name: str | None) -> bool:
 def test_bench_imports_from_salt_resolve():
     """Each `from salt... import name` and `import salt...` in bench/*.py,
     module-level or inside a function, names something the package has.
-    Calls are checked by test_bench_calls_to_salt_bind; fields such as
-    `cfg.proj_mode` or `.values` are not covered, nor the function names
-    bench/tracing.py lists as strings, which it skips when they are
-    missing."""
+    Calls are checked by test_bench_calls_to_salt_bind and reads such as
+    `cfg.proj_mode` or `.values` by test_bench_attribute_reads_resolve; the
+    function names bench/tracing.py lists as strings are not covered, and it
+    skips them when they are missing."""
     paths = sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
     assert paths
     imports = {(os.path.basename(p), module, name) for p in paths for module, name, _ in _salt_imports(p)}
@@ -131,3 +139,24 @@ def test_bench_calls_to_salt_bind():
     assert {"grad_params", "interaction_adjoint", "experiment.run_experiment", "stackelberg.stackelberg_gradient"} <= callees
     broken = [(file, line, callee) for file, line, callee, target, call in calls if not _binds(target, call)]
     assert not broken, broken
+
+
+def test_bench_attribute_reads_resolve():
+    """What bench/*.py reads from salt without a call, which the call check
+    cannot see: AdvConfig().proj_mode, which project_jvp_rows takes,
+    sample_init(...).values, ModelSpec.regularizer_kind, the three parts of a
+    StackelbergGrad, a tape's deltas and pre_projections, and the phase
+    timers and degenerate flag of a SALT step's stats."""
+    cfg, spec = AdvConfig(), ModelSpec()
+    rng = np.random.default_rng(0)
+    params = init_params(list(spec.layers), rng)
+    batch = Batch(rng.normal(size=(4, 2)), rng.integers(0, 2, 4))
+    grad = stackelberg_gradient(params, batch, cfg, spec.regularizer_kind, 0)
+    assert all(part.shape == (params.n_params,) for part in (grad.total, grad.leader_part, grad.interaction_part))
+    tape = grad.tape
+    assert len(tape.deltas) == cfg.k_steps + 1 and len(tape.pre_projections) == cfg.k_steps
+    delta0 = sample_init(cfg.sigma, batch.inputs.shape, 0).values
+    jvp = project_jvp_rows(tape.pre_projections[-1], delta0, cfg.epsilon, cfg.norm, cfg.proj_mode)
+    assert jvp.shape == delta0.shape
+    stats = training_step(Method.SALT, params, batch, cfg, OptimizerState(kind="Adam", lr=1e-3), 0)[2]
+    assert {"t_unroll", "t_gradient", "t_update", "degenerate_interaction"} <= set(stats)

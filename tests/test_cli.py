@@ -101,6 +101,8 @@ def test_train_rejects_bad_values(tmp_path):
             {"dataset": {"kind": "csv", "train_path": 3, "test_path": 3}},
             "bad dataset value: train_path must be a non-empty string, got 3",
         ),
+        # the exact projection Jacobian is not a setting
+        ({"adv": {"proj_mode": "ExactJacobian"}}, "unknown adv keys: ['proj_mode']"),
         # the model head decides how targets are read; there is no dataset setting for it
         ({"dataset": {"kind": "two_moons", "target": "auto"}}, "unknown dataset keys: ['target']"),
         ({"dataset": {**csv_paths, "target": "regression"}}, "unknown dataset keys: ['target']"),
@@ -210,6 +212,28 @@ def test_sweep_checks_every_value_before_any_run(tmp_path):
         assert proc.stderr.startswith("error: ") and named in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert not (tmp_path / "run").exists()
+
+
+def test_empty_paths_and_seed_lists_are_errors(tmp_path):
+    """An empty --outdir or --out, or a --seeds that names no seed, is refused
+    before any run trains or any file is written, where a fallback to the
+    config's outdir or seed could overwrite another run."""
+    cfg = tiny_config(tmp_path, epochs=1)
+    preds = tmp_path / "preds.csv"
+    preds.write_text("confidence,correct\n0.9,1\n")
+    sweep = ("sweep", "--config", str(cfg), "--axis", "k_steps", "--values", "0")
+    for args, named in (
+        (("train", "--config", str(cfg), "--outdir", ""), "--outdir must be a non-empty path"),
+        ((*sweep, "--out", ""), "--out must be a non-empty path"),
+        ((*sweep, "--seeds", ""), "sweep needs at least one axis value and one seed"),
+        ((*sweep, "--seeds", ","), "sweep needs at least one axis value and one seed"),
+        (("calibrate", "--predictions", str(preds), "--out", ""), "--out must be a non-empty path"),
+    ):
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("error: ") and named in proc.stderr, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr and proc.stdout == "", args
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "preds.csv"], args
 
 
 def test_train_rejects_non_finite_csv(tmp_path):

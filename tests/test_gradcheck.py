@@ -51,8 +51,7 @@ def test_fixed_k_is_respected():
 
 def _replay(params, x, kind, delta0, cfg):
     """The ascent total_objective runs from a frozen init."""
-    clean = mlp_forward(params, x)
-    return ascend(lambda delta: reg_grad_delta_sum(params, x, delta, kind, clean), delta0, cfg)
+    return ascend(lambda delta: reg_grad_delta_sum(params, x, delta, kind), delta0, cfg)
 
 
 def test_endpoint_replay_matches_recorded_unroll():

@@ -293,8 +293,9 @@ def test_config_validates_values():
         ({"adv": {"alpha": True}}, "bad adv value: alpha must be a real number, got True"),
         ({"adv": {"alpha": -0.5}}, "bad adv value: alpha must be non-negative, got -0.5"),
         ({"adv": {"eta": "0.1"}}, "bad adv value: eta must be a real number, got '0.1'"),
-        # the exact projection Jacobian is the one mode
-        ({"adv": {"proj_mode": "StraightThrough"}}, "bad adv value: proj_mode must be one of ['ExactJacobian']"),
+        # the exact projection Jacobian is not a setting, whatever the value
+        ({"adv": {"proj_mode": "ExactJacobian"}}, "unknown adv keys: ['proj_mode']"),
+        ({"adv": {"proj_mode": "StraightThrough"}}, "unknown adv keys: ['proj_mode']"),
         ({"dataset": {"noise_std": float("nan")}}, "bad dataset value: noise_std must be finite, got nan"),
         ({"dataset": {"noise_std": False}}, "bad dataset value: noise_std must be a real number, got False"),
         # string fields: outdir a non-empty string, the paths a string or null
@@ -712,6 +713,8 @@ def test_sweep_rejects_bad_requests(tmp_path):
         sweep(template, "sigma", [0.1], out_path=str(tmp_path / "x.csv"))
     with pytest.raises(ContractViolation):
         sweep(template, "k_steps", [], out_path=str(tmp_path / "x.csv"))
+    with pytest.raises(ContractViolation, match="one seed"):
+        sweep(template, "k_steps", [1], seeds=[], out_path=str(tmp_path / "x.csv"))
     regression = override(
         template,
         model=ModelSpec(layers=(1, 4, 1)),

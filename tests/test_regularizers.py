@@ -141,22 +141,26 @@ def test_partials_match_fd(seed, kind):
 
 
 @pytest.mark.parametrize("kind", list(RegularizerKind))
-def test_supplied_clean_pass_is_bit_identical(kind):
-    """A shared clean pass changes no bit of any value or gradient, and the
-    delta half of the parameter-gradient pass is reg_grad_delta_sum's."""
+def test_entries_take_no_clean_pass(kind):
+    """The clean pass is a function of (theta, x): no public entry takes one,
+    each builds its own from the inputs it checked. The delta half of the
+    parameter-gradient pass is reg_grad_delta_sum's, bit for bit."""
     rng = np.random.default_rng(20)
     p = init_params([2, 16, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=1.5)
     x = rng.normal(size=(5, 2))
     clean = _forward(p, x)
     for _ in range(3):
         delta = rng.normal(size=x.shape) * 0.4
-        fresh = reg_grad_params_sum(p, x, delta, kind)
-        shared = reg_grad_params_sum(p, x, delta, kind, clean)
-        assert all(np.array_equal(a, b) for a, b in zip(fresh, shared))
-        g_delta = reg_grad_delta_sum(p, x, delta, kind)
-        assert np.array_equal(reg_grad_delta_sum(p, x, delta, kind, clean), g_delta)
-        assert np.array_equal(fresh[1], g_delta)
-        assert reg_value(p, x, delta, kind, clean) == reg_value(p, x, delta, kind) == fresh[2]
+        assert np.array_equal(reg_grad_params_sum(p, x, delta, kind)[1], reg_grad_delta_sum(p, x, delta, kind))
+    for entry, args in (
+        (reg_grad_delta_sum, (p, x, delta, kind)),
+        (reg_grad_params_sum, (p, x, delta, kind)),
+        (make_adv_objective, (p, x, kind)),
+    ):
+        with pytest.raises(TypeError):
+            entry(*args, clean=clean)
+        with pytest.raises(TypeError):
+            entry(*args, clean)
 
 
 @settings(max_examples=60, deadline=None)

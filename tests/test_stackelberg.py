@@ -322,21 +322,29 @@ def test_adjoint_matches_hessian_oracle(kind, norm):
 
 
 @pytest.mark.parametrize("kind", list(RegularizerKind))
-def test_adv_objective_is_the_regularizer_at_its_own_params(kind):
+def test_adv_objective_is_the_regularizer_at_its_own_params(kind, monkeypatch):
     """obj(delta)'s gradient is reg_grad_delta_sum at the params obj was made
-    at, bit for bit, and its gradient and tangent map along u are the same
-    whether obj computed its clean pass or was given one."""
+    at, bit for bit. obj builds its clean pass once, when it is made: each
+    call runs one forward pass, the perturbed one, and checks its delta."""
+    from salt import regularizers, stackelberg
+
     rng = np.random.default_rng(31)
     params = init_params([2, 5, 1 if kind == RegularizerKind.SQUARED_DIFFERENCE else 3], rng, scale=1.5)
     x = rng.normal(size=(3, 2))
-    own, given = make_adv_objective(params, x, kind), make_adv_objective(params, x, kind, mlp_forward(params, x))
+    passes = []
+    for module in (regularizers, stackelberg):
+        real = module._forward
+        monkeypatch.setattr(module, "_forward", lambda p, inputs, _real=real: passes.append(1) or _real(p, inputs))
+    obj = make_adv_objective(params, x, kind)
+    assert len(passes) == 1
     for _ in range(3):
         delta = rng.normal(size=x.shape) * 0.3
-        u = rng.normal(size=x.shape)
-        (g_own, t_own), (g_given, t_given) = own(delta), given(delta)
-        assert np.array_equal(g_own, reg_grad_delta_sum(params, x, delta, kind))
-        assert np.array_equal(g_given, g_own)
-        assert all(np.array_equal(a, b) for a, b in zip(t_given(u), t_own(u)))
+        before = len(passes)
+        got = obj(delta)[0]
+        assert len(passes) == before + 1
+        assert np.array_equal(got, reg_grad_delta_sum(params, x, delta, kind))
+    with pytest.raises(ContractViolation, match="delta must match"):
+        obj(np.zeros((3, 3)))
 
 
 def test_forward_oracle_refuses_large_instances():
@@ -669,7 +677,11 @@ def test_step_forward_and_backward_counts(monkeypatch):
     regularizer's clean seed and each reverse step's clean-output seed. VAT
     backpropagates its clean pass once the same way. The last figure is the
     numpy reductions per step: a clean pass's one softmax feeds its loss, its
-    seed and the regularizer, and each step checks its labels once."""
+    seed and the regularizer, and each step checks its labels once. SALT's
+    three norms (the endpoint gradient's, for the degenerate test, and the
+    interaction's and the leader part's, for their ratio) are one reduction
+    each, lone or stacked; they were BLAS dots, and SALT read 39, until
+    lone and stacked steps took the same norm."""
     import sys
 
     from salt import diffmodel
@@ -695,7 +707,7 @@ def test_step_forward_and_backward_counts(monkeypatch):
         state = OptimizerState(kind="Adam", lr=1e-3)
         assert (1 + k + 1, k + 2) == (4, 4)
         steps = {
-            Method.SALT: ((4, 4, 2, k, k), 39),
+            Method.SALT: ((4, 4, 2, k, k), 42),
             Method.VAT: ((k + 2, k + 2, 2, 0, 0), 25),
             Method.ADV: ((k + 2, k + 2, 2, 0, 0), 24),
             Method.ERM: ((1, 1, 1, 0, 0), 9),
@@ -727,11 +739,14 @@ def test_step_python_call_counts():
     theta and x. SALT's step then took the head's kind and the clean pass
     it builds for every method, where stackelberg_gradient checked a
     passed kind and read the batch size through Batch.n twice: 428 and 423
-    became 426 and 421. Measured with numpy 2.4.6 on Python 3.11: another
+    became 426 and 421. Then lone and stacked steps took one norm, a square
+    root of one reduction, where a lone step made a ravel and a BLAS dot per
+    norm and a stack looped over its members in Python: 426 and 421 became
+    423 and 391. Measured with numpy 2.4.6 on Python 3.11: another
     version's numpy wrappers may move the figures."""
     want = {
-        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 278, Method.SALT: 426},
-        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 272, Method.SALT: 421},
+        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 278, Method.SALT: 423},
+        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 272, Method.SALT: 391},
     }
     for members, counts in want.items():
         cfg, params, batch, seeds = _canonical_step_inputs(members)
@@ -752,29 +767,34 @@ def test_step_python_call_counts():
         assert got == counts, members
 
 
-def test_member_norms_are_linalg_norms_bit_for_bit():
-    """_member_norms takes np.linalg.norm's own path; its norms have the bits
-    of np.linalg.norm of each member, on C-ordered, F-ordered and sliced
-    arrays, lone and stacked. Entries span six decades, so a sum in another
-    order would show in the last bits."""
+def test_stacked_step_norms_are_each_lone_steps():
+    """A stacked SALT step's interaction ratio and degenerate flag are each
+    member's lone step's, bit for bit, at the canonical shape, where the
+    parameter norms sum over many pairwise blocks. The middle member has an
+    all-zero output layer, so its endpoint gradient is exactly zero: its
+    step is degenerate and its ratio 0.0. The norms themselves are checked
+    the same way on C-ordered and sliced stacks of entries spanning six
+    decades, where a sum in another order would show in the last bits."""
     from salt.stackelberg import _member_norms
 
     rng = np.random.default_rng(31)
     raw = rng.normal(size=(3, 25, 8)) * 10.0 ** rng.integers(-3, 4, size=(3, 25, 8))
-    stacks = {
-        "C": raw,
-        "F": np.asfortranarray(raw),
-        "sliced": raw[:, 1::2, ::3],
-        "vectors": raw.reshape(3, -1)[:, ::5],
-        "vectors F": np.asfortranarray(raw.reshape(3, -1)[:, :60]),
-    }
-    for name, stack in stacks.items():
-        member_ndim = stack.ndim - 1
-        got = _member_norms(stack, member_ndim)
-        want = np.array([np.linalg.norm(m) for m in stack])
-        assert got.tobytes() == want.tobytes(), name
-        for m in (stack[0], np.asfortranarray(stack[1]), stack[2].T):
-            assert np.float64(_member_norms(m, member_ndim)).tobytes() == np.linalg.norm(m).tobytes(), name
+    for stack, axes in ((raw, (-2, -1)), (raw[:, 1::2, ::3], (-2, -1)), (raw.reshape(3, -1), (-1,))):
+        got = _member_norms(stack, axes)
+        assert [got[i].tobytes() for i in range(3)] == [_member_norms(m, axes).tobytes() for m in stack]
+    cfg, params, batch, _ = _canonical_step_inputs(None)
+    values = np.stack([params.values, params.values.copy(), 0.7 * params.values])
+    values[1, -(32 * 2 + 2) :] = 0.0
+    stack = params.replace_values(values)
+    stacked_batch = Batch(np.stack([batch.inputs] * 3), np.stack([batch.targets] * 3))
+    state = OptimizerState(kind="Adam", lr=1e-3)
+    stats = training_step(Method.SALT, stack, stacked_batch, cfg.adv, state, [3, 4, 5])[2]
+    assert stats["degenerate_interaction"].tolist() == [False, True, False]
+    assert stats["interaction_ratio"][1] == 0.0 and np.all(stats["interaction_ratio"][::2] > 0.0)
+    for i, seed in enumerate([3, 4, 5]):
+        lone = training_step(Method.SALT, params.replace_values(values[i]), batch, cfg.adv, state, seed)[2]
+        assert lone["degenerate_interaction"] == stats["degenerate_interaction"][i], i
+        assert np.float64(lone["interaction_ratio"]).tobytes() == stats["interaction_ratio"][i].tobytes(), i
 
 
 def test_canonical_salt_step_takes_no_lock():
@@ -821,8 +841,8 @@ def _per_seed_reference(params, batch, cfg, kind, rng):
     step's clean-output seed, added in the order the step adds them."""
     x, n = batch.inputs, batch.n
     clean = mlp_forward(params, x)
-    tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind, clean), rng)
-    reg, reg_delta, _ = reg_grad_params_sum(params, x, tape.deltas[-1], kind, clean)
+    tape = unroll_forward(params, x, cfg, make_adv_objective(params, x, kind), rng)
+    reg, reg_delta, _ = reg_grad_params_sum(params, x, tape.deltas[-1], kind)
     task = _backward(params, clean, _task_seed_sum(clean, batch.targets) / n)[0]
     leader = task if cfg.alpha == 0.0 else task + cfg.alpha * (reg / n)
     u = v = reg_delta / n
