@@ -21,7 +21,15 @@ import numpy as np
 from .diffmodel import Array, Batch, ModelParams, _forward, init_params, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ascend
-from .regularizers import RegularizerKind, _checked, _grad_delta_tangent, _value_seeds, head_kind, reg_grad_delta_sum
+from .regularizers import (
+    RegularizerKind,
+    _check_kind,
+    _checked,
+    _grad_delta_tangent,
+    _value_seeds,
+    head_kind,
+    reg_grad_delta_sum,
+)
 from .stackelberg import UnrollTape, stackelberg_gradient
 
 # Relative distance from a pre-projection point to the ball boundary below
@@ -65,19 +73,17 @@ class GradcheckRecord:
     rel_err: float
 
 
-def total_objective(
-    params: ModelParams, batch: Batch, cfg: AdvConfig, kind: RegularizerKind, delta0: Array
-) -> float | Array:
-    """Task loss plus alpha times the regularizer at the endpoint of the ascent
-    re-run from a fixed init under the current parameters. For stacked
-    parameters (m, P), an (m,) array of each member's objective. x, kind and
-    delta0's shape are checked once per call, where the clean pass is built;
-    the iterates take their shape from delta0 and x, so the ascent's
+def total_objective(params: ModelParams, batch: Batch, cfg: AdvConfig, delta0: Array) -> float | Array:
+    """Task loss plus alpha times the head's regularizer at the endpoint of
+    the ascent re-run from a fixed init under the current parameters. For
+    stacked parameters (m, P), an (m,) array of each member's objective. x
+    and delta0's shape are checked once per call, where the clean pass is
+    built; the iterates take their shape from delta0 and x, so the ascent's
     evaluations and the endpoint's run the regularizers' unchecked bodies."""
-    x, delta0, clean = _checked(params, batch.inputs, delta0, kind)
-    deltas, _ = ascend(lambda delta: _grad_delta_tangent(params, x, delta, kind, clean)[0], delta0, cfg)
+    x, delta0, clean = _checked(params, batch.inputs, delta0)
+    deltas, _ = ascend(lambda delta: _grad_delta_tangent(params, x, clean, delta)[0], delta0, cfg)
     loss = task_loss(clean, batch.targets)
-    return loss + cfg.alpha * (_value_seeds(clean, _forward(params, x + deltas[-1]), kind)[0] / batch.n)
+    return loss + cfg.alpha * (_value_seeds(clean, _forward(params, x + deltas[-1]))[0] / batch.n)
 
 
 def hypergradient_fd(
@@ -88,16 +94,19 @@ def hypergradient_fd(
     delta0: Array,
 ) -> Array:
     """Central differences of the total objective over every parameter of
-    one parameter vector, evaluated _FD_CHUNK parameters per stacked call."""
+    one problem, evaluated _FD_CHUNK parameters per stacked call. The kind
+    and the one-problem rule are checked here, once per gradient."""
+    _check_kind(params, kind)
     base = params.values
-    if base.ndim != 1:
-        raise ContractViolation(f"hypergradient_fd takes one parameter vector, got a stack of shape {base.shape}")
+    shapes = (base.shape, np.shape(batch.inputs), np.shape(delta0))
+    if [len(s) for s in shapes] != [1, 2, 2]:
+        raise ContractViolation(f"hypergradient_fd takes one parameter vector, (n, d) batch and delta0, got {shapes}")
     grad = np.empty(base.size)
     for j0 in range(0, base.size, _FD_CHUNK):
         js = np.arange(j0, min(j0 + _FD_CHUNK, base.size))
         e = np.zeros((js.size, base.size))
         e[np.arange(js.size), js] = _FD_STEP
-        f = total_objective(params.replace_values(np.concatenate([base + e, base - e])), batch, cfg, kind, delta0)
+        f = total_objective(params.replace_values(np.concatenate([base + e, base - e])), batch, cfg, delta0)
         grad[js] = (f[: js.size] - f[js.size :]) / (2.0 * _FD_STEP)
     return grad
 

@@ -40,10 +40,13 @@ def sweep(
     template: ExperimentConfig,
     axis: str,
     values: list,
-    seeds: list[int] | None = None,
-    out_path: str | None = None,
+    seeds: list[int] | None,
+    out_path: str,
 ) -> list[dict]:
-    """Train every (value, seed) pair and write one summary row each."""
+    """Train every (value, seed) pair and write one summary row each to the
+    csv at out_path. seeds None takes the template's seed."""
+    if not out_path:
+        raise ContractViolation("sweep needs a path for its summary csv")
     if axis not in _AXES:
         raise ContractViolation(f"unknown sweep axis: {axis!r} (expected one of {_AXES})")
     seeds = [template.seed] if seeds is None else list(seeds)
@@ -72,8 +75,6 @@ def sweep(
             }
         )
 
-    if out_path is None:
-        out_path = os.path.join(template.outdir, "sweep.csv")
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -28,7 +28,7 @@ from .diffmodel import (
     _backward,
     _backward_input,
     _backward_tangent,
-    _check_inputs as _check_shape,
+    _check_inputs,
     _forward,
     _forward_tangent,
     _per_member,
@@ -65,12 +65,6 @@ def _check_kind(params: ModelParams, kind: RegularizerKind) -> None:
         raise ContractViolation(f"a width-{params.output_dim} head takes {want.value}, got {kind!r} (kinds: {kinds})")
 
 
-def _check_inputs(params: ModelParams, x: Array, kind: RegularizerKind) -> Array:
-    x = _check_shape(params, x)
-    _check_kind(params, kind)
-    return x
-
-
 def _kl_rows(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Array, Array, Array]:
     """Per-example KL plus the pieces needed for its gradients, from the
     log-softmax and softmax each pass keeps, so a shared clean pass computes
@@ -82,10 +76,12 @@ def _kl_rows(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Array, Array
 
 
 # Summed (per-example, unscaled) primitives; divide by n for the batch mean.
-# Each public entry checks its inputs in _checked, which builds the clean pass
-# at (theta, x), and runs an unchecked body. A training step calls the bodies
-# directly: it checks x and kind once, where it builds the one clean pass its
-# evaluations share, and draws every delta it evaluates at x's shape.
+# Each public entry checks its kind against the head, and its inputs in
+# _checked, which builds the clean pass at (theta, x), and runs an unchecked
+# body, which reads the regularizer from the clean pass's head as the task
+# loss does. A training step calls the bodies directly: it checks x once,
+# where it builds the one clean pass its evaluations share, and draws every
+# delta it evaluates at x's shape.
 
 
 def _check_delta(x: Array, delta: Array) -> Array:
@@ -95,29 +91,27 @@ def _check_delta(x: Array, delta: Array) -> Array:
     return delta
 
 
-def _checked(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> tuple[Array, Array, ForwardPass]:
-    """x and delta checked against params and kind (both may carry a leading
-    stack axis), and the clean pass at x."""
-    x = _check_inputs(params, x, kind)
+def _checked(params: ModelParams, x: Array, delta: Array) -> tuple[Array, Array, ForwardPass]:
+    """x and delta checked against params (both may carry a leading stack
+    axis), and the clean pass at x."""
+    x = _check_inputs(params, x)
     return x, _check_delta(x, delta), _forward(params, x)
 
 
-def _value_seeds(clean: ForwardPass, pert: ForwardPass, kind: RegularizerKind) -> tuple[float | Array, Array, Array]:
+def _value_seeds(clean: ForwardPass, pert: ForwardPass) -> tuple[float | Array, Array, Array]:
     """The summed regularizer and its seeds on the perturbed and the clean output."""
-    if kind == RegularizerKind.KL_DIVERGENCE:
+    if clean.is_classification:
         kl, p, q, diff = _kl_rows(clean, pert)
         return _per_member(np.add.reduce(kl, axis=-1)), q - p, p * (diff - kl[..., None])
     resid = clean.out[..., 0] - pert.out[..., 0]
     return _per_member(np.add.reduce(resid**2, axis=-1)), (-2.0 * resid)[..., None], (2.0 * resid)[..., None]
 
 
-def _seed_tangents(
-    clean: ForwardPass, pert: ForwardPass, kind: RegularizerKind
-) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
+def _seed_tangents(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
     """The seed on the perturbed output, as _value_seeds gives it, and the map
     from a tangent of the perturbed output to the tangents of the seeds on the
     perturbed and the clean output."""
-    if kind == RegularizerKind.KL_DIVERGENCE:
+    if clean.is_classification:
         p, q = clean.probs, pert.probs
 
         def seed_tangents(t: Array) -> tuple[Array, Array]:
@@ -131,9 +125,7 @@ def _seed_tangents(
     return (-2.0 * resid)[..., None], lambda t: (2.0 * t, -2.0 * t)
 
 
-def _grad_delta_tangent(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass
-) -> tuple[Array, TangentMap]:
+def _grad_delta_tangent(params: ModelParams, x: Array, clean: ForwardPass, delta: Array) -> tuple[Array, TangentMap]:
     """What one perturbed pass at delta yields to the follower, for checked
     inputs and their clean pass: d(sum of per-example regularizers)/d(delta),
     and the exact tangent map of that pass (see TangentMap). The map takes a
@@ -142,7 +134,7 @@ def _grad_delta_tangent(
     and the delta-delta Hessian-vector products, by one tangent forward and
     one tangent backward over the recorded pass."""
     pert = _forward(params, x + delta)
-    seed, seed_tangents = _seed_tangents(clean, pert, kind)
+    seed, seed_tangents = _seed_tangents(clean, pert)
     gdelta, seeds = _backward_input(params, pert, seed)
 
     def tangent(u: Array, curv: bool = True) -> tuple[Array, Array | None, Array]:
@@ -156,19 +148,20 @@ def _grad_delta_tangent(
 
 def reg_grad_delta_sum(params: ModelParams, x: Array, delta: Array, kind: RegularizerKind) -> Array:
     """d(sum of per-example regularizers)/d(delta); row i touches only example i."""
-    x, delta, clean = _checked(params, x, delta, kind)
-    return _grad_delta_tangent(params, x, delta, kind, clean)[0]
+    _check_kind(params, kind)
+    x, delta, clean = _checked(params, x, delta)
+    return _grad_delta_tangent(params, x, clean, delta)[0]
 
 
 def _reg_grad_params_parts(
-    params: ModelParams, x: Array, delta: Array, kind: RegularizerKind, clean: ForwardPass, to_inputs: bool = True
+    params: ModelParams, x: Array, delta: Array, clean: ForwardPass, to_inputs: bool = True
 ) -> tuple[Array, Array | None, float | Array, Array]:
     """reg_grad_params_sum on checked inputs and a given clean pass, with the
     clean branch left as its seed: (the perturbed branch's theta gradient, the
     delta gradient or, with to_inputs False, None, the sum, the seed on the
     clean output)."""
     pert = _forward(params, x + delta)
-    value, seed_pert, seed_clean = _value_seeds(clean, pert, kind)
+    value, seed_pert, seed_clean = _value_seeds(clean, pert)
     gtheta, gdelta = _backward(params, pert, seed_pert, to_inputs)
     return gtheta, gdelta, value, seed_clean
 
@@ -179,6 +172,7 @@ def reg_grad_params_sum(
     """What one perturbed pass at delta yields to the leader: d(sum of
     per-example regularizers)/d(theta) with delta held fixed, d(same)/d(delta),
     and the sum."""
-    x, delta, clean = _checked(params, x, delta, kind)
-    gtheta, gdelta, value, seed_clean = _reg_grad_params_parts(params, x, delta, kind, clean)
+    _check_kind(params, kind)
+    x, delta, clean = _checked(params, x, delta)
+    gtheta, gdelta, value, seed_clean = _reg_grad_params_parts(params, x, delta, clean)
     return gtheta + _backward(params, clean, seed_clean, to_inputs=False)[0], gdelta, value

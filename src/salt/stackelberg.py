@@ -39,6 +39,7 @@ per-member mask.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +54,7 @@ from .diffmodel import (
     ModelParams,
     _backward,
     _backward_input,
+    _check_inputs,
     _check_targets,
     _forward,
     _per_member,
@@ -68,10 +70,9 @@ from .regularizers import (
     RegularizerKind,
     TangentMap,
     _check_delta,
-    _check_inputs,
+    _check_kind,
     _grad_delta_tangent,
     _reg_grad_params_parts,
-    head_kind,
 )
 
 # Below this, the ascent endpoint gradient is considered stuck at a stationary
@@ -90,15 +91,10 @@ def make_adv_objective(params: ModelParams, x: Array, kind: RegularizerKind) -> 
     summed, whose call at delta returns regularizers._grad_delta_tangent
     there. x and kind are checked here, with the one clean pass every call
     shares; each call checks its delta against x."""
-    x = _check_inputs(params, x, kind)
+    _check_kind(params, kind)
+    x = _check_inputs(params, x)
     clean = _forward(params, x)
-    return lambda delta: _grad_delta_tangent(params, x, _check_delta(x, delta), kind, clean)
-
-
-def _step_objective(params: ModelParams, x: Array, kind: RegularizerKind, clean: ForwardPass) -> Linearize:
-    """make_adv_objective inside a step, which checked x and kind where it
-    built clean and draws every delta at x's shape: its calls check nothing."""
-    return lambda delta: _grad_delta_tangent(params, x, delta, kind, clean)
+    return lambda delta: _grad_delta_tangent(params, x, clean, _check_delta(x, delta))
 
 
 # ---------- forward unroll ----------
@@ -278,7 +274,8 @@ def stackelberg_gradient(
     the clean pass in one backprop. A member whose endpoint gradient is
     degenerate gets an interaction of exactly 0.0. x, kind and the targets are
     checked once, with the clean pass; kind must be the one the head takes."""
-    x = _check_inputs(params, batch.inputs, kind)
+    _check_kind(params, kind)
+    x = _check_inputs(params, batch.inputs)
     clean = _forward(params, x)
     return _salt_gradient(params, x, clean, _check_targets(clean, batch.targets), cfg, rng)
 
@@ -290,11 +287,11 @@ def _salt_gradient(
     at x, with the regularizer the head takes. Its timers start after the
     clean pass."""
     t0 = time.perf_counter()
-    n, kind = x.shape[-2], head_kind(params.output_dim)
-    tape = unroll_forward(params, x, cfg, _step_objective(params, x, kind, clean), rng)
+    n = x.shape[-2]
+    tape = unroll_forward(params, x, cfg, functools.partial(_grad_delta_tangent, params, x, clean), rng)
     t1 = time.perf_counter()
     delta_k = tape.deltas[-1]
-    reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean)
+    reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, clean)
     v = reg_delta / n
     degenerate = _member_norms(v, (-2, -1)) < _DEGENERATE_NORM
     # Python's all and any over the members, not numpy reductions
@@ -351,7 +348,7 @@ def training_step(
     takes only the leader part, its endpoint held constant. Adv climbs the
     task loss from the same draw and adds alpha times the task gradient at
     its endpoint. ERM takes the clean task gradient. The regularizer is the
-    one the head takes (regularizers.head_kind); rng goes unused where the
+    one the head takes, read from the clean pass; rng goes unused where the
     method has no follower. Each step checks its batch once, where it builds
     its clean pass; the follower's evaluations do not check again."""
     x = batch.inputs
@@ -366,10 +363,9 @@ def training_step(
         grad = _task_grad(params, clean, targets)
         stats = {"clean_loss": _task_loss(clean, targets), "reg_value": 0.0, "delta_norm": 0.0}
     elif method == Method.VAT:
-        kind = head_kind(params.output_dim)
-        tape = unroll_forward(params, x, cfg, _step_objective(params, x, kind, clean), rng)
+        tape = unroll_forward(params, x, cfg, functools.partial(_grad_delta_tangent, params, x, clean), rng)
         delta_k = tape.deltas[-1]
-        reg_theta, _, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, kind, clean, to_inputs=False)
+        reg_theta, _, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, clean, to_inputs=False)
         grad = _leader_part(params, clean, targets, cfg, reg_theta, reg_seed)[0]
         stats = step_stats(targets, clean, reg_sum / batch.n, tape.deltas[0], delta_k)
     elif method == Method.ADV:

@@ -365,7 +365,7 @@ def test_forward_only_passes_never_fill_tanh_grads(monkeypatch):
 
     for module in (diffmodel, regularizers, gradcheck):
         monkeypatch.setattr(module, "_forward", recorded)
-    total_objective(inst.params, inst.batch, inst.cfg, inst.kind, inst.delta0)
+    total_objective(inst.params, inst.batch, inst.cfg, inst.delta0)
     filled = ["tanh_grads" in fwd.__dict__ for fwd in passes]
     assert filled == [False] + [True] * inst.cfg.k_steps + [False]
 

@@ -71,7 +71,7 @@ def test_total_objective_alpha0_is_task_loss():
 
     inst, _ = sample_instance(6, 1)
     cfg = replace(inst.cfg, alpha=0.0)
-    got = total_objective(inst.params, inst.batch, cfg, inst.kind, inst.delta0)
+    got = total_objective(inst.params, inst.batch, cfg, inst.delta0)
     want = task_loss(mlp_forward(inst.params, inst.batch.inputs), inst.batch.targets)
     assert got == want
 
@@ -107,15 +107,15 @@ def test_run_gradcheck_validates_count():
         run_gradcheck(instances=0)
 
 
-def _fd_one_at_a_time(params, batch, cfg, kind, delta0, h=_FD_STEP):
+def _fd_one_at_a_time(params, batch, cfg, delta0, h=_FD_STEP):
     """hypergradient_fd's central differences, one unstacked parameter vector per call."""
     base = params.values
     grad = np.empty(base.size)
     for j in range(base.size):
         e = np.zeros(base.size)
         e[j] = h
-        fp = total_objective(params.replace_values(base + e), batch, cfg, kind, delta0)
-        fm = total_objective(params.replace_values(base - e), batch, cfg, kind, delta0)
+        fp = total_objective(params.replace_values(base + e), batch, cfg, delta0)
+        fm = total_objective(params.replace_values(base - e), batch, cfg, delta0)
         grad[j] = (fp - fm) / (2.0 * h)
     return grad
 
@@ -171,15 +171,28 @@ def test_stacked_fd_is_bit_identical_to_one_at_a_time(case):
     if case == "toy-squared-difference":
         assert kind == RegularizerKind.SQUARED_DIFFERENCE
     assert params.n_params > _FD_CHUNK  # more than one chunk
-    assert np.array_equal(hypergradient_fd(*args), _fd_one_at_a_time(*args))
+    assert np.array_equal(hypergradient_fd(*args), _fd_one_at_a_time(params, batch, cfg, delta0))
 
 
 @pytest.mark.parametrize("members", [1, 2])
 def test_hypergradient_fd_takes_one_parameter_vector(members):
-    """A stack of parameter vectors is refused by name: its central
-    differences would perturb every member's entry j at once, and before the
-    check a stack of two died on a numpy broadcast."""
+    """A stack of parameter vectors, of batches or of delta0s is refused by
+    name: its central differences would perturb every member's entry j at
+    once, or stack the chunk's parameters against the problem's stack axis.
+    Before the check a stack of two of any of them died on a numpy
+    broadcast."""
+    from salt.diffmodel import Batch
+
     params, batch, cfg, kind, delta0 = _toy_instance(0)
-    stack = params.replace_values(np.repeat(params.values[None], members, axis=0))
-    with pytest.raises(ContractViolation, match="one parameter vector"):
-        hypergradient_fd(stack, batch, cfg, kind, delta0)
+
+    def stacked(a):
+        return np.repeat(np.asarray(a)[None], members, axis=0)
+
+    problems = (
+        (params.replace_values(stacked(params.values)), batch, delta0),
+        (params, Batch(stacked(batch.inputs), stacked(batch.targets)), delta0),
+        (params, batch, stacked(delta0)),
+    )
+    for p, b, d0 in problems:
+        with pytest.raises(ContractViolation, match="one parameter vector"):
+            hypergradient_fd(p, b, cfg, kind, d0)

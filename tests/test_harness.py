@@ -710,9 +710,9 @@ def test_sweep_rows_are_independent_runs(tmp_path):
 def test_sweep_rejects_bad_requests(tmp_path):
     template = _sweep_template(tmp_path)
     with pytest.raises(ContractViolation):
-        sweep(template, "sigma", [0.1], out_path=str(tmp_path / "x.csv"))
+        sweep(template, "sigma", [0.1], None, out_path=str(tmp_path / "x.csv"))
     with pytest.raises(ContractViolation):
-        sweep(template, "k_steps", [], out_path=str(tmp_path / "x.csv"))
+        sweep(template, "k_steps", [], None, out_path=str(tmp_path / "x.csv"))
     with pytest.raises(ContractViolation, match="one seed"):
         sweep(template, "k_steps", [1], seeds=[], out_path=str(tmp_path / "x.csv"))
     regression = override(
@@ -721,7 +721,10 @@ def test_sweep_rejects_bad_requests(tmp_path):
         dataset=DatasetSpec(kind="sine", n_train=10, n_test=5, noise_std=0.1),
     )
     with pytest.raises(ContractViolation, match="classification"):
-        sweep(regression, "k_steps", [1], out_path=str(tmp_path / "x.csv"))
+        sweep(regression, "k_steps", [1], None, out_path=str(tmp_path / "x.csv"))
+    with pytest.raises(ContractViolation, match="summary csv"):
+        sweep(template, "k_steps", [0, 1], [0], "")
+    assert os.listdir(tmp_path) == []  # each request was refused before any run wrote
 
 
 def test_sweep_rejects_repeated_values_and_seeds(tmp_path):

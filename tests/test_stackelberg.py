@@ -8,7 +8,9 @@ against hand math or an independently computed oracle.
 """
 from __future__ import annotations
 
+import ast
 import functools
+import inspect
 import platform
 
 import numpy as np
@@ -226,6 +228,58 @@ def test_adjoint_matches_forward_oracle_with_clipping_active():
     want = cfg.alpha * (v @ jac)
     got = interaction_adjoint(tape, params, x, obj, cfg)
     assert _rel(got, want) <= 1e-12
+
+
+# ---------- the interaction at a follower fixed point ----------
+
+
+def _saturated_interaction(a_diag, sigma, k_steps):
+    """The interaction on a quadratic whose follower starts from sigma * a
+    Gaussian draw, with rows saturated on an epsilon = 0.1 sphere by a step
+    of eta = 1e6."""
+    rng = np.random.default_rng(11)
+    params = _carrier(rng)
+    obj = quadratic_objective(np.diag(a_diag), rng.normal(size=(4, 6)))(params.values)
+    x = np.zeros((2, 2))
+    cfg = AdvConfig(alpha=1.0, epsilon=0.1, eta=1e6, sigma=sigma, k_steps=k_steps)
+    tape = unroll_forward(params, x, cfg, obj, rng=0)
+    return float(np.linalg.norm(interaction_adjoint(tape, params, x, obj, cfg)))
+
+
+def test_interaction_vanishes_at_a_follower_fixed_point():
+    """With A = 0.7 I, delta0 = 0 projects in one step to the rows of B theta
+    scaled onto the sphere, where each row's gradient 0.7 delta + B theta is
+    parallel to the row: a fixed point. The projection Jacobian removes the
+    endpoint gradient's part along the row, so the interaction is zero to
+    rounding at every depth (Danskin). Off the fixed point, from a perturbed
+    delta0 or under an anisotropic A, it is not, and it shrinks as the
+    follower converges with depth."""
+    for k_steps in (1, 2, 3):
+        assert _saturated_interaction([0.7] * 4, 0.0, k_steps) <= 1e-15
+    for a_diag, sigma in (([0.7] * 4, 0.05), ([0.7, 0.2, -0.4, 1.3], 0.0)):
+        off = [_saturated_interaction(a_diag, sigma, k_steps) for k_steps in (1, 2, 3)]
+        assert off[0] > off[1] > off[2] > 1e-8, (a_diag, sigma, off)
+
+
+def test_saturated_row_cotangent_norm_is_the_sine_of_its_angle():
+    """On an L2 row outside the ball, the projection Jacobian is
+    (epsilon/|p|)(I - p^ p^T), so it maps g to a vector of norm
+    (epsilon/|p|) |g| sin(g, p): zero for g parallel to p, the whole scaled
+    |g| for g orthogonal to it. sqrt(1 - cos^2) loses the sine of a nearly
+    parallel pair to cancellation, so those two ends are checked apart from
+    the random rows."""
+    rng = np.random.default_rng(5)
+    epsilon = 0.1
+    pre = rng.normal(size=(52, 3)) * 3.0
+    g = rng.normal(size=(52, 3))
+    g[-2], g[-1] = 2.5 * pre[-2], np.cross(pre[-1], g[-1])
+    p_norm, g_norm = np.linalg.norm(pre, axis=1), np.linalg.norm(g, axis=1)
+    assert p_norm.min() > epsilon
+    got = np.linalg.norm(project_jvp_rows(pre, g, epsilon, NormKind.L2, AdvConfig.proj_mode), axis=1)
+    cos = np.einsum("ij,ij->i", pre, g)[:-2] / (p_norm * g_norm)[:-2]
+    want = (epsilon / p_norm * g_norm)[:-2] * np.sqrt(1.0 - cos**2)
+    assert np.max(np.abs(got[:-2] - want)) <= 1e-15
+    assert got[-2] <= 1e-16 and abs(got[-1] - epsilon / p_norm[-1] * g_norm[-1]) <= 1e-16
 
 
 # ---------- mode equivalence on real models ----------
@@ -635,6 +689,42 @@ def test_every_entry_rejects_a_kind_its_head_does_not_take(width):
                 call()
 
 
+# The entries that take a kind, and the checks they make it through.
+_KIND_ENTRIES = {
+    "reg_grad_delta_sum",
+    "reg_grad_params_sum",
+    "make_adv_objective",
+    "stackelberg_gradient",
+    "hypergradient_fd",
+}
+_KIND_CHECKS = {"_check_kind", "_check_inputs", "_checked"}
+
+
+def _kind_takers(module) -> set[str]:
+    """The defs and lambdas in module's source with a parameter named kind,
+    by name; a nested def or a lambda is named with its place."""
+    tree = ast.parse(inspect.getsource(module))
+    top = {id(node) for node in tree.body}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            if "kind" in {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}:
+                name = getattr(node, "name", "<lambda>")
+                found.add(name if id(node) in top else f"{name} (nested, line {node.lineno})")
+    return found
+
+
+def test_kind_stops_at_the_entries_that_take_it():
+    """The regularizer's bodies, the steps and the finite-difference objective
+    read the head from the pass; only the public entries the benchmark calls
+    take a kind, and only to check it against the head."""
+    from salt import gradcheck, regularizers, stackelberg
+
+    takers = set().union(*(_kind_takers(m) for m in (regularizers, stackelberg, gradcheck)))
+    assert _KIND_ENTRIES <= takers <= _KIND_ENTRIES | _KIND_CHECKS, takers - _KIND_ENTRIES - _KIND_CHECKS
+
+
 def test_adv_training_step_runs_and_reports_attacked_loss():
     p, batch = _flat_setup(seed=10, sizes=(2, 6, 2))
     cfg = AdvConfig(alpha=1.0, epsilon=0.5, eta=0.7, sigma=0.1, k_steps=2)
@@ -742,11 +832,15 @@ def test_step_python_call_counts():
     became 426 and 421. Then lone and stacked steps took one norm, a square
     root of one reduction, where a lone step made a ravel and a BLAS dot per
     norm and a stack looped over its members in Python: 426 and 421 became
-    423 and 391. Measured with numpy 2.4.6 on Python 3.11: another
+    423 and 391. Then the follower's objective became a functools.partial of
+    the regularizer body, which reads the head from the clean pass, in place
+    of a lambda around it that passed the head's kind: one call fewer per
+    ascent step, so VAT 278 and 272 became 276 and 270, and SALT 423 and 391
+    became 421 and 389. Measured with numpy 2.4.6 on Python 3.11: another
     version's numpy wrappers may move the figures."""
     want = {
-        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 278, Method.SALT: 423},
-        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 272, Method.SALT: 391},
+        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 276, Method.SALT: 421},
+        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 270, Method.SALT: 389},
     }
     for members, counts in want.items():
         cfg, params, batch, seeds = _canonical_step_inputs(members)
@@ -960,7 +1054,6 @@ from salt.harness.experiment import _evaluate, load_dataset, substream
 from salt.perturb import sample_init
 
 cfg = load_config("configs/canonical_salt.json")
-kind = cfg.model.regularizer_kind
 train, _ = load_dataset(cfg)
 params = init_params(cfg.model.layers, substream(0, "model-init"))
 sel = substream(0, "data-order").permutation(train.n)[: cfg.batch_size]
@@ -978,7 +1071,7 @@ test = Batch(np.stack([t.inputs for t in tests]), np.stack([t.targets for t in t
 @pytest.mark.parametrize(
     "call",
     [
-        "total_objective(fd_stack, batch, cfg.adv, kind, delta0)",  # one finite-difference chunk
+        "total_objective(fd_stack, batch, cfg.adv, delta0)",  # one finite-difference chunk
         "_evaluate(runs, test)",  # a stack of 8 runs on the 500-point test split
     ],
 )
