@@ -707,9 +707,8 @@ def _kind_takers(module) -> set[str]:
     top = {id(node) for node in tree.body}
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            a = node.args
-            if "kind" in {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            if "kind" in {arg.arg for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}:
                 name = getattr(node, "name", "<lambda>")
                 found.add(name if id(node) in top else f"{name} (nested, line {node.lineno})")
     return found
