@@ -24,6 +24,10 @@ OUTDIR with paths relative to it:
   with canonical SALT settings and 20 epochs that read them, one with a
   classification head (csv/moons.json) and one with a regression head
   (csv/sine.json); neither sets how the target column is read.
+It also writes canonical_fd.sha256: the sha256 of the float64 bytes of
+gradcheck.hypergradient_fd at the seed-0 canonical point (the first SALT
+step of configs/canonical_salt.json as the runner builds it), so that a
+change to the finite differences is checked byte for byte.
 Run it once per tree and diff the two listings to show byte identity.
 
 Usage:
@@ -124,6 +128,28 @@ def write_csv_inputs(outdir: str, src: str) -> None:
             fh.write("\n")
 
 
+def write_canonical_fd(outdir: str, src: str) -> None:
+    """outdir/canonical_fd.sha256: the sha256 of src's hypergradient_fd at
+    the seed-0 canonical point, with the batch, init and delta0 draws of
+    the config's first SALT step."""
+    sys.path.insert(0, src)
+    from salt.diffmodel import Batch, init_params
+    from salt.gradcheck import hypergradient_fd
+    from salt.harness import experiment
+    from salt.harness.config import load_config
+    from salt.perturb import sample_init
+
+    cfg = load_config(os.path.join(ROOT, "configs", "canonical_salt.json"))
+    train, _ = experiment.load_dataset(cfg)
+    sel = experiment.substream(cfg.seed, "data-order").permutation(train.n)[: cfg.batch_size]
+    batch = Batch(train.inputs[sel], train.targets[sel])
+    params = init_params(cfg.model.layers, experiment.substream(cfg.seed, "model-init"))
+    delta0 = sample_init(cfg.adv.sigma, batch.inputs.shape, experiment.substream(cfg.seed, "perturb-init")).values
+    fd = hypergradient_fd(params, batch, cfg.adv, cfg.model.regularizer_kind, delta0)
+    with open(os.path.join(outdir, "canonical_fd.sha256"), "w") as fh:
+        fh.write(f"{hashlib.sha256(fd.tobytes()).hexdigest()}  hypergradient_fd at the seed-0 canonical point\n")
+
+
 def produce(outdir: str) -> None:
     """Run PRODUCERS inside outdir, which must be new or empty."""
     os.makedirs(outdir, exist_ok=True)
@@ -131,6 +157,7 @@ def produce(outdir: str) -> None:
         raise SystemExit(f"digest_runs: {outdir} is not empty")
     src = os.path.join(ROOT, "src")
     write_csv_inputs(outdir, src)
+    write_canonical_fd(outdir, src)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, args in PRODUCERS:
         with open(os.path.join(outdir, name), "w") as fh:

@@ -104,6 +104,14 @@ class ModelParams:
         return tuple(zip(mats[0::2], mats[1::2]))
 
 
+def _share_lower_layers(stack: ModelParams, lone: ModelParams, below: int) -> ModelParams:
+    """stack, whose members all equal lone in their first `below` layers,
+    holding those as lone's 2-D (W, b): a pass at an input all members share
+    computes them, and their tanh', once, with each member's lone bits."""
+    stack.__dict__["layers"] = lone.layers[:below] + stack.layers[below:]
+    return stack
+
+
 def _checked_values(values: Array, expected: int) -> Array:
     """values, a float64 array, checked as a flat vector or a stack of them,
     expected entries each, all finite."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ModelParams, _forward, init_params, task_loss
+from .diffmodel import Array, Batch, ModelParams, _forward, _share_lower_layers, init_params, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ascend
 from .regularizers import (
@@ -39,12 +39,12 @@ _KINK_MARGIN = 1e-3
 # Central-difference step of hypergradient_fd.
 _FD_STEP = 1e-5
 
-# Parameters per stacked objective evaluation in hypergradient_fd (2x that
-# many members). At the canonical 25 x 32 hidden layers each activation array
-# is then 0.2 MB, and a call's peak memory ~2 MB. In 6 alternating rounds of
-# the gradcheck benchmark on a 2-core box, 32 and 64 cut its wall_s by 6.9%
-# and 14.0% but raised its peak_rss_mb by 7.5% and 19.3%.
-_FD_CHUNK = 16
+# Floats per activation array of one stacked objective evaluation in
+# hypergradient_fd: a call takes _FD_FLOATS // (2 n widest) parameters, 2x
+# that many members, for a batch of n and the widest layer or input. At the
+# canonical point (n 25, widest 32) that is 16 parameters, 77 calls and ~2 MB
+# of peak memory per call; a toy instance fits in one call.
+_FD_FLOATS = 25_600
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,26 @@ def hypergradient_fd(
     delta0: Array,
 ) -> Array:
     """Central differences of the total objective over every parameter of
-    one problem, evaluated _FD_CHUNK parameters per stacked call. The kind
-    and the one-problem rule are checked here, once per gradient."""
+    one problem, in stacked calls sized by _FD_FLOATS. A call's members,
+    theta +- h e_j for a block of j, share the base's layers below the first
+    one the block perturbs (see _share_lower_layers). The kind and the
+    one-problem rule are checked here, once per gradient."""
     _check_kind(params, kind)
     base = params.values
     shapes = (base.shape, np.shape(batch.inputs), np.shape(delta0))
     if [len(s) for s in shapes] != [1, 2, 2]:
         raise ContractViolation(f"hypergradient_fd takes one parameter vector, (n, d) batch and delta0, got {shapes}")
+    widest = max(params.input_dim, *(c for _, c in params.shapes))
+    per_call = max(1, _FD_FLOATS // (2 * batch.n * widest))
+    layer_ends = np.cumsum([r * c for r, c in params.shapes])[1::2]
     grad = np.empty(base.size)
-    for j0 in range(0, base.size, _FD_CHUNK):
-        js = np.arange(j0, min(j0 + _FD_CHUNK, base.size))
+    for j0 in range(0, base.size, per_call):
+        js = np.arange(j0, min(j0 + per_call, base.size))
         e = np.zeros((js.size, base.size))
         e[np.arange(js.size), js] = _FD_STEP
-        f = total_objective(params.replace_values(np.concatenate([base + e, base - e])), batch, cfg, delta0)
+        stack = params.replace_values(np.concatenate([base + e, base - e]))
+        below = int(np.searchsorted(layer_ends, j0, side="right"))  # layers no member perturbs
+        f = total_objective(_share_lower_layers(stack, params, below), batch, cfg, delta0)
         grad[js] = (f[: js.size] - f[js.size :]) / (2.0 * _FD_STEP)
     return grad
 

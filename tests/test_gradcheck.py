@@ -6,7 +6,6 @@ import pytest
 
 from salt.errors import ContractViolation
 from salt.gradcheck import (
-    _FD_CHUNK,
     _FD_STEP,
     hypergradient_fd,
     kink_margin_ok,
@@ -143,12 +142,32 @@ def _toy_instance(index, norm=None):
     return inst.params, inst.batch, cfg, inst.kind, inst.delta0
 
 
+def _counting_objective(monkeypatch):
+    """A list that gets one entry per total_objective call hypergradient_fd makes."""
+    from salt import gradcheck
+
+    calls = []
+    real = gradcheck.total_objective
+    monkeypatch.setattr(gradcheck, "total_objective", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _layer_ends(params):
+    """The offset in values at which each layer's parameters end."""
+    return np.cumsum([r * c for r, c in params.shapes])[1::2]
+
+
 @pytest.mark.parametrize(
     "case", ["canonical", "toy-kl", "toy-squared-difference", "toy-l2-boundary", "toy-linf-boundary"]
 )
-def test_stacked_fd_is_bit_identical_to_one_at_a_time(case):
+def test_stacked_fd_is_bit_identical_to_one_at_a_time(case, monkeypatch):
     """Each stacked chunk member evaluates exactly as its unstacked vector
-    would: no tolerance."""
+    would: no tolerance. The canonical point takes 77 calls of 16
+    parameters, and a toy instance one call; each toy instance is also run
+    at a budget of 5 parameters per call, so that chunks start inside a
+    layer and straddle a layer's end, where the members share only the
+    layers below the chunk's first."""
+    from salt import gradcheck
     from salt.perturb import NormKind
     from salt.regularizers import RegularizerKind
 
@@ -170,8 +189,58 @@ def test_stacked_fd_is_bit_identical_to_one_at_a_time(case):
         assert max(nrm.max() for nrm in norms) > cfg.epsilon  # the projection acts
     if case == "toy-squared-difference":
         assert kind == RegularizerKind.SQUARED_DIFFERENCE
-    assert params.n_params > _FD_CHUNK  # more than one chunk
-    assert np.array_equal(hypergradient_fd(*args), _fd_one_at_a_time(params, batch, cfg, delta0))
+    want = _fd_one_at_a_time(params, batch, cfg, delta0)
+    calls = _counting_objective(monkeypatch)
+    assert np.array_equal(hypergradient_fd(*args), want)
+    assert len(calls) == (77 if case == "canonical" else 1)
+    if case != "canonical":
+        widest = max(params.input_dim, *(c for _, c in params.shapes))
+        monkeypatch.setattr(gradcheck, "_FD_FLOATS", 5 * 2 * batch.n * widest)
+        starts = range(0, params.n_params, 5)
+        assert any(j0 < end < j0 + 5 for j0 in starts for end in _layer_ends(params)[:-1])  # a chunk straddles
+        calls.clear()
+        assert np.array_equal(hypergradient_fd(*args), want)
+        assert len(calls) == len(starts)
+
+
+def test_fd_chunks_evaluate_each_unperturbed_layer_once(monkeypatch):
+    """In each canonical chunk, the layers below the first one the chunk
+    perturbs are the base's 2-D weights: the clean pass and the first ascent
+    pass, whose inputs every member shares, hold (n, width) activations and
+    tanh' below that layer and stacks from it on. Later ascent passes run on
+    stacked inputs. The gradcheck workload's pass makes 77 + 20 objective
+    calls (170 when every call took 16 parameters)."""
+    from salt import diffmodel, gradcheck, regularizers
+
+    params, batch, cfg, kind, delta0 = _canonical_instance()
+    passes = []
+    original = diffmodel._forward
+
+    def recorded(params, inputs):
+        passes.append(original(params, inputs))
+        return passes[-1]
+
+    for module in (regularizers, gradcheck):
+        monkeypatch.setattr(module, "_forward", recorded)
+    hypergradient_fd(params, batch, cfg, kind, delta0)
+    per_call = cfg.k_steps + 2  # clean, K ascent passes, endpoint
+    assert len(passes) == 77 * per_call
+    depth = len(params.shapes) // 2
+    starts = range(0, params.n_params, 16)
+    belows = [int(np.searchsorted(_layer_ends(params), j0, side="right")) for j0 in starts]
+    assert set(belows) == {0, 1, 2}
+    for chunk, (j0, below) in enumerate(zip(starts, belows)):
+        clean, first, second = passes[chunk * per_call : chunk * per_call + 3]
+        for fwd in (clean, first):
+            assert [a.ndim for a in fwd.acts] == [2] * (below + 1) + [3] * (depth - below - 1)
+            assert fwd.out.shape == (2 * min(16, params.n_params - j0), batch.n, params.output_dim)
+        assert [g.ndim for g in first.tanh_grads] == [2] * below + [3] * (depth - below - 1)
+        assert [a.ndim for a in second.acts] == [3] * depth
+
+    monkeypatch.undo()
+    calls = _counting_objective(monkeypatch)
+    run_gradcheck(20, None, 0)
+    assert len(calls) == 20
 
 
 @pytest.mark.parametrize("members", [1, 2])
