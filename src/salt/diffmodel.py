@@ -437,5 +437,8 @@ def load_checkpoint(path: str) -> ModelParams:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "shapes" not in payload or "values" not in payload:
         raise ContractViolation("checkpoint must contain 'shapes' and 'values'")
-    shapes = tuple((int(r), int(c)) for r, c in payload["shapes"])
+    try:
+        shapes = tuple((int(r), int(c)) for r, c in payload["shapes"])
+    except (TypeError, ValueError):
+        raise ContractViolation(f"checkpoint shapes must be (rows, cols) pairs, got {payload['shapes']!r}") from None
     return ModelParams(values=np.asarray(payload["values"], dtype=np.float64), shapes=shapes)

@@ -32,6 +32,8 @@ class DatasetSpec:
                 require_str(name, path)
         if self.kind == "csv" and (self.train_path is None or self.test_path is None):
             raise ContractViolation("csv dataset needs train_path and test_path")
+        if self.kind != "csv" and (self.train_path is not None or self.test_path is not None):
+            raise ContractViolation(f"train_path and test_path are read only for kind 'csv', not {self.kind!r}")
         check_split(self.n_train, self.n_test, self.noise_std)
 
 

@@ -26,7 +26,10 @@ class OptimizerState:
         # plain comparisons: adam_step rebuilds the state on every step
         if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
             raise ContractViolation(f"learning rate must be positive and finite, got {self.lr!r}")
-        b1, b2 = self.betas
+        try:
+            b1, b2 = self.betas
+        except (TypeError, ValueError):
+            raise ContractViolation(f"betas must be a pair, got {self.betas!r}") from None
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ContractViolation(f"betas must lie in [0, 1), got {self.betas!r}")
         if isinstance(self.eps, bool) or not 0 <= self.eps < math.inf:

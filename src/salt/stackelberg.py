@@ -34,8 +34,7 @@ further seeds on its clean backprop.
 
 Everything here also runs a stack of m problems at once: parameters (m, P)
 and a batch (m, n, d), with one rng per member. Each member's results are
-bit-identical to its lone call; the degenerate-endpoint branch becomes a
-per-member mask.
+bit-identical to its lone call.
 """
 from __future__ import annotations
 
@@ -74,11 +73,6 @@ from .regularizers import (
     _grad_delta_tangent,
     _reg_grad_params_parts,
 )
-
-# Below this, the ascent endpoint gradient is considered stuck at a stationary
-# point and the interaction part is zeroed instead of amplifying noise.
-_DEGENERATE_NORM = 1e-14
-
 
 # The follower's objective at the leader's current theta, summed over
 # examples: obj(delta (n, d)) returns d obj/d delta (n, d) and the TangentMap
@@ -271,9 +265,11 @@ def stackelberg_gradient(
 ) -> StackelbergGrad:
     """The leader's full gradient at batch: unroll the follower, take the flat
     gradient at its endpoint, and add the interaction term, with every seed on
-    the clean pass in one backprop. A member whose endpoint gradient is
-    degenerate gets an interaction of exactly 0.0. x, kind and the targets are
-    checked once, with the clean pass; kind must be the one the head takes."""
+    the clean pass in one backprop. The interaction is linear in the endpoint
+    gradient, so a member whose endpoint gradient is exactly zero gets an
+    interaction of exactly 0.0, and its degenerate_interaction stat is set.
+    x, kind and the targets are checked once, with the clean pass; kind must
+    be the one the head takes."""
     _check_kind(params, kind)
     x = _check_inputs(params, batch.inputs)
     clean = _forward(params, x)
@@ -293,23 +289,15 @@ def _salt_gradient(
     delta_k = tape.deltas[-1]
     reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, clean)
     v = reg_delta / n
-    degenerate = _member_norms(v, (-2, -1)) < _DEGENERATE_NORM
-    # Python's all and any over the members, not numpy reductions
-    sweep = not (cfg.alpha == 0.0 or tape.k_steps == 0 or all(degenerate.flat))
-    mixed, seeds = _reverse_sweep(tape, cfg, v) if sweep else ([], [])
+    mixed, seeds = _reverse_sweep(tape, cfg, v) if cfg.alpha != 0.0 else ([], [])
     leader, clean_parts = _leader_part(params, clean, targets, cfg, reg_theta, reg_seed, seeds)
-    if sweep:
-        interaction = _interaction(mixed, clean_parts, cfg, leader.shape)
-        if any(degenerate.flat):  # some members of a stack
-            interaction = np.where(degenerate[:, None], 0.0, interaction)
-    else:
-        interaction = np.zeros(leader.shape)
+    interaction = _interaction(mixed, clean_parts, cfg, leader.shape)
     t2 = time.perf_counter()
     ratio = _member_norms(interaction, (-1,)) / np.maximum(_member_norms(leader, (-1,)), 1e-300)
     stats = {
         **step_stats(targets, clean, reg_sum / n, tape.deltas[0], delta_k),
         "interaction_ratio": _per_member(ratio),
-        "degenerate_interaction": _per_member(degenerate),
+        "degenerate_interaction": _per_member(~np.logical_or.reduce(v, axis=(-2, -1))),
         "t_unroll": t1 - t0,
         "t_gradient": t2 - t1,
     }

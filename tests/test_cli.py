@@ -101,6 +101,10 @@ def test_train_rejects_bad_values(tmp_path):
             {"dataset": {"kind": "csv", "train_path": 3, "test_path": 3}},
             "bad dataset value: train_path must be a non-empty string, got 3",
         ),
+        (
+            {"dataset": {"train_path": "x.csv", "test_path": "y.csv"}},
+            "bad dataset value: train_path and test_path are read only for kind 'csv', not 'two_moons'",
+        ),
         # the exact projection Jacobian is not a setting
         ({"adv": {"proj_mode": "ExactJacobian"}}, "unknown adv keys: ['proj_mode']"),
         # the model head decides how targets are read; there is no dataset setting for it

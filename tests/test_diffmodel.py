@@ -242,6 +242,11 @@ def test_contract_violations(tmp_path):
     path.write_text('{"shapes": [[2, 4]]}')
     with pytest.raises(ContractViolation, match="must contain 'shapes' and 'values'"):
         load_checkpoint(str(path))
+    # malformed shapes are refused, not left to a failed unpack or int()
+    for shapes in ("5", "[[2]]", "[[2, 4, 1]]", '[["a", 4]]', "[null]"):
+        path.write_text(f'{{"shapes": {shapes}, "values": [0.0]}}')
+        with pytest.raises(ContractViolation, match=r"checkpoint shapes must be \(rows, cols\) pairs, got"):
+            load_checkpoint(str(path))
 
 
 def test_replace_values_checks_values_as_the_constructor_does():

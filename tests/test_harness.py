@@ -312,6 +312,15 @@ def test_config_validates_values():
             "bad dataset value: test_path must be a non-empty string, got {}",
         ),
         ({"dataset": {"kind": "csv", "train_path": "a.csv"}}, "bad dataset value: csv dataset needs train_path and test_path"),
+        # a generated kind reads no file, so it takes no path
+        (
+            {"dataset": {"train_path": "x.csv", "test_path": "y.csv"}},
+            "bad dataset value: train_path and test_path are read only for kind 'csv', not 'two_moons'",
+        ),
+        (
+            {"dataset": {"kind": "sine", "test_path": "y.csv"}},
+            "bad dataset value: train_path and test_path are read only for kind 'csv', not 'sine'",
+        ),
         # sections: a JSON object each; a model has at least an input and an output width
         ({"dataset": "two_moons"}, "dataset must be a JSON object"),
         ({"model": {"layers": [2]}}, "bad model value: model layers must be at least [d_in, d_out]"),

@@ -83,6 +83,10 @@ def test_rejects_bad_state():
     for betas in ((1.0, 0.98), (0.9, -0.1), (float("nan"), 0.98)):
         with pytest.raises(ContractViolation, match=r"betas must lie in \[0, 1\)"):
             OptimizerState(kind="Adam", lr=0.1, betas=betas)
+    # a malformed pair is refused as the config refuses it, not by a failed unpack
+    for betas in ((0.9,), (0.9, 0.98, 0.5), 0.9, None):
+        with pytest.raises(ContractViolation, match=r"betas must be a pair, got"):
+            OptimizerState(kind="Adam", lr=0.1, betas=betas)
     # NaN and a negative eps used to fail only at the first step, as non-finite
     # parameters; an infinite one zeroed every update; True stepped with eps 1
     for eps in (float("nan"), -1.0, -1e-300, float("inf"), True):

@@ -767,10 +767,10 @@ def test_step_forward_and_backward_counts(monkeypatch):
     backpropagates its clean pass once the same way. The last figure is the
     numpy reductions per step: a clean pass's one softmax feeds its loss, its
     seed and the regularizer, and each step checks its labels once. SALT's
-    three norms (the endpoint gradient's, for the degenerate test, and the
-    interaction's and the leader part's, for their ratio) are one reduction
-    each, lone or stacked; they were BLAS dots, and SALT read 39, until
-    lone and stacked steps took the same norm."""
+    degenerate flag (is the endpoint gradient exactly zero) and its two
+    norms (the interaction's and the leader part's, for their ratio) are one
+    reduction each, lone or stacked; the norms were BLAS dots, and SALT read
+    39, until lone and stacked steps took the same norm."""
     import sys
 
     from salt import diffmodel
@@ -835,11 +835,15 @@ def test_step_python_call_counts():
     the regularizer body, which reads the head from the clean pass, in place
     of a lambda around it that passed the head's kind: one call fewer per
     ascent step, so VAT 278 and 272 became 276 and 270, and SALT 423 and 391
-    became 421 and 389. Measured with numpy 2.4.6 on Python 3.11: another
+    became 421 and 389. Then SALT's interaction lost its special case for a
+    small endpoint gradient: no all or any over the members, no K test, and
+    the degenerate flag is one logical_or reduction of the endpoint
+    gradient where it was a norm compared with a threshold, so 421 and 389
+    became 416 and 384. Measured with numpy 2.4.6 on Python 3.11: another
     version's numpy wrappers may move the figures."""
     want = {
-        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 276, Method.SALT: 421},
-        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 270, Method.SALT: 389},
+        None: {Method.ERM: 106, Method.ADV: 267, Method.VAT: 276, Method.SALT: 416},
+        3: {Method.ERM: 99, Method.ADV: 260, Method.VAT: 270, Method.SALT: 384},
     }
     for members, counts in want.items():
         cfg, params, batch, seeds = _canonical_step_inputs(members)
@@ -903,9 +907,10 @@ def test_canonical_salt_step_takes_no_lock():
     assert count_c_calls(step, lambda c: "RLock" in getattr(c, "__qualname__", "")) == 0
 
 
-def test_stacked_gradient_masks_a_degenerate_member():
+def test_stacked_gradient_with_a_zero_endpoint_gradient_member_is_each_lone_call():
     """A stack whose middle member has an all-zero output layer, so its
-    endpoint gradient is exactly zero: that member's interaction is 0.0 and
+    endpoint gradient is exactly zero: the reverse sweep, linear in that
+    gradient, gives that member an interaction of 0.0 with no mask, and
     every member's total, leader and interaction parts have the bits of its
     lone call."""
     params, batch = _mlp_batch(18, sizes=(2, 5, 3), n=4)
@@ -927,6 +932,30 @@ def test_stacked_gradient_masks_a_degenerate_member():
                 assert got.stats[key][i] == value, (i, key)
 
 
+def test_tiny_endpoint_gradient_keeps_its_interaction():
+    """An output layer scaled by 1e-7 leaves an endpoint gradient of norm
+    ~1e-15, nonzero: the interaction, linear in it, is ~1e-22 and not
+    zeroed. It has the bits of interaction_adjoint on the step's own tape,
+    lone and as the middle member of a stack of three, and the step is not
+    flagged degenerate."""
+    params, batch = _mlp_batch(18, sizes=(2, 5, 3), n=4)
+    cfg = AdvConfig(alpha=1.0, epsilon=1.0, eta=0.5, sigma=0.3, k_steps=2)
+    values = np.stack([params.values, params.values.copy(), 0.5 * params.values])
+    values[1, -(5 * 3 + 3) :] *= 1e-7
+    tiny = params.replace_values(values[1])
+    lone = stackelberg_gradient(tiny, batch, cfg, KIND, rng=8)
+    v = reg_grad_delta_sum(tiny, batch.inputs, lone.tape.deltas[-1], KIND) / batch.n
+    assert 0.0 < np.linalg.norm(v) < 1e-14
+    assert np.any(lone.interaction_part) and not lone.stats["degenerate_interaction"]
+    adjoint = interaction_adjoint(lone.tape, tiny, batch.inputs, make_adv_objective(tiny, batch.inputs, KIND), cfg)
+    assert lone.interaction_part.tobytes() == adjoint.tobytes()
+    stack = params.replace_values(values)
+    stacked_batch = Batch(np.stack([batch.inputs] * 3), np.stack([batch.targets] * 3))
+    got = stackelberg_gradient(stack, stacked_batch, cfg, KIND, rng=[7, 8, 9])
+    assert got.stats["degenerate_interaction"].tolist() == [False, False, False]
+    assert got.interaction_part[1].tobytes() == adjoint.tobytes()
+
+
 def _per_seed_reference(params, batch, cfg, kind, rng):
     """(leader part, interaction part) with every seed on the clean pass
     backpropagated by its own _backward call: the task seed, the
@@ -938,17 +967,14 @@ def _per_seed_reference(params, batch, cfg, kind, rng):
     reg, reg_delta, _ = reg_grad_params_sum(params, x, tape.deltas[-1], kind)
     task = _backward(params, clean, _task_seed_sum(clean, batch.targets) / n)[0]
     leader = task if cfg.alpha == 0.0 else task + cfg.alpha * (reg / n)
-    u = v = reg_delta / n
+    u = reg_delta / n
     g = np.zeros(leader.shape)
     for k in range(tape.k_steps, 0, -1):
         u = project_jvp_rows(tape.pre_projections[k - 1], u, cfg.epsilon, cfg.norm, cfg.proj_mode)
         d_theta, curv, seed = tape.tangents[k - 1](u)
         g = g + cfg.eta * (d_theta + _backward(params, clean, seed)[0])
         u = u + cfg.eta * curv
-    members = [v] if v.ndim == 2 else list(v)
-    degenerate = np.array([np.linalg.norm(m) < 1e-14 for m in members])
-    interaction = np.where(degenerate[:, None], 0.0, cfg.alpha * g).reshape(leader.shape)
-    return leader, interaction
+    return leader, cfg.alpha * g
 
 
 def _head_inputs(kind, members):
