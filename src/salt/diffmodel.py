@@ -17,7 +17,10 @@ IEEE ops, batched by np.matmul and by reductions over a member's own axes.
 A single problem's 2-D call runs the same code with no run axis, and a
 stack of seeds (k, ..., C) on one pass backpropagates in one call. Every
 product goes through _matmul, which takes ndarray.dot for two matrices and
-@ for a stack: the same BLAS call either way.
+@ for a stack: the same BLAS call either way. A sum or max over a 2-wide last
+axis (classes, perturbation rows) is one elementwise op, _sum_last or _max_last,
+with the reduce's bits: the sum adds 0.0, as the reduce gives +0.0 for
+-0.0 + -0.0 where a bare add gives -0.0. Other widths call the reduce.
 
 The backward and tangent passes read tanh' (1 - a^2) from the ForwardPass,
 which computes it on first use: a pass that is only evaluated never pays
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 
 Array = np.ndarray
 
@@ -179,6 +182,18 @@ def _matmul(a: Array, b: Array) -> Array:
     return a.dot(b) if a.ndim == 2 and b.ndim == 2 else a @ b
 
 
+def _sum_last(a: Array, keepdims: bool = False) -> Array:
+    """np.add.reduce(a, axis=-1, keepdims=keepdims), bit for bit; see the module docstring."""
+    s = (a[..., 0] + a[..., 1]) + 0.0 if a.shape[-1] == 2 else np.add.reduce(a, axis=-1)
+    return s[..., None] if keepdims else s
+
+
+def _max_last(a: Array) -> Array:
+    """np.maximum.reduce(a, axis=-1, keepdims=True), bit for bit; see the module docstring."""
+    m = np.maximum(a[..., 0], a[..., 1]) if a.shape[-1] == 2 else np.maximum.reduce(a, axis=-1)
+    return m[..., None]
+
+
 # repr=False: tracers key calls by repr, and printing the arrays outlasts the pass.
 @dataclass(frozen=True, eq=False, repr=False)
 class ForwardPass:
@@ -208,9 +223,9 @@ class ForwardPass:
     def softmax_parts(self) -> tuple[Array, Array, Array]:
         """(s, e, S): shifted logits out - max, e = exp(s) and the row sums
         of e (keepdims). The top entry of each row of e is exp(0) = 1."""
-        s = self.out - np.maximum.reduce(self.out, axis=-1, keepdims=True)
+        s = self.out - _max_last(self.out)
         e = np.exp(s)
-        return s, e, np.add.reduce(e, axis=-1, keepdims=True)
+        return s, e, _sum_last(e, keepdims=True)
 
     @_memo
     def tanh_grads(self) -> list[Array]:
@@ -437,8 +452,16 @@ def load_checkpoint(path: str) -> ModelParams:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "shapes" not in payload or "values" not in payload:
         raise ContractViolation("checkpoint must contain 'shapes' and 'values'")
+    try:  # require_int's ContractViolation is a ValueError; a float, bool or size below 1 is refused
+        shapes = tuple((r, c) for r, c in payload["shapes"])
+        for size in sum(shapes, ()):
+            require_int("a checkpoint size", size, 1)
+    except (TypeError, ValueError) as err:
+        raise ContractViolation(
+            f"checkpoint shapes must be (rows, cols) pairs, got {payload['shapes']}: {err}"
+        ) from None
     try:
-        shapes = tuple((int(r), int(c)) for r, c in payload["shapes"])
-    except (TypeError, ValueError):
-        raise ContractViolation(f"checkpoint shapes must be (rows, cols) pairs, got {payload['shapes']!r}") from None
-    return ModelParams(values=np.asarray(payload["values"], dtype=np.float64), shapes=shapes)
+        values = np.asarray(payload["values"], dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ContractViolation(f"checkpoint values must be numbers: {err}") from None
+    return ModelParams(values=values, shapes=shapes)

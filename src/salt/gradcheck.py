@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmodel import Array, Batch, ModelParams, _forward, _share_lower_layers, init_params, task_loss
+from .diffmodel import Array, Batch, ModelParams, _forward, _share_lower_layers, _sum_last, init_params, task_loss
 from .errors import ContractViolation
 from .perturb import AdvConfig, NormKind, ascend
 from .regularizers import (
@@ -121,7 +121,7 @@ def kink_margin_ok(tape: UnrollTape, cfg: AdvConfig) -> bool:
     """True when every pre-projection point keeps a clear relative margin from
     the ball boundary, on both sides."""
     for pre in tape.pre_projections:
-        size = np.sqrt((pre**2).sum(axis=1)) if cfg.norm == NormKind.L2 else np.abs(pre)
+        size = np.sqrt(_sum_last(pre**2)) if cfg.norm == NormKind.L2 else np.abs(pre)
         if np.any(np.abs(size - cfg.epsilon) <= _KINK_MARGIN * cfg.epsilon):
             return False
     return True

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffmodel import Array, ModelParams
-from .errors import ContractViolation
+from .errors import ContractViolation, require_real
 
 
 @dataclass(frozen=True)
@@ -23,17 +23,21 @@ class OptimizerState:
     def __post_init__(self) -> None:
         if self.kind not in ("SGD", "Adam"):
             raise ContractViolation(f"unknown optimizer kind: {self.kind!r}")
-        # plain comparisons: adam_step rebuilds the state on every step
-        if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
-            raise ContractViolation(f"learning rate must be positive and finite, got {self.lr!r}")
         try:
             b1, b2 = self.betas
         except (TypeError, ValueError):
             raise ContractViolation(f"betas must be a pair, got {self.betas!r}") from None
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ContractViolation(f"betas must lie in [0, 1), got {self.betas!r}")
-        if isinstance(self.eps, bool) or not 0 <= self.eps < math.inf:
-            raise ContractViolation(f"eps must be non-negative and finite, got {self.eps!r}")
+        try:  # plain comparisons, as adam_step rebuilds the state every step; require_real names a non-number
+            if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
+                raise ContractViolation(f"learning rate must be positive and finite, got {self.lr!r}")
+            if not (0 <= b1 < 1 and 0 <= b2 < 1):
+                raise ContractViolation(f"betas must lie in [0, 1), got {self.betas!r}")
+            if isinstance(self.eps, bool) or not 0 <= self.eps < math.inf:
+                raise ContractViolation(f"eps must be non-negative and finite, got {self.eps!r}")
+        except TypeError:
+            for name, value in (("lr", self.lr), ("each of betas", b1), ("each of betas", b2), ("eps", self.eps)):
+                require_real(name, value)
+            raise
 
 
 def sgd_step(params: ModelParams, state: OptimizerState, grad: Array) -> tuple[ModelParams, OptimizerState]:

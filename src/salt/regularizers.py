@@ -32,6 +32,7 @@ from .diffmodel import (
     _forward,
     _forward_tangent,
     _per_member,
+    _sum_last,
 )
 from .errors import ContractViolation
 
@@ -72,7 +73,7 @@ def _kl_rows(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Array, Array
     p = clean.probs
     diff = clean.log_probs - pert.log_probs
     terms = np.where(p > _PROB_FLOOR, p * diff, 0.0)
-    return np.add.reduce(terms, axis=-1), p, pert.probs, diff
+    return _sum_last(terms), p, pert.probs, diff
 
 
 # Summed (per-example, unscaled) primitives; divide by n for the batch mean.
@@ -116,8 +117,8 @@ def _seed_tangents(clean: ForwardPass, pert: ForwardPass) -> tuple[Array, Callab
 
         def seed_tangents(t: Array) -> tuple[Array, Array]:
             # softmax Jacobians: d(q - p) = q (t - <q, t>), d(p (diff - kl)) = -p (t - <p, t>)
-            dq = np.add.reduce(q * t, axis=-1, keepdims=True)
-            dp = np.add.reduce(p * t, axis=-1, keepdims=True)
+            dq = _sum_last(q * t, keepdims=True)
+            dp = _sum_last(p * t, keepdims=True)
             return q * (t - dq), p * (dp - t)
 
         return q - p, seed_tangents

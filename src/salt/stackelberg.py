@@ -57,6 +57,7 @@ from .diffmodel import (
     _check_targets,
     _forward,
     _per_member,
+    _sum_last,
     _task_grad,
     _task_loss,
     _task_seed_sum,
@@ -227,7 +228,7 @@ def step_stats(targets: Array, clean: ForwardPass, reg_value: float | Array, del
     """The stats every adversarial step reports, from its checked targets, its
     clean pass and its follower's init and endpoint: floats, or (m,) arrays
     for a stack."""
-    norms = np.sqrt(np.add.reduce(delta_k**2, axis=-1))
+    norms = np.sqrt(_sum_last(delta_k**2))
     return {
         "clean_loss": _task_loss(clean, targets),
         "reg_value": reg_value,

@@ -1,6 +1,7 @@
 """Forward/backward engine checks against loop oracles and finite differences."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from salt.diffmodel import (
     Batch,
     ForwardPass,
     ModelParams,
+    _max_last,
+    _sum_last,
     _task_seed_sum,
     grad_params,
     init_params,
@@ -247,6 +250,17 @@ def test_contract_violations(tmp_path):
         path.write_text(f'{{"shapes": {shapes}, "values": [0.0]}}')
         with pytest.raises(ContractViolation, match=r"checkpoint shapes must be \(rows, cols\) pairs, got"):
             load_checkpoint(str(path))
+    # a size that is not a positive integer is refused, not truncated by int(): [[2.7, 1], [1, 1]]
+    # loaded as ((2, 1), (1, 1)) and [[true, 1], [1, 1]] as ((1, 1), (1, 1))
+    sizes = {"2.7": "must be an integer, got 2.7", "true": "must be an integer, got True", "0": "must be >= 1, got 0"}
+    for size, why in sizes.items():
+        path.write_text(f'{{"shapes": [[{size}, 1], [1, 1]], "values": [1, 2, 3]}}')
+        with pytest.raises(ContractViolation, match=rf"\(rows, cols\) pairs, got .*: .*{why}"):
+            load_checkpoint(str(path))
+    for values in ('"x"', '[1, "a", 3]', '{"a": 1}'):
+        path.write_text(f'{{"shapes": [[2, 1], [1, 1]], "values": {values}}}')
+        with pytest.raises(ContractViolation, match="checkpoint values must be numbers"):
+            load_checkpoint(str(path))
 
 
 def test_replace_values_checks_values_as_the_constructor_does():
@@ -414,3 +428,40 @@ def test_matmul_has_the_bits_of_the_operator(monkeypatch):
     assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
     # both sides of the selection ran, the dot side also on transposed operands
     assert {(2, 2, True), (2, 2, False), (2, 3, False), (3, 2, True), (3, 3, False)} <= set(operands)
+
+
+def test_last_axis_sum_and_max_are_the_reduce_bit_for_bit():
+    """_sum_last and _max_last give the bits of np.add.reduce and
+    np.maximum.reduce over the last axis, for every pair of signed zeros,
+    +-1, +-inf, NaN and the smallest subnormal, and at widths 1 and 3 for
+    every tuple of them: lone and stacked, C- and Fortran-ordered, and as
+    transposed views. A 2-wide axis makes no reduce, any other width falls
+    back to it. The 2-wide sum needs its + 0.0: a bare add gives
+    -0.0 + -0.0 = -0.0, where the reduce gives +0.0. The sum also keeps a
+    NaN's sign and payload as the reduce does. The max is not compared on
+    such NaNs: np.maximum.reduce returns numpy's default NaN for a C-ordered
+    operand and the payload for a Fortran-ordered one, so its bits there
+    depend on the layout; np.maximum keeps the payload."""
+    from helpers import count_reductions
+
+    special = (-0.0, 0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324)
+    for width in (1, 2, 3):
+        rows = np.array(list(itertools.product(special, repeat=width)))
+        stack = np.stack([rows, rows[::-1], np.roll(rows, 1, axis=-1)])
+        for a in (rows, stack):
+            for layout in (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+                with np.errstate(invalid="ignore"):
+                    for keepdims in (False, True):
+                        got, want = _sum_last(layout, keepdims), np.add.reduce(layout, axis=-1, keepdims=keepdims)
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (width, keepdims)
+                    got, want = _max_last(layout), np.maximum.reduce(layout, axis=-1, keepdims=True)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), width
+                    reductions = count_reductions(lambda: (_sum_last(layout), _sum_last(layout, True), _max_last(layout)))
+                assert reductions == (0 if width == 2 else 3), width
+    nans = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(np.float64)
+    pairs = np.array(list(itertools.product([*special, *nans], repeat=2)))
+    for layout in (pairs, np.asfortranarray(pairs), np.stack([pairs, pairs[::-1]])):
+        for keepdims in (False, True):
+            with np.errstate(invalid="ignore"):
+                got, want = _sum_last(layout, keepdims), np.add.reduce(layout, axis=-1, keepdims=keepdims)
+            assert got.tobytes() == want.tobytes(), keepdims

@@ -243,6 +243,21 @@ def test_fd_chunks_evaluate_each_unperturbed_layer_once(monkeypatch):
     assert len(calls) == 20
 
 
+def test_canonical_fd_reduction_count():
+    """numpy reductions in the canonical hypergradient_fd: 5 per chunk, 77
+    chunks. A chunk's stacked values are checked finite and its objective
+    call checks the labels in range (a min and a max) and sums the task loss
+    and the regularizer over the batch. The softmax's max and sum over the
+    2-wide class axis, the KL's row sums and the projection's row norms over
+    the 2-wide perturbation rows are elementwise ops with the reduce's bits
+    (diffmodel._max_last, _sum_last): with them as reductions a chunk made
+    16, and the gradient 1232."""
+    from helpers import count_reductions
+
+    args = _canonical_instance()
+    assert count_reductions(lambda: hypergradient_fd(*args)) == 385
+
+
 @pytest.mark.parametrize("members", [1, 2])
 def test_hypergradient_fd_takes_one_parameter_vector(members):
     """A stack of parameter vectors, of batches or of delta0s is refused by

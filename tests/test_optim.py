@@ -92,6 +92,11 @@ def test_rejects_bad_state():
     for eps in (float("nan"), -1.0, -1e-300, float("inf"), True):
         with pytest.raises(ContractViolation, match="eps must be non-negative and finite"):
             OptimizerState(kind="Adam", lr=0.1, eps=eps)
+    # a non-number is refused in the config's words, not by a failed comparison's TypeError
+    bad = ({"lr": "0.1"}, {"lr": None}, {"eps": "1e-8"}, {"betas": ("a", "b")})
+    for settings, name in zip(bad, ("lr", "lr", "eps", "each of betas")):
+        with pytest.raises(ContractViolation, match=f"^{name} must be a real number, got "):
+            OptimizerState(**{"kind": "Adam", "lr": 0.1, **settings})
     assert OptimizerState(kind="Adam", lr=0.1, betas=(0.0, 0.0), eps=0.0).eps == 0.0
 
 
