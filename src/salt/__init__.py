@@ -1,10 +1,9 @@
-"""Adversarial regularization as a leader/follower game.
-
-The leader updates model parameters against an adversary that perturbs the
-inputs by a few steps of projected gradient ascent on a divergence between
-clean and perturbed predictions. The leader's gradient either treats the
-perturbation as a constant (the flat baseline) or differentiates through the
-unrolled ascent (the anticipating variant).
+"""Adversarial regularization as a leader/follower game: an adversary
+perturbs the inputs by projected gradient ascent on a divergence between
+clean and perturbed predictions, and the leader's gradient either treats
+the perturbation as a constant (flat) or differentiates through the ascent
+(anticipating). Import each name from the module that defines it: importing
+salt itself only sets the heap thresholds below, before any submodule loads.
 """
 
 import ctypes
@@ -35,62 +34,3 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
-
-from .diffmodel import (
-    Batch,
-    ForwardPass,
-    ModelParams,
-    grad_params,
-    init_params,
-    load_checkpoint,
-    mlp_forward,
-    save_checkpoint,
-    task_loss,
-)
-from .errors import ContractViolation
-from .perturb import AdvConfig, NormKind, Perturbation, ProjMode, ascend, sample_init
-from .regularizers import RegularizerKind
-from .stackelberg import (
-    Method,
-    StackelbergGrad,
-    UnrollTape,
-    interaction_adjoint,
-    make_adv_objective,
-    stackelberg_gradient,
-    training_step,
-    unroll_forward,
-)
-from .calibration import CalibrationReport, bin_predictions, confidence_of
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdvConfig",
-    "Batch",
-    "CalibrationReport",
-    "ContractViolation",
-    "ForwardPass",
-    "Method",
-    "ModelParams",
-    "NormKind",
-    "Perturbation",
-    "ProjMode",
-    "RegularizerKind",
-    "StackelbergGrad",
-    "UnrollTape",
-    "ascend",
-    "bin_predictions",
-    "confidence_of",
-    "grad_params",
-    "init_params",
-    "interaction_adjoint",
-    "load_checkpoint",
-    "make_adv_objective",
-    "mlp_forward",
-    "sample_init",
-    "save_checkpoint",
-    "stackelberg_gradient",
-    "task_loss",
-    "training_step",
-    "unroll_forward",
-]

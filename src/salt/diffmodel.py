@@ -58,7 +58,7 @@ class _memo:
 class ModelParams:
     """Flat parameter vector with (rows, cols) shape metadata.
 
-    shapes lists weight and bias shapes in layer order:
+    shapes lists weight and bias shapes, integers >= 1, in layer order:
     (d_in, d_1), (1, d_1), (d_1, d_2), (1, d_2), ...
     values concatenates the row-major entries in the same order. values may
     also be an (m, P) stack of such vectors, one per row.
@@ -69,7 +69,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        shapes = tuple((int(r), int(c)) for r, c in self.shapes)
+        shapes = _checked_shapes(self.shapes)
         object.__setattr__(self, "values", _checked_values(values, sum(r * c for r, c in shapes)))
         object.__setattr__(self, "shapes", shapes)
 
@@ -113,6 +113,20 @@ def _share_lower_layers(stack: ModelParams, lone: ModelParams, below: int) -> Mo
     computes them, and their tanh', once, with each member's lone bits."""
     stack.__dict__["layers"] = lone.layers[:below] + stack.layers[below:]
     return stack
+
+
+def _checked_shapes(shapes) -> tuple[tuple[int, int], ...]:
+    """shapes as int pairs, refused unless they take ModelParams' layout."""
+    try:  # require_int's ContractViolation is a ValueError; a float, bool or size below 1 is refused
+        pairs = tuple((r, c) for r, c in shapes)
+        for size in sum(pairs, ()):
+            require_int("a size", size, 1)
+        widths = [c for _, c in pairs[0::2]]
+        if not pairs or pairs[1::2] != tuple((1, c) for c in widths) or [r for r, _ in pairs[2::2]] != widths[:-1]:
+            raise ValueError("each layer must be a weight (r, c), r the width below, then its bias (1, c)")
+    except (TypeError, ValueError) as err:
+        raise ContractViolation(f"shapes must be (rows, cols) pairs, got {shapes}: {err}") from None
+    return tuple((int(r), int(c)) for r, c in pairs)
 
 
 def _checked_values(values: Array, expected: int) -> Array:
@@ -430,7 +444,7 @@ def _task_grad(params: ModelParams, fwd: ForwardPass, targets: Array) -> Array:
 def grad_params(params: ModelParams, batch: Batch) -> Array:
     """Gradient of the batch-mean task loss with respect to the flat
     parameters."""
-    fwd = _forward(params, batch.inputs)
+    fwd = mlp_forward(params, batch.inputs)
     return _task_grad(params, fwd, _check_targets(fwd, batch.targets))
 
 
@@ -452,14 +466,10 @@ def load_checkpoint(path: str) -> ModelParams:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "shapes" not in payload or "values" not in payload:
         raise ContractViolation("checkpoint must contain 'shapes' and 'values'")
-    try:  # require_int's ContractViolation is a ValueError; a float, bool or size below 1 is refused
-        shapes = tuple((r, c) for r, c in payload["shapes"])
-        for size in sum(shapes, ()):
-            require_int("a checkpoint size", size, 1)
-    except (TypeError, ValueError) as err:
-        raise ContractViolation(
-            f"checkpoint shapes must be (rows, cols) pairs, got {payload['shapes']}: {err}"
-        ) from None
+    try:
+        shapes = _checked_shapes(payload["shapes"])
+    except ContractViolation as err:
+        raise ContractViolation(f"checkpoint {err}") from None
     try:
         values = np.asarray(payload["values"], dtype=np.float64)
     except (TypeError, ValueError) as err:

@@ -17,8 +17,8 @@ class OptimizerState:
     betas: tuple[float, float] = (0.9, 0.98)
     eps: float = 1e-8
     t: int = 0
-    m: Array | None = None
-    v: Array | None = None
+    m: Array | float = 0.0
+    v: Array | float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("SGD", "Adam"):
@@ -46,11 +46,9 @@ def sgd_step(params: ModelParams, state: OptimizerState, grad: Array) -> tuple[M
 
 def adam_step(params: ModelParams, state: OptimizerState, grad: Array) -> tuple[ModelParams, OptimizerState]:
     b1, b2 = state.betas
-    m = state.m if state.m is not None else np.zeros_like(params.values)
-    v = state.v if state.v is not None else np.zeros_like(params.values)
     t = state.t + 1
-    m = b1 * m + (1.0 - b1) * grad
-    v = b2 * v + (1.0 - b2) * grad**2
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad**2
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     new_values = params.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -219,8 +219,6 @@ def _leader_part(
     backprops."""
     n = clean.out.shape[-2]
     parts = _clean_backprop(params, clean, [_task_seed_sum(clean, targets) / n, reg_seed, *more_seeds])
-    if cfg.alpha == 0.0:
-        return parts[0], parts[2:]
     return parts[0] + cfg.alpha * ((reg_theta + parts[1]) / n), parts[2:]
 
 
@@ -290,7 +288,7 @@ def _salt_gradient(
     delta_k = tape.deltas[-1]
     reg_theta, reg_delta, reg_sum, reg_seed = _reg_grad_params_parts(params, x, delta_k, clean)
     v = reg_delta / n
-    mixed, seeds = _reverse_sweep(tape, cfg, v) if cfg.alpha != 0.0 else ([], [])
+    mixed, seeds = _reverse_sweep(tape, cfg, v)
     leader, clean_parts = _leader_part(params, clean, targets, cfg, reg_theta, reg_seed, seeds)
     interaction = _interaction(mixed, clean_parts, cfg, leader.shape)
     t2 = time.perf_counter()

@@ -62,9 +62,9 @@ def test_bench_imports_from_salt_resolve():
     """Each `from salt... import name` and `import salt...` in bench/*.py,
     module-level or inside a function, names something the package has.
     Calls are checked by test_bench_calls_to_salt_bind and reads such as
-    `cfg.proj_mode` or `.values` by test_bench_attribute_reads_resolve; the
-    function names bench/tracing.py lists as strings are not covered, and it
-    skips them when they are missing."""
+    `cfg.proj_mode` or `.values` by test_bench_attribute_reads_resolve, and
+    the function names bench/tracing.py lists as strings by
+    test_traced_names_blinded_by_src_are_only_the_known_ones."""
     paths = sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
     assert paths
     imports = {(os.path.basename(p), module, name) for p in paths for module, name, _ in _salt_imports(p)}
@@ -160,3 +160,58 @@ def test_bench_attribute_reads_resolve():
     assert jvp.shape == delta0.shape
     stats = training_step(Method.SALT, params, batch, cfg, OptimizerState(kind="Adam", lr=1e-3), 0)[2]
     assert {"t_unroll", "t_gradient", "t_update", "degenerate_interaction"} <= set(stats)
+
+
+def _tracing_names() -> dict[str, object]:
+    """TRACED, STEP_FUNCTIONS and KEYED_FUNCTIONS as bench/tracing.py assigns
+    them, read by the AST: a dict of module to names, and two sets of labels."""
+    found = {}
+    for node in _parse(os.path.join(ROOT, "bench", "tracing.py")).body:
+        name = node.targets[0].id if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) else None
+        if name in ("TRACED", "STEP_FUNCTIONS", "KEYED_FUNCTIONS"):
+            value = node.value.args[0] if isinstance(node.value, ast.Call) else node.value  # frozenset({...})
+            found[name] = ast.literal_eval(value)
+    return found
+
+
+def _traceable(label: str) -> bool:
+    """Whether the tracer finds a callable to wrap at label, salt.module.name:
+    the module imports and binds the name to one."""
+    module, name = label.rsplit(".", 1)
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    return callable(getattr(mod, name, None))
+
+
+def test_traced_names_blinded_by_src_are_only_the_known_ones():
+    """bench/tracing.py skips a traced name that src/ no longer defines, so a
+    refactor can blind the trace without failing a check. This ratchet pins
+    the names blinded today: a src/ change that blinds one more fails here,
+    and the benchmark change that fixes the names empties the lists."""
+    lists = _tracing_names()
+    labels = {
+        "TRACED": {f"{module}.{name}" for module, names in lists["TRACED"].items() for name in names},
+        "STEP_FUNCTIONS": {f"salt.{label}" for label in lists["STEP_FUNCTIONS"]},
+        "KEYED_FUNCTIONS": {f"salt.{label}" for label in lists["KEYED_FUNCTIONS"]},
+    }
+    blinded = {key: {label for label in found if not _traceable(label)} for key, found in labels.items()}
+    assert blinded == {
+        "TRACED": {
+            "salt.regularizers.reg_value_sum",
+            "salt.stackelberg.hvp_fd",
+            "salt.stackelberg.salt_training_step",
+            "salt.vat.vat_gradient",
+            "salt.vat.vat_training_step",
+            "salt.vat.adv_training_step",
+            "salt.harness.experiment.erm_training_step",
+        },
+        "STEP_FUNCTIONS": {
+            "salt.stackelberg.salt_training_step",
+            "salt.vat.vat_training_step",
+            "salt.vat.adv_training_step",
+            "salt.harness.experiment.erm_training_step",
+        },
+        "KEYED_FUNCTIONS": set(),
+    }

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -220,6 +221,8 @@ def test_contract_violations(tmp_path):
     p = init_params([2, 4, 3], rng)
     with pytest.raises(ContractViolation):
         mlp_forward(p, np.zeros((2, 5)))
+    with pytest.raises(ContractViolation, match="input width 5 does not match first layer width 2"):
+        grad_params(p, Batch(np.zeros((3, 5)), np.zeros(3, int)))  # was numpy's "shapes not aligned"
     with pytest.raises(ContractViolation, match="inputs must be an"):
         mlp_forward(p, np.zeros(2))  # a vector, not a matrix of rows
     with pytest.raises(ContractViolation, match="batch inputs must be"):
@@ -256,6 +259,23 @@ def test_contract_violations(tmp_path):
     for size, why in sizes.items():
         path.write_text(f'{{"shapes": [[{size}, 1], [1, 1]], "values": [1, 2, 3]}}')
         with pytest.raises(ContractViolation, match=rf"\(rows, cols\) pairs, got .*: .*{why}"):
+            load_checkpoint(str(path))
+    # one layout rule, built directly and loaded alike: a size that is not an integer, a weight with no
+    # bias (built a model with no layers), a bias not under its weight, a weight not on the layer below
+    bad_layouts = {
+        ((2.7, 1), (1, 1)): "a size must be an integer, got 2.7",
+        ((True, 1), (1, 1)): "a size must be an integer, got True",
+        ((2, 3),): "each layer must be a weight",
+        ((2, 3), (1, 4)): "each layer must be a weight",
+        ((2, 3), (1, 3), (5, 2), (1, 2)): "each layer must be a weight",
+        (): "each layer must be a weight",
+    }
+    for shapes, why in bad_layouts.items():
+        n = sum(int(r) * int(c) for r, c in shapes)
+        with pytest.raises(ContractViolation, match=rf"^shapes must be \(rows, cols\) pairs, got .*: {why}"):
+            ModelParams(values=np.zeros(n), shapes=shapes)
+        path.write_text(json.dumps({"shapes": shapes, "values": [0.0] * n}))
+        with pytest.raises(ContractViolation, match=rf"^checkpoint shapes must be \(rows, cols\) pairs, got .*: {why}"):
             load_checkpoint(str(path))
     for values in ('"x"', '[1, "a", 3]', '{"a": 1}'):
         path.write_text(f'{{"shapes": [[2, 1], [1, 1]], "values": {values}}}')

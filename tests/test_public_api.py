@@ -10,6 +10,8 @@ import importlib
 import inspect
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -42,11 +44,12 @@ def _public_callables(module: str) -> set[str]:
 
 
 def _user_paths() -> list[str]:
-    """src/ except the package's __init__.py files, which only re-export,
-    and bench/ and scripts/."""
+    """src/, bench/ and scripts/. The package's __init__.py files count like
+    any module: they re-export nothing (test_root_reexports_nothing), so no
+    name is used there only to be passed on."""
     src = glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
     rest = glob.glob(os.path.join(ROOT, "bench", "*.py")) + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
-    return sorted([p for p in src if os.path.basename(p) != "__init__.py"] + rest)
+    return sorted(src + rest)
 
 
 def _references(node: ast.AST, enclosing: frozenset[str] = frozenset()) -> set[str]:
@@ -82,3 +85,17 @@ def test_every_public_callable_has_a_user_outside_the_tests(module):
 def test_every_module_is_checked():
     assert {"salt.diffmodel", "salt.errors", "salt.harness.cli", "salt.stackelberg"} <= set(MODULES)
     assert set(EXCEPTIONS) <= set(MODULES)
+
+
+def test_root_reexports_nothing():
+    """The package root binds no public name but modules (its submodules, and
+    the ctypes and sys its heap setting uses), so each name has one import
+    path, its defining module's; and a fresh `import salt` loads no salt
+    submodule and not numpy, only setting the heap thresholds."""
+    reexported = sorted(name for name, obj in vars(salt).items() if not name.startswith("_") and not inspect.ismodule(obj))
+    assert not reexported, reexported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    script = "import sys, salt; print(sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'salt'))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT, env=env, check=True)
+    assert proc.stdout.strip() == "['salt']", proc.stdout
